@@ -65,7 +65,6 @@ from .realign import CcnVerdict, RealignedMatrix, ccn_entangled, ccn_value, real
 from .states import (
     BellDiagonal,
     Counterexample,
-    CounterexampleParams,
     CounterexampleSpectra,
     FamilySpec,
     Isotropic,

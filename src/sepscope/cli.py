@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -88,23 +88,12 @@ def _looks_like_path(text: str) -> bool:
 
 
 def _report_dict(report: CriterionReport) -> dict:
-    out = {
-        "dims": [report.dim_a, report.dim_b],
-        "tau": report.tau,
-        "ppt_min_eig": report.ppt_min_eig,
-        "ppt_trace_norm": report.ppt_trace_norm,
-        "realigned_trace": report.realigned_trace,
-        "fidelity_lower": report.fidelity_lower,
-        "fidelity_best": report.fidelity_best,
-        "fidelity_upper": report.fidelity_upper,
-        "fidelity_converged": report.fidelity_converged,
-        "ccn_flag": report.ccn_flag,
-        "ppt_flag": report.ppt_flag,
-        "distillable_flag": report.distillable_flag,
-        "max_disordered": report.max_disordered,
-        "t_psd": report.t_psd,
-        "notes": list(report.notes),
-    }
+    """JSON form of a report: "dims" first, then every other field in order."""
+    out = {"dims": [report.dim_a, report.dim_b]}
+    for field in fields(report):
+        if field.name not in ("dim_a", "dim_b"):
+            out[field.name] = getattr(report, field.name)
+    out["notes"] = list(report.notes)
     return out
 
 
@@ -225,14 +214,7 @@ def cmd_scan(args) -> int:
     values = np.linspace(lo, hi, steps)
     specs = [replace_param(spec, args.param, float(v)) for v in values]
 
-    def evaluate(index: int) -> CriterionReport:
-        return full_report(make_state(specs[index]), restarts=args.restarts, seed=0)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(evaluate, range(steps)))
-    else:
-        reports = [evaluate(i) for i in range(steps)]
+    reports = [full_report(make_state(s), restarts=args.restarts, seed=0) for s in specs]
 
     lines = ["param,tau,ppt_min_eig,fid_lower,fid_best,fid_upper,ccn_flag,ppt_flag,distill_flag"]
     for value, rep in zip(values, reports):
@@ -269,6 +251,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"-n must be at least 1, got {args.n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name, checks in run_suites(names, args.seed, args.n):
@@ -309,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--param", required=True, help="scalar parameter to sweep")
     p_sc.add_argument("--range", required=True, help="lo:hi:steps")
     p_sc.add_argument("--out", help="CSV output path (default stdout)")
-    p_sc.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p_sc.add_argument("--jobs", type=int, default=1,
+                      help="ignored; points are always evaluated serially")
     p_sc.add_argument("--restarts", type=int, default=16,
                       help="fidelity optimizer restarts per point (default 16)")
     p_sc.set_defaults(func=cmd_scan)

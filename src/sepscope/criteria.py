@@ -28,11 +28,11 @@ from .linalg import (
     permute_subsystems,
     tensor,
     trace_out,
+    _mat_and_dims,
 )
-from .realign import ccn_value, realign
-from .states import psi_plus
+from .realign import TOL_FLAG, _reshuffle, ccn_value
+from .states import psi_plus, random_unitary
 
-TOL_FLAG = 1e-9        # criterion flags trip only this far above 1
 TOL_DISORDERED = 1e-10  # max allowed Bloch-vector norm for "maximally disordered"
 
 
@@ -58,7 +58,8 @@ def realigned_trace(op) -> complex:
     """Trace of the realigned operator (requires equal local dimensions)."""
     if isinstance(op, (DensityMatrix, TraceClassOperator)) and op.dim_a != op.dim_b:
         raise DimensionError("realigned trace requires equal local dimensions")
-    return complex(np.trace(realign(op).mat))
+    mat, da, db = _mat_and_dims(op, None)
+    return complex(np.trace(_reshuffle(mat, da, db)))
 
 
 def fidelity_lower(rho: DensityMatrix) -> float:
@@ -112,14 +113,6 @@ def _ascend(four: np.ndarray, d: int, u: np.ndarray, tol: float, max_iter: int):
     return value, u, False
 
 
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
 def fidelity_optimize(
     rho,
     restarts: int = 16,
@@ -158,7 +151,7 @@ def _optimize_psd(mat, d, restarts, tol, max_iter, seed) -> FidelityResult:
     rng = np.random.default_rng(seed)
     best = None
     for trial in range(restarts):
-        u0 = np.eye(d, dtype=np.complex128) if trial == 0 else _haar_unitary(d, rng)
+        u0 = np.eye(d, dtype=np.complex128) if trial == 0 else random_unitary(d, rng)
         value, u, conv = _ascend(four, d, u0, tol, max_iter)
         if best is None or value > best[0]:
             best = (value, u, conv)
@@ -178,7 +171,7 @@ def _optimize_trace_class(mat, d, restarts, tol, max_iter, seed) -> FidelityResu
         shift = max(0.0, -float(np.linalg.eigvalsh(combo)[0]))
         four = (combo + shift * np.eye(d * d)).reshape(d, d, d, d)
         for trial in range(restarts):
-            u0 = np.eye(d, dtype=np.complex128) if trial == 0 else _haar_unitary(d, rng)
+            u0 = np.eye(d, dtype=np.complex128) if trial == 0 else random_unitary(d, rng)
             _, u, conv = _ascend(four, d, u0, tol, max_iter)
             overlap = abs(np.einsum("ki,ikjl,lj->", u.conj(), four_full, u)) / d
             if best is None or overlap > best[0]:
@@ -196,6 +189,12 @@ _SIGNATURE_UNITARIES = {
 }
 
 
+def _max_disordered(dec: HSDecomposition) -> bool:
+    """Both Bloch vectors vanish (always so at d = 1, where they are empty)."""
+    bloch = np.concatenate([dec.r_vec, dec.s_vec])
+    return bool(np.all(np.abs(bloch) <= TOL_DISORDERED))
+
+
 def fidelity_two_qubit_max_disordered(dec: HSDecomposition, entangled_hint: bool) -> float:
     """Closed-form fidelity of an entangled two-qubit state with zero Bloch
     vectors and diagonal correlation matrix.
@@ -208,7 +207,7 @@ def fidelity_two_qubit_max_disordered(dec: HSDecomposition, entangled_hint: bool
     """
     if dec.dim != 2 or dec.basis != "pauli":
         raise ValueError("closed form requires a two-qubit pauli decomposition")
-    if max(np.max(np.abs(dec.r_vec)), np.max(np.abs(dec.s_vec))) > TOL_DISORDERED:
+    if not _max_disordered(dec):
         raise ValueError("state is not maximally disordered (nonzero Bloch vector)")
     t = dec.t_mat
     off = t - np.diag(np.diagonal(t))
@@ -234,7 +233,7 @@ def fidelity_two_qubit_max_disordered(dec: HSDecomposition, entangled_hint: bool
 
 def ccn_max_disordered(dec: HSDecomposition) -> float:
     """CCN value (1 + ||T||_1)/d for states with maximally mixed reductions."""
-    if max(np.max(np.abs(dec.r_vec)), np.max(np.abs(dec.s_vec))) > TOL_DISORDERED:
+    if not _max_disordered(dec):
         raise ValueError("state is not maximally disordered (nonzero Bloch vector)")
     return (1.0 + t_trace_norm(dec)) / dec.dim
 
@@ -378,17 +377,15 @@ def full_report(rho: DensityMatrix, restarts: int = 16, seed: int = 0) -> Criter
         opt = fidelity_optimize(rho, restarts=restarts, seed=seed)
         fid_best, fid_conv = opt.value, opt.converged
         fid_up = tau / d
-        dec = decompose(rho)
-        max_dis = bool(
-            max(np.max(np.abs(dec.r_vec)), np.max(np.abs(dec.s_vec))) <= TOL_DISORDERED
-        )
         # positivity of the correlation matrix is meaningful in the conjugated
-        # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD
-        dec_spin = dec if dec.basis == "spin" else decompose(rho, basis="spin")
-        t_spin = dec_spin.t_mat
+        # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD;
+        # the other checks do not depend on the basis
+        dec = decompose(rho, basis="spin")
+        max_dis = _max_disordered(dec)
+        t_spin = dec.t_mat
         t_psd = bool(
             hermiticity_defect(t_spin) <= 1e-10
-            and float(np.linalg.eigvalsh((t_spin + t_spin.conj().T) / 2)[0]) >= -1e-10
+            and np.all(np.linalg.eigvalsh((t_spin + t_spin.conj().T) / 2) >= -1e-10)
         )
         if max_dis:
             notes.append(
@@ -398,10 +395,11 @@ def full_report(rho: DensityMatrix, restarts: int = 16, seed: int = 0) -> Criter
         purity = float(np.trace(rho.mat @ rho.mat).real)
         if purity >= 1.0 - 1e-10:
             notes.append(f"pure state: tau = (sum sqrt Schmidt)^2 = {_schmidt_tau(rho):.12g}")
-        proj = np.outer(psi_plus(d), psi_plus(d).conj())
-        iso = fid_low * proj + (1 - fid_low) * (np.eye(d * d) - proj) / (d * d - 1)
-        if np.max(np.abs(iso - rho.mat)) <= 1e-10:
-            notes.append(f"isotropic state with fidelity F = {fid_low:.12g}")
+        if d > 1:  # the isotropic family needs d >= 2
+            proj = np.outer(psi_plus(d), psi_plus(d).conj())
+            iso = fid_low * proj + (1 - fid_low) * (np.eye(d * d) - proj) / (d * d - 1)
+            if np.max(np.abs(iso - rho.mat)) <= 1e-10:
+                notes.append(f"isotropic state with fidelity F = {fid_low:.12g}")
     else:
         notes.append("unequal local dimensions: fidelity bounds not defined")
 

@@ -40,7 +40,7 @@ from .linalg import (
     as_matrix,
     trace_norm,
 )
-from .realign import RealignedMatrix
+from .realign import RealignedMatrix, _reshuffle
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -81,26 +81,25 @@ def spin_basis(d: int) -> SpinBasis:
     return SpinBasis(d, _frozen_copy(stack))
 
 
-def _basis_stacks(dim: int, basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return (bra_a, bra_b, ket_a, ket_b) stacks for coefficient extraction.
+def _local_frames(d: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal vectorised operator frames (W_a, W_b), identity column first.
 
-    Coefficients are c = tr((bra_a[n] (x) bra_b[m]) rho) and states rebuild
-    as sums of ket_a[n] (x) ket_b[m].
+    Column n of W_a is vec(A_n)/sqrt(d) and column m of W_b is vec(B_m)/sqrt(d),
+    with A_0 = B_0 = I and the traceless members A_n = sigma_n, B_m = sigma_m
+    (pauli) or A_n = S_n, B_m = S_m^* (spin).
     """
     if basis == "pauli":
-        if dim != 2:
-            raise ValueError(f"pauli basis requires d = 2, got d = {dim}")
-        stack = np.stack(PAULI)
-        return stack, stack, stack, stack
-    if basis == "spin":
-        kets = spin_basis(dim).traceless
-        return (
-            kets.conj().transpose(0, 2, 1),  # S_n^dag
-            kets.transpose(0, 2, 1),         # S_m^T
-            kets,                            # S_n
-            kets.conj(),                     # S_m^*
-        )
-    raise ValueError(f"basis must be 'pauli' or 'spin', got {basis!r}")
+        if d != 2:
+            raise ValueError(f"pauli basis requires d = 2, got d = {d}")
+        alice = bob = np.concatenate([np.eye(2, dtype=np.complex128)[None], np.stack(PAULI)])
+    elif basis == "spin":
+        alice = spin_basis(d).matrices
+        bob = alice.conj()
+    else:
+        raise ValueError(f"basis must be 'pauli' or 'spin', got {basis!r}")
+    w_a = alice.reshape(d * d, d * d).T / np.sqrt(d)
+    w_b = bob.reshape(d * d, d * d).T / np.sqrt(d)
+    return w_a, w_b
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,10 @@ def decompose(rho, basis: str | None = None) -> HSDecomposition:
     """Extract (r, s, T) by Hilbert-Schmidt projection.
 
     Requires equal local dimensions and unit trace; the identity-pair
-    coefficient then comes out as exactly 1 and is not stored.
+    coefficient then comes out as exactly 1 and is not stored.  The
+    coefficients are the realigned matrix written in the local frames:
+    C = d * W_a^dag @ realign(rho) @ conj(W_b), with r = C[1:, 0],
+    s = C[0, 1:] and T = C[1:, 1:]^T.
     """
     if isinstance(rho, DensityMatrix):
         if rho.dim_a != rho.dim_b:
@@ -147,51 +149,16 @@ def decompose(rho, basis: str | None = None) -> HSDecomposition:
         raise InvariantError(f"trace is {tr:.15g}; decomposition requires unit trace")
     if basis is None:
         basis = "pauli" if d == 2 else "spin"
-    bra_a, bra_b, _, _ = _basis_stacks(d, basis)
-    four = mat.reshape(d, d, d, d)  # indices [i, k, j, l] = <ik|rho|jl>
-    r = np.einsum("nji,ikjk->n", bra_a, four)
-    s = np.einsum("mlk,ikil->m", bra_b, four)
-    t = np.einsum("nji,mlk,ikjl->mn", bra_a, bra_b, four)
-    return HSDecomposition(d, basis, r, s, t)
+    w_a, w_b = _local_frames(d, basis)
+    coeff = d * (w_a.conj().T @ _reshuffle(mat, d, d) @ w_b.conj())
+    return HSDecomposition(d, basis, coeff[1:, 0], coeff[0, 1:], coeff[1:, 1:].T)
 
 
-def reconstruct(dec: HSDecomposition) -> np.ndarray:
-    """Rebuild the (dim^2, dim^2) matrix from a decomposition."""
-    d = dec.dim
-    _, _, ket_a, ket_b = _basis_stacks(d, dec.basis)
-    eye = np.eye(d, dtype=np.complex128)
-    alice = eye + np.tensordot(dec.r_vec, ket_a, axes=(0, 0))
-    bob = np.tensordot(dec.s_vec, ket_b, axes=(0, 0))
-    four = (
-        np.einsum("ij,kl->ikjl", alice, eye)
-        + np.einsum("ij,kl->ikjl", eye, bob)
-        + np.einsum("mn,nij,mkl->ikjl", dec.t_mat, ket_a, ket_b)
-    ) / (d * d)
-    return four.reshape(d * d, d * d)
-
-
-def t_trace_norm(dec: HSDecomposition) -> float:
-    """Trace norm of the correlation matrix T."""
-    return trace_norm(dec.t_mat)
-
-
-def _local_frames(dec: HSDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal vectorised operator frames (W_a, W_b), identity column first."""
-    d = dec.dim
-    _, _, ket_a, ket_b = _basis_stacks(d, dec.basis)
-    eye = np.eye(d, dtype=np.complex128).reshape(1, d, d)
-    w_a = np.concatenate([eye, ket_a]).reshape(d * d, d * d).T / np.sqrt(d)
-    w_b = np.concatenate([eye, ket_b]).reshape(d * d, d * d).T / np.sqrt(d)
-    return w_a, w_b
-
-
-def realigned_from_decomposition(dec: HSDecomposition) -> RealignedMatrix:
-    """Realigned matrix built from (r, s, T) instead of from the state.
+def _realigned(dec: HSDecomposition) -> np.ndarray:
+    """The realigned matrix W_a @ C @ W_b^T assembled from (r, s, T).
 
     The realignment of a basis product is an outer product of vectorised
-    basis elements, so the realigned operator is W_a @ C @ W_b.T with the
-    coefficient matrix C assembled below; the result agrees entrywise with
-    realigning the reconstructed state.
+    basis elements, which gives this form with C the coefficient matrix.
     """
     d = dec.dim
     k = d * d - 1
@@ -201,10 +168,28 @@ def realigned_from_decomposition(dec: HSDecomposition) -> RealignedMatrix:
     coeff[0, 1:] = dec.s_vec
     coeff[1:, 1:] = dec.t_mat.T  # row = Alice index n, column = Bob index m
     coeff /= d
-    w_a, w_b = _local_frames(dec)
-    aligned = w_a @ coeff @ w_b.T
+    w_a, w_b = _local_frames(d, dec.basis)
+    return w_a @ coeff @ w_b.T
+
+
+def reconstruct(dec: HSDecomposition) -> np.ndarray:
+    """Rebuild the (dim^2, dim^2) matrix from a decomposition."""
+    return _reshuffle(_realigned(dec), dec.dim, dec.dim)
+
+
+def t_trace_norm(dec: HSDecomposition) -> float:
+    """Trace norm of the correlation matrix T."""
+    return trace_norm(dec.t_mat)
+
+
+def realigned_from_decomposition(dec: HSDecomposition) -> RealignedMatrix:
+    """Realigned matrix built from (r, s, T) instead of from the state.
+
+    Agrees entrywise with realigning the reconstructed state.
+    """
+    aligned = _realigned(dec)
     sv = np.linalg.svd(aligned, compute_uv=False)
-    return RealignedMatrix(d, d, aligned, sv)
+    return RealignedMatrix(dec.dim, dec.dim, aligned, sv)
 
 
 def realigned_operator_basis(dec: HSDecomposition) -> np.ndarray:
@@ -214,6 +199,5 @@ def realigned_operator_basis(dec: HSDecomposition) -> np.ndarray:
     the traceless basis; unitarily equivalent to the canonical realigned
     matrix, hence with identical singular values.
     """
-    w_a, w_b = _local_frames(dec)
-    aligned = realigned_from_decomposition(dec).mat
-    return w_a.conj().T @ aligned @ w_b
+    w_a, w_b = _local_frames(dec.dim, dec.basis)
+    return w_a.conj().T @ _realigned(dec) @ w_b

@@ -39,19 +39,6 @@ def _check_side(side: str) -> str:
     return side
 
 
-def _check_local_state(mat) -> np.ndarray:
-    mat = as_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionError("ancilla must be square")
-    if hermiticity_defect(mat) > 1e-12:
-        raise InvariantError("ancilla is not Hermitian")
-    if abs(np.trace(mat) - 1.0) > 1e-12:
-        raise InvariantError("ancilla trace is not 1")
-    if float(np.linalg.eigvalsh(mat)[0]) < -1e-10:
-        raise InvariantError("ancilla is not positive semidefinite")
-    return mat
-
-
 @dataclass(frozen=True)
 class AddAncilla:
     """Append an uncorrelated local state as a new factor on one side."""
@@ -61,8 +48,11 @@ class AddAncilla:
 
     def __post_init__(self):
         _check_side(self.side)
-        anc = self.ancilla.mat if isinstance(self.ancilla, DensityMatrix) else self.ancilla
-        object.__setattr__(self, "ancilla", _check_local_state(anc))
+        anc = self.ancilla
+        if not isinstance(anc, DensityMatrix):
+            mat = as_matrix(anc)
+            anc = DensityMatrix(mat.shape[0], 1, mat)  # validates it as a local state
+        object.__setattr__(self, "ancilla", anc.mat)
 
 
 @dataclass(frozen=True)

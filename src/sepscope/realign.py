@@ -36,7 +36,7 @@ from .linalg import (
     _mat_and_dims,
 )
 
-TOL_DETECT = 1e-9  # margin above 1 before the entanglement flag trips
+TOL_FLAG = 1e-9  # criterion flags trip only this far above 1
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,21 @@ class RealignedMatrix:
         return float(self.singular_values.sum())
 
 
+def _reshuffle(mat: np.ndarray, da: int, db: int) -> np.ndarray:
+    """The realigned (da^2, db^2) matrix of a (da*db, da*db) operator.
+
+    For da = db the reshuffle is its own inverse, so the same call maps a
+    realigned matrix back to the operator.
+    """
+    return mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+
+
 def realign(rho, dims: tuple[int, int] | None = None) -> RealignedMatrix:
     """Realign a bipartite operator; accepts wrapped or raw matrices."""
     mat, da, db = _mat_and_dims(rho, dims)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionError("realignment input must be square")
-    aligned = mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    aligned = _reshuffle(mat, da, db)
     try:
         sv = np.linalg.svd(aligned, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -90,4 +99,4 @@ def ccn_entangled(rho: DensityMatrix) -> CcnVerdict:
     A True flag is a certificate; False only means the test is inconclusive.
     """
     tau = ccn_value(rho)
-    return CcnVerdict(tau > 1.0 + TOL_DETECT, tau - 1.0)
+    return CcnVerdict(tau > 1.0 + TOL_FLAG, tau - 1.0)

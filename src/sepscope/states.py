@@ -32,7 +32,6 @@ __all__ = [
     "PureSchmidt",
     "RhoP",
     "Counterexample",
-    "CounterexampleParams",
     "MaxDisordered",
     "RandomState",
     "FamilySpec",
@@ -232,9 +231,6 @@ class Counterexample:
                 f"counterexample (s, r, t) = ({self.s}, {self.r}, {self.t}) is not a state: "
                 f"min eigenvalue {min(eigs):.3e}"
             )
-
-
-CounterexampleParams = Counterexample
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,17 @@ def test_analyze_maximally_mixed(capsys):
     assert "= true" not in out
 
 
+@pytest.mark.parametrize("family", ["pure:a=1", "random:da=1,db=1"])
+def test_analyze_single_level_subsystems(capsys, family):
+    code, out, _ = run(capsys, "analyze", family, "--json", "--restarts", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["dims"] == [1, 1]
+    assert data["tau"] == pytest.approx(1.0, abs=1e-12)
+    assert data["max_disordered"] and data["t_psd"]
+    assert not (data["ccn_flag"] or data["ppt_flag"] or data["distillable_flag"])
+
+
 def test_analyze_json_output(capsys):
     code, out, _ = run(capsys, "analyze", "isotropic:d=2,F=0.95", "--json", "--restarts", "2")
     assert code == 0
@@ -196,6 +207,12 @@ def test_verify_monotonicity_and_sandwich(capsys):
     code, out, _ = run(capsys, "verify", "sandwich", "--seed", "7", "-n", "14")
     assert code == 0
     assert "fidelity lower bound holds: PASS" in out
+
+
+def test_verify_rejects_empty_instance_count(capsys):
+    code, out, err = run(capsys, "verify", "norms", "-n", "0")
+    assert code == 2 and out == ""
+    assert "-n must be at least 1" in err
 
 
 def test_verify_reports_worst_slack(capsys):

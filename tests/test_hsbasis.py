@@ -203,14 +203,43 @@ def test_realigned_operator_basis_counterexample_matrix():
     )
 
 
+def _stacks(d, basis):
+    """(bra_a, bra_b, ket_a, ket_b) as the module docstring defines them,
+    identity first: c_nm = tr((bra_a[n] (x) bra_b[m]) rho) and rho is the
+    sum of c_nm ket_a[n] (x) ket_b[m] / d^2."""
+    if basis == "pauli":
+        stack = np.stack([np.eye(2), *PAULI])
+        return stack, stack, stack, stack
+    kets = spin_basis(d).matrices
+    return kets.conj().transpose(0, 2, 1), kets.transpose(0, 2, 1), kets, kets.conj()
+
+
+@pytest.mark.parametrize("d,basis", [(2, "pauli"), (2, "spin"), (3, "spin"), (4, "spin")])
+def test_decompose_matches_explicit_coefficients(rng, d, basis):
+    bra_a, bra_b, ket_a, ket_b = _stacks(d, basis)
+    for _ in range(3):
+        rho = random_density_matrix(d, d, rng=rng)
+        coeff = np.empty((d * d, d * d), dtype=complex)
+        rebuilt = np.zeros((d * d, d * d), dtype=complex)
+        for n in range(d * d):
+            for m in range(d * d):
+                coeff[n, m] = np.trace(np.kron(bra_a[n], bra_b[m]) @ rho.mat)
+                rebuilt += coeff[n, m] * np.kron(ket_a[n], ket_b[m]) / d**2
+        assert coeff[0, 0] == pytest.approx(1.0, abs=1e-12)
+        dec = decompose(rho, basis=basis)
+        np.testing.assert_allclose(dec.r_vec, coeff[1:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dec.s_vec, coeff[0, 1:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dec.t_mat, coeff[1:, 1:].T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(reconstruct(dec), rebuilt, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rebuilt, rho.mat, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("d,basis", [(2, "pauli"), (3, "spin")])
 def test_bloch_vectors_are_reduction_data(rng, d, basis):
-    from sepscope.hsbasis import _basis_stacks
-
     for _ in range(5):
         rho = random_density_matrix(d, d, rng=rng)
         dec = decompose(rho, basis=basis)
-        _, _, ket_a, ket_b = _basis_stacks(d, basis)
+        ket_a, ket_b = (stack[1:] for stack in _stacks(d, basis)[2:])
         red_a = (np.eye(d) + np.tensordot(dec.r_vec, ket_a, axes=(0, 0))) / d
         red_b = (np.eye(d) + np.tensordot(dec.s_vec, ket_b, axes=(0, 0))) / d
         np.testing.assert_allclose(red_a, partial_trace(rho, "second"), atol=1e-12)

@@ -178,3 +178,5 @@ def test_apply_dimension_errors(rng):
         LocalUnitary(np.eye(2) * 2, np.eye(2))
     with pytest.raises(InvariantError, match="trace"):
         AddAncilla("alice", np.eye(2))
+    with pytest.raises(DimensionError):
+        AddAncilla("bob", np.full((2, 3), 0.5))

@@ -10,7 +10,6 @@ from sepscope.realign import ccn_value
 from sepscope.states import (
     BellDiagonal,
     Counterexample,
-    CounterexampleParams,
     Isotropic,
     MaxDisordered,
     PureSchmidt,
@@ -90,7 +89,6 @@ def test_counterexample_validation():
         Counterexample(0.25, 0.5, 0.0)
     with pytest.raises(ValueError, match="not a state"):
         Counterexample(0.9, -0.9, 0.9)
-    assert CounterexampleParams is Counterexample
 
 
 def test_rho_p_threshold_values():
