@@ -19,6 +19,7 @@ from .criteria import (
     fidelity_optimize,
     fidelity_two_qubit_max_disordered,
     full_report,
+    full_reports,
     ppt_criterion,
     realigned_trace,
     single_factor,
@@ -78,6 +79,7 @@ from .states import (
     counterexample_spectra,
     format_family,
     make_state,
+    param_kind,
     parse_family,
     psi_plus,
     random_density_matrix,

@@ -15,10 +15,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from .criteria import CriterionReport, fidelity_optimize, full_report, realigned_trace
+from .criteria import CriterionReport, fidelity_optimize, full_report, full_reports, realigned_trace
 from .linalg import DensityMatrix, TraceClassOperator
 from .realign import ccn_value
-from .states import FamilySpec, make_state, parse_family, replace_param
+from .states import FamilySpec, make_state, param_kind, parse_family, replace_param
 from .verify import SUITES, run_suites
 
 
@@ -214,7 +214,7 @@ def cmd_scan(args) -> int:
     values = np.linspace(lo, hi, steps)
     specs = [replace_param(spec, args.param, float(v)) for v in values]
 
-    reports = [full_report(make_state(s), restarts=args.restarts, seed=0) for s in specs]
+    reports = full_reports((make_state(s) for s in specs), restarts=args.restarts, seed=0)
 
     lines = ["param,tau,ppt_min_eig,fid_lower,fid_best,fid_upper,ccn_flag,ppt_flag,distill_flag"]
     for value, rep in zip(values, reports):
@@ -233,8 +233,10 @@ def cmd_scan(args) -> int:
                 ]
             )
         )
+    # no value lies between two consecutive integers, so there is nothing to bisect
+    bisect = param_kind(spec, args.param) is not int
     for i in range(steps - 1):
-        if reports[i].ccn_flag != reports[i + 1].ccn_flag:
+        if bisect and reports[i].ccn_flag != reports[i + 1].ccn_flag:
             crossing = ccn_threshold(spec, args.param, float(values[i]), float(values[i + 1]))
             if crossing is not None:
                 lines.append(f"# ccn-threshold {args.param} = {crossing!r}")

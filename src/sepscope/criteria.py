@@ -13,6 +13,7 @@ always reported as a certified lower bound, never as the global optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -86,38 +87,94 @@ class FidelityResult(NamedTuple):
     converged: bool
 
 
-def _fidelity_objective(four: np.ndarray, d: int, u: np.ndarray) -> float:
-    return float(np.einsum("ki,ikjl,lj->", u.conj(), four, u).real) / d
+_ASCENT_TOL = 1e-10
+_ASCENT_MAX_ITER = 2000
+
+# At most this many states share one ascent in full_reports.  Batching them
+# removes the per-state Python dispatch; larger batches gain little more,
+# while their stacked d^2 x d^2 matrices and iterates grow with every state.
+_CHUNK_POINTS = 16
 
 
-def _ascend(four: np.ndarray, d: int, u: np.ndarray, tol: float, max_iter: int):
-    """Monotone fixed-point ascent of <psi_U|rho|psi_U> for PSD rho.
+def _haar_starts(d: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
+    """(restarts, d, d) starts: the identity, then Haar-random draws in order."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    draws = [random_unitary(d, rng) for _ in range(restarts - 1)]
+    return np.stack([np.eye(d, dtype=np.complex128)] + draws)
 
-    Each step replaces U by the polar factor of the gradient, which cannot
-    decrease the objective; stops when the gain drops below tol.
+
+def _vec_t(us: np.ndarray) -> np.ndarray:
+    """x = vec(U^T) of a stack of d x d matrices, so that x[i*d + k] = U[k, i]."""
+    d = us.shape[-1]
+    return us.swapaxes(-1, -2).reshape(us.shape[:-2] + (d * d,))
+
+
+def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
+    """Monotone fixed-point ascent of <psi_U|rho|psi_U> for a stack of PSD rho.
+
+    ``mats`` is (P, d^2, d^2) and ``starts`` (P, R, d, d), or broadcastable
+    to it: R restarts for each of P problems, all run as one batch.  With
+    x = vec(U^T) the objective is <x|rho|x>/d and its gradient in U is
+    reshape(rho x)^T/d, so one batched product y = x rho^T gives both.  Each
+    step replaces U by the polar factor of the gradient, which cannot
+    decrease the objective.  Each (problem, restart) pair stops on its own:
+    converged when the gradient norm is below 1e-300, when the next value is
+    lower (only reachable through rounding noise; the previous U is kept) or
+    when the gain is at most tol; unconverged after max_iter steps.
+
+    Returns the values (P, R), the unitaries (P, R, d, d) and the converged
+    flags (P, R).
     """
-    value = _fidelity_objective(four, d, u)
+    p, d = mats.shape[0], starts.shape[-1]
+    mats_t = mats.swapaxes(-1, -2)
+    x = _vec_t(np.broadcast_to(starts, (p,) + starts.shape[-3:])).copy()
+    y = x @ mats_t
+    values = np.sum(x.conj() * y, axis=-1).real / d
+    converged = np.zeros(values.shape, dtype=bool)
+    active = np.ones(values.shape, dtype=bool)
     for _ in range(max_iter):
-        grad = np.einsum("ikjl,lj->ki", four, u) / d
-        if np.linalg.norm(grad) < 1e-300:
-            return value, u, True
+        pi, ri = np.nonzero(active)
+        if pi.size == 0:
+            break
+        grad = y[pi, ri].reshape(-1, d, d).swapaxes(-1, -2) / d
+        flat = np.linalg.norm(grad, axis=(-2, -1)) < 1e-300
         w, _, vh = np.linalg.svd(grad)
-        u_next = w @ vh
-        nxt = _fidelity_objective(four, d, u_next)
-        if nxt < value:  # only reachable through rounding noise
-            return value, u, True
-        gain = nxt - value
-        value, u = nxt, u_next
-        if gain <= tol:
-            return value, u, True
-    return value, u, False
+        x_next = _vec_t(w @ vh)
+        # the product runs over the whole stack; finished pairs are discarded
+        trial = x.copy()
+        trial[pi, ri] = x_next
+        y_next = (trial @ mats_t)[pi, ri]
+        nxt = np.sum(x_next.conj() * y_next, axis=-1).real / d
+        gain = nxt - values[pi, ri]
+        stop = flat | (nxt < values[pi, ri])
+        step = ~stop
+        x[pi[step], ri[step]] = x_next[step]
+        y[pi[step], ri[step]] = y_next[step]
+        values[pi[step], ri[step]] = nxt[step]
+        done = stop | (gain <= tol)
+        converged[pi[done], ri[done]] = True
+        active[pi[done], ri[done]] = False
+    us = x.reshape(values.shape + (d, d)).swapaxes(-1, -2)
+    return values, us, converged
+
+
+def _optimize_psd(mats: np.ndarray, starts: np.ndarray, tol=_ASCENT_TOL,
+                  max_iter=_ASCENT_MAX_ITER) -> list[FidelityResult]:
+    """Best restart of each PSD matrix in the stack, all from the same starts."""
+    values, us, converged = _ascend(mats, starts[None], tol, max_iter)
+    best = np.argmax(values, axis=1)  # the first restart wins ties
+    return [
+        FidelityResult(float(values[k, b]), us[k, b], bool(converged[k, b]))
+        for k, b in enumerate(best)
+    ]
 
 
 def fidelity_optimize(
     rho,
     restarts: int = 16,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
+    tol: float = _ASCENT_TOL,
+    max_iter: int = _ASCENT_MAX_ITER,
     seed: int = 0,
 ) -> FidelityResult:
     """Best found overlap with a maximally entangled state (I (x) U)|psi+>.
@@ -132,51 +189,31 @@ def fidelity_optimize(
     the ascent then runs on shifted Hermitian combinations over a phase
     grid and reports the best modulus found.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not isinstance(rho, (DensityMatrix, TraceClassOperator)):
+        raise TypeError("expected a DensityMatrix or TraceClassOperator")
+    if rho.dim_a != rho.dim_b:
+        raise DimensionError("fidelity is defined for equal local dimensions only")
+    d, rng = rho.dim_a, np.random.default_rng(seed)
     if isinstance(rho, DensityMatrix):
-        if rho.dim_a != rho.dim_b:
-            raise DimensionError("fidelity is defined for equal local dimensions only")
-        d, mat = rho.dim_a, rho.mat
-        return _optimize_psd(mat, d, restarts, tol, max_iter, seed)
-    if isinstance(rho, TraceClassOperator):
-        if rho.dim_a != rho.dim_b:
-            raise DimensionError("fidelity is defined for equal local dimensions only")
-        return _optimize_trace_class(rho.mat, rho.dim_a, restarts, tol, max_iter, seed)
-    raise TypeError("expected a DensityMatrix or TraceClassOperator")
+        return _optimize_psd(rho.mat[None], _haar_starts(d, restarts, rng), tol, max_iter)[0]
+    return _optimize_trace_class(rho.mat, d, restarts, tol, max_iter, rng)
 
 
-def _optimize_psd(mat, d, restarts, tol, max_iter, seed) -> FidelityResult:
-    four = mat.reshape(d, d, d, d)
-    rng = np.random.default_rng(seed)
-    best = None
-    for trial in range(restarts):
-        u0 = np.eye(d, dtype=np.complex128) if trial == 0 else random_unitary(d, rng)
-        value, u, conv = _ascend(four, d, u0, tol, max_iter)
-        if best is None or value > best[0]:
-            best = (value, u, conv)
-    return FidelityResult(best[0], best[1], best[2])
-
-
-def _optimize_trace_class(mat, d, restarts, tol, max_iter, seed) -> FidelityResult:
+def _optimize_trace_class(mat, d, restarts, tol, max_iter, rng) -> FidelityResult:
     herm = (mat + mat.conj().T) / 2.0
     skew = (mat - mat.conj().T) / 2.0j
     hermitian_input = np.linalg.norm(skew) <= 1e-13 * max(1.0, np.linalg.norm(herm))
     phases = (0.0, np.pi) if hermitian_input else tuple(2 * np.pi * k / 24 for k in range(24))
-    rng = np.random.default_rng(seed)
-    four_full = mat.reshape(d, d, d, d)
-    best = None
-    for theta in phases:
-        combo = np.cos(theta) * herm + np.sin(theta) * skew
-        shift = max(0.0, -float(np.linalg.eigvalsh(combo)[0]))
-        four = (combo + shift * np.eye(d * d)).reshape(d, d, d, d)
-        for trial in range(restarts):
-            u0 = np.eye(d, dtype=np.complex128) if trial == 0 else random_unitary(d, rng)
-            _, u, conv = _ascend(four, d, u0, tol, max_iter)
-            overlap = abs(np.einsum("ki,ikjl,lj->", u.conj(), four_full, u)) / d
-            if best is None or overlap > best[0]:
-                best = (float(overlap), u, conv)
-    return FidelityResult(best[0], best[1], best[2])
+    combos = [np.cos(theta) * herm + np.sin(theta) * skew for theta in phases]
+    shifts = [max(0.0, -float(np.linalg.eigvalsh(c)[0])) for c in combos]
+    mats = np.stack([c + shift * np.eye(d * d) for c, shift in zip(combos, shifts)])
+    starts = np.stack([_haar_starts(d, restarts, rng) for _ in phases])  # phase-major draws
+    _, us, converged = _ascend(mats, starts, tol, max_iter)
+    x = _vec_t(us).reshape(-1, d * d)
+    overlaps = np.abs(np.sum(x.conj() * (x @ mat.T), axis=-1)) / d
+    best = int(np.argmax(overlaps))  # phase-major, the first restart wins ties
+    unitary = us.reshape(-1, d, d)[best]
+    return FidelityResult(float(overlaps[best]), unitary, bool(converged.flat[best]))
 
 
 # the maximally entangled state compensating a given diagonal-correlation
@@ -360,23 +397,53 @@ def _schmidt_tau(rho: DensityMatrix) -> float:
     return float(sv.sum() ** 2)
 
 
+def _square_dim(rho: DensityMatrix) -> int | None:
+    return rho.dim_a if rho.dim_a == rho.dim_b else None
+
+
+def full_reports(states, restarts: int = 16, seed: int = 0) -> list[CriterionReport]:
+    """full_report of every state, in order, with the fidelity ascents batched.
+
+    Consecutive square states of one local dimension form a group: its Haar
+    starts are drawn once, as full_report would draw them for each state,
+    and its states ascend together, at most _CHUNK_POINTS at a time.
+    ``states`` may be a generator; it is consumed one chunk at a time.
+    """
+    reports: list[CriterionReport] = []
+    for d, group in groupby(states, key=_square_dim):
+        if d is None:
+            reports += [_report(rho, None) for rho in group]
+            continue
+        starts = _haar_starts(d, restarts, np.random.default_rng(seed))
+        while chunk := list(islice(group, _CHUNK_POINTS)):
+            opts = _optimize_psd(np.stack([rho.mat for rho in chunk]), starts)
+            reports += [_report(rho, opt) for rho, opt in zip(chunk, opts)]
+    return reports
+
+
 def full_report(rho: DensityMatrix, restarts: int = 16, seed: int = 0) -> CriterionReport:
     """Run every criterion on one state and collect the results."""
+    return full_reports([rho], restarts, seed)[0]
+
+
+def _report(rho: DensityMatrix, opt: FidelityResult | None) -> CriterionReport:
+    """The report of one state, given its fidelity ascent when it is square."""
     tau = ccn_value(rho)
     ppt = ppt_criterion(rho)
-    square = rho.dim_a == rho.dim_b
     notes: list[str] = []
 
     tr_a = fid_low = fid_best = fid_up = None
     fid_conv = None
     max_dis = t_psd = None
-    if square:
+    if opt is not None:
         d = rho.dim_a
-        fid_low = fidelity_lower(rho)
-        tr_a = d * fid_low
-        opt = fidelity_optimize(rho, restarts=restarts, seed=seed)
-        fid_best, fid_conv = opt.value, opt.converged
+        overlap = fidelity_lower(rho)
+        tr_a = d * overlap
         fid_up = tau / d
+        # rounding can lift a lower bound just past tau/d at a pure endpoint;
+        # a reported lower bound never exceeds its upper bound
+        fid_low, fid_best = min(overlap, fid_up), min(opt.value, fid_up)
+        fid_conv = opt.converged
         # positivity of the correlation matrix is meaningful in the conjugated
         # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD;
         # the other checks do not depend on the basis
@@ -397,9 +464,9 @@ def full_report(rho: DensityMatrix, restarts: int = 16, seed: int = 0) -> Criter
             notes.append(f"pure state: tau = (sum sqrt Schmidt)^2 = {_schmidt_tau(rho):.12g}")
         if d > 1:  # the isotropic family needs d >= 2
             proj = np.outer(psi_plus(d), psi_plus(d).conj())
-            iso = fid_low * proj + (1 - fid_low) * (np.eye(d * d) - proj) / (d * d - 1)
+            iso = overlap * proj + (1 - overlap) * (np.eye(d * d) - proj) / (d * d - 1)
             if np.max(np.abs(iso - rho.mat)) <= 1e-10:
-                notes.append(f"isotropic state with fidelity F = {fid_low:.12g}")
+                notes.append(f"isotropic state with fidelity F = {overlap:.12g}")
     else:
         notes.append("unequal local dimensions: fidelity bounds not defined")
 

@@ -17,6 +17,7 @@ with ``;`` separating vector-valued groups):
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -38,6 +39,7 @@ __all__ = [
     "make_state",
     "parse_family",
     "format_family",
+    "param_kind",
     "replace_param",
     "scannable_params",
     "counterexample_matrix",
@@ -413,6 +415,8 @@ def _coerce(name: str, key: str, values: list[str], kind) -> object:
         floats = [float(v) for v in values]
     except ValueError as exc:
         raise ValueError(f"{name}: value for '{key}' is not numeric: {values}") from exc
+    if not all(math.isfinite(f) for f in floats):
+        raise ValueError(f"{name}: value for '{key}' must be finite: {values}")
     if kind is tuple:
         return tuple(floats)
     if len(floats) != 1:
@@ -495,15 +499,20 @@ def scannable_params(spec: FamilySpec) -> dict[str, str]:
     return {key: field for key, (field, kind) in keys.items() if kind in (int, float)}
 
 
-def replace_param(spec: FamilySpec, key: str, value: float) -> FamilySpec:
-    """Return a copy of a family spec with one scalar parameter replaced."""
+def param_kind(spec: FamilySpec, key: str) -> type:
+    """The kind (int or float) of one scalar parameter of a family spec."""
     params = scannable_params(spec)
     if key not in params:
         name = _CLASS_TO_NAME[type(spec)]
         raise ValueError(f"{name}: no scalar parameter '{key}' (have: {', '.join(params)})")
-    field = params[key]
     _, keys = _REGISTRY[_CLASS_TO_NAME[type(spec)]]
-    kind = keys[key][1]
+    return keys[key][1]
+
+
+def replace_param(spec: FamilySpec, key: str, value: float) -> FamilySpec:
+    """Return a copy of a family spec with one scalar parameter replaced."""
+    kind = param_kind(spec, key)
+    field = scannable_params(spec)[key]
     if kind is int:
         if float(value) != int(value):
             raise ValueError(f"parameter '{key}' must be an integer, got {value}")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sepscope.cli import ccn_threshold, load_state_file, main, save_state_file
+from sepscope.cli import _csv_cell, ccn_threshold, load_state_file, main, save_state_file
 from sepscope.states import (
     Werner,
     counterexample_spectra,
@@ -182,6 +182,64 @@ def test_scan_argument_errors(capsys):
     code, _, err = run(capsys, "scan", "werner:d=2,p=0", "--param", "p",
                        "--range", "0:1")
     assert code == 2 and "lo:hi:steps" in err
+
+
+def test_scan_integer_parameter_across_flag_change(capsys):
+    # werner p = 0.5 is CCN-entangled at d = 2 only; no value lies between two
+    # integers, so the flag change is not bisected.  The points mix local
+    # dimensions, and each row still matches analyze of its own state.
+    code, out, err = run(capsys, "scan", "werner:d=2,p=0.5", "--param", "d",
+                         "--range", "2:4:3", "--restarts", "2")
+    assert code == 0, err
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert [row[0] for row in rows] == ["2.0", "3.0", "4.0"]
+    assert [row[header.index("ccn_flag")] for row in rows] == ["1", "0", "0"]
+    for d, row in zip((2, 3, 4), rows):
+        code, text, _ = run(capsys, "analyze", f"werner:d={d},p=0.5", "--json",
+                            "--restarts", "2")
+        data = json.loads(text)
+        assert row[header.index("tau")] == _csv_cell(data["tau"])
+        assert float(row[header.index("fid_best")]) == pytest.approx(
+            data["fidelity_best"], abs=1e-12)
+
+
+def test_scan_rows_match_analyze(capsys):
+    # 21 points, so the scan's batched ascent runs in more than one chunk
+    family = "counterexample:s=0.5,r=0.25,t={}"
+    code, out, _ = run(capsys, "scan", family.format(0), "--param", "t",
+                       "--range=-0.2:0.2:21")
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    columns = {"tau": "tau", "ppt_min_eig": "ppt_min_eig", "fid_lower": "fidelity_lower",
+               "fid_upper": "fidelity_upper", "ccn_flag": "ccn_flag",
+               "ppt_flag": "ppt_flag", "distill_flag": "distillable_flag"}
+    assert len(rows) == 21
+    for row in rows:
+        cells = dict(zip(header, row))
+        code, text, _ = run(capsys, "analyze", family.format(cells["param"]), "--json")
+        data = json.loads(text)
+        for column, key in columns.items():
+            assert cells[column] == _csv_cell(data[key]), (cells["param"], column)
+        assert float(cells["fid_best"]) == pytest.approx(data["fidelity_best"], abs=1e-12)
+
+
+def test_zero_restarts_rejected(capsys):
+    for argv in (["analyze", "werner:d=2,p=0.5"],
+                 ["scan", "werner:d=2,p=0", "--param", "p", "--range", "0:1:3"]):
+        code, out, err = run(capsys, *argv, "--restarts", "0")
+        assert code == 2 and out == ""
+        assert "restarts must be >= 1" in err
+
+
+@pytest.mark.parametrize("family", ["pure:a=1", "werner:d=2,p=1", "isotropic:d=3,F=1"])
+def test_analyze_lower_bounds_never_exceed_upper(capsys, family):
+    # pure endpoints, where rounding lifts the raw lower bounds just past tau/d
+    code, out, _ = run(capsys, "analyze", family, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["fidelity_lower"] <= data["fidelity_upper"]
+    assert data["fidelity_best"] <= data["fidelity_upper"]
+    assert data["fidelity_best"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ccn_threshold_bisection():

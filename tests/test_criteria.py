@@ -1,8 +1,11 @@
 """Decision layer: PPT, fidelity bounds, closed forms, extended CCN."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sepscope import criteria
 from sepscope.criteria import (
     FactorizedState,
     ccn_max_disordered,
@@ -12,6 +15,7 @@ from sepscope.criteria import (
     fidelity_optimize,
     fidelity_two_qubit_max_disordered,
     full_report,
+    full_reports,
     ppt_criterion,
     realigned_trace,
     single_factor,
@@ -31,6 +35,7 @@ from sepscope.states import (
     make_state,
     psi_plus,
     random_density_matrix,
+    random_unitary,
     rho_p_threshold,
 )
 
@@ -162,6 +167,105 @@ def test_fidelity_optimize_argument_errors(rng):
         fidelity_optimize(random_density_matrix(2, 3, rng=rng))
     with pytest.raises(TypeError):
         fidelity_optimize(np.eye(4) / 4)
+
+
+def _overlap(mat, u):
+    """<psi_U|mat|psi_U> with |psi_U> = (I (x) U)|psi+>."""
+    v = np.kron(np.eye(len(u)), u) @ psi_plus(len(u))
+    return v.conj() @ mat @ v
+
+
+def _serial_ascent(mat, d, u, tol=1e-10, max_iter=2000):
+    """One restart of the fixed-point ascent, as the criteria._ascend docstring states it."""
+
+    def objective(u):
+        return float(_overlap(mat, u).real)
+
+    four = mat.reshape(d, d, d, d)
+    value = objective(u)
+    for _ in range(max_iter):
+        grad = np.tensordot(four, u, axes=([2, 3], [1, 0])).T / d
+        if np.linalg.norm(grad) < 1e-300:
+            return value, u, True
+        w, _, vh = np.linalg.svd(grad)
+        nxt = objective(w @ vh)
+        if nxt < value:
+            return value, u, True
+        gain = nxt - value
+        value, u = nxt, w @ vh
+        if gain <= tol:
+            return value, u, True
+    return value, u, False
+
+
+def _phase_matrices(mat, phases):
+    """The shifted Hermitian combinations the trace-class ascent runs on."""
+    herm, skew = (mat + mat.conj().T) / 2, (mat - mat.conj().T) / 2j
+    combos = [np.cos(t) * herm + np.sin(t) * skew for t in phases]
+    return [c + max(0.0, -np.linalg.eigvalsh(c)[0]) * np.eye(len(mat)) for c in combos]
+
+
+def _assert_engine_matches_serial(mats, starts, d, max_iter=2000):
+    values, us, converged = criteria._ascend(np.stack(mats), starts, 1e-10, max_iter)
+    for k, mat in enumerate(mats):
+        ref = [_serial_ascent(mat, d, u0, max_iter=max_iter)
+               for u0 in np.broadcast_to(starts, us.shape)[k]]
+        ref_values = np.array([r[0] for r in ref])
+        np.testing.assert_allclose(values[k], ref_values, rtol=0, atol=1e-12)
+        assert list(converged[k]) == [r[2] for r in ref]
+        for u, value in zip(us[k], values[k]):
+            assert _overlap(mat, u).real == pytest.approx(value, abs=1e-12)
+        # the winning restart agrees unless the reference has a tie at 1e-12
+        win, ref_win = int(np.argmax(values[k])), int(np.argmax(ref_values))
+        assert win == ref_win or ref_values[win] >= ref_values[ref_win] - 1e-12
+
+
+@pytest.mark.parametrize("max_iter", [8, 2000])  # 8 stops most mixed-state restarts early
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_ascent_matches_serial_reference(d, max_iter):
+    rng = np.random.default_rng(40 + d)
+    mats = [random_density_matrix(d, d, rank=r, rng=rng).mat for r in (1, 2, d * d)]
+    starts = criteria._haar_starts(d, 5, rng)
+    _assert_engine_matches_serial(mats, starts[None], d, max_iter)
+
+
+def test_batched_ascent_matches_serial_reference_trace_class():
+    d, restarts = 2, 3
+    rng = np.random.default_rng(44)
+    mat = (rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))) / 4
+    phases = [2 * np.pi * k / 24 for k in range(24)]
+    mats = _phase_matrices(mat, phases)
+    starts = np.stack([criteria._haar_starts(d, restarts, rng) for _ in phases])
+    _assert_engine_matches_serial(mats, starts, d)
+    # the public path: phase-major starts from one generator, best overlap modulus
+    draws = np.random.default_rng(5)
+    best = None
+    for shifted in mats:
+        for trial in range(restarts):
+            u0 = np.eye(d, dtype=complex) if trial == 0 else random_unitary(d, draws)
+            _, u, conv = _serial_ascent(shifted, d, u0)
+            overlap = abs(_overlap(mat, u))
+            if best is None or overlap > best[0]:
+                best = (overlap, u, conv)
+    res = fidelity_optimize(TraceClassOperator(d, d, mat), restarts=restarts, seed=5)
+    assert res.value == pytest.approx(best[0], abs=1e-12)
+    assert res.converged == best[2]
+    np.testing.assert_allclose(res.unitary, best[1], atol=1e-6)
+
+
+def test_full_reports_mixed_batch_matches_full_report(rng):
+    # two groups of d = 3 around a rectangular state, then d = 2; the first
+    # group spans a chunk boundary
+    states = [make_state(Isotropic(3, f)) for f in np.linspace(0.1, 0.9, 18)]
+    states += [random_density_matrix(2, 3, rng=rng), make_state(Isotropic(3, 0.5))]
+    states += [random_density_matrix(2, 2, rng=rng) for _ in range(3)]
+    batched = full_reports(iter(states), restarts=4, seed=3)
+    assert len(batched) == len(states)
+    for rho, got in zip(states, batched):
+        want = full_report(rho, restarts=4, seed=3)
+        assert replace(got, fidelity_best=None) == replace(want, fidelity_best=None)
+        if want.fidelity_best is not None:
+            assert got.fidelity_best == pytest.approx(want.fidelity_best, abs=1e-12)
 
 
 # --- prop-4-style closed form ----------------------------------------------------

@@ -21,6 +21,7 @@ from sepscope.states import (
     counterexample_spectra,
     format_family,
     make_state,
+    param_kind,
     parse_family,
     psi_plus,
     random_density_matrix,
@@ -236,10 +237,27 @@ def test_parse_family_defaults_and_errors():
         parse_family("werner:d=2,p=x")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("belldiag:p=nan,0,0,1", "belldiag: value for 'p'"),
+        ("pure:a=nan,0.5", "pure: value for 'a'"),
+        ("werner:d=2,p=inf", "werner: value for 'p'"),
+        ("isotropic:d=3,F=-inf", "isotropic: value for 'F'"),
+        ("random:da=2,db=2,seed=inf", "random: value for 'seed'"),
+        ("werner:d=nan,p=0.5", "werner: value for 'd'"),
+    ],
+)
+def test_parse_family_rejects_non_finite(text, where):
+    with pytest.raises(ValueError, match=f"^{where} must be finite"):
+        parse_family(text)
+
+
 def test_replace_param():
     spec = parse_family("werner:d=2,p=0.1")
     assert replace_param(spec, "p", 0.9) == Werner(2, 0.9)
     assert scannable_params(spec) == {"d": "d", "p": "p"}
+    assert param_kind(spec, "d") is int and param_kind(spec, "p") is float
     with pytest.raises(ValueError, match="no scalar parameter"):
         replace_param(spec, "a", 0.5)
     with pytest.raises(ValueError, match="no scalar parameter"):
