@@ -62,7 +62,7 @@ from .locc import (
     monotonicity_probe,
     pinching,
 )
-from .realign import CcnVerdict, RealignedMatrix, ccn_entangled, ccn_value, realign
+from .realign import RealignedMatrix, ccn_value, realign
 from .states import (
     BellDiagonal,
     Counterexample,

@@ -106,14 +106,20 @@ def _mat_and_dims(rho, dims: tuple[int, int] | None) -> tuple[np.ndarray, int, i
 def partial_transpose(rho, side: str = "second", dims: tuple[int, int] | None = None) -> np.ndarray:
     """Transpose one tensor factor: <ik|out|jl> = <il|rho|jk> for side='second'."""
     mat, da, db = _mat_and_dims(rho, dims)
-    four = mat.reshape(da, db, da, db)
+    return _partial_transpose(mat, da, db, side)
+
+
+def _partial_transpose(mats: np.ndarray, da: int, db: int, side: str = "second") -> np.ndarray:
+    """partial_transpose of a (..., da*db, da*db) stack, matrix by matrix."""
+    lead = mats.shape[:-2]
+    four = mats.reshape(lead + (da, db, da, db))
     if side == "second":
-        out = four.transpose(0, 3, 2, 1)
+        out = four.swapaxes(-3, -1)
     elif side == "first":
-        out = four.transpose(2, 1, 0, 3)
+        out = four.swapaxes(-4, -2)
     else:
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return out.reshape(da * db, da * db)
+    return out.reshape(lead + (da * db, da * db))
 
 
 def partial_trace(rho, side: str = "second", dims: tuple[int, int] | None = None) -> np.ndarray:
@@ -169,6 +175,39 @@ def permute_subsystems(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarra
     return mat.reshape(dims + dims).transpose(axes).reshape(side, side)
 
 
+def _check_states(mats: np.ndarray, eigs: np.ndarray | None = None) -> np.ndarray:
+    """Check the DensityMatrix invariants on a (N, side, side) stack.
+
+    Each matrix must be Hermitian within TOL_HERM, have unit trace within
+    TOL_TRACE and no eigenvalue below -TOL_PSD.  ``eigs`` are the ascending
+    eigenvalues (N, side) when the caller already has them; otherwise they
+    are computed for the matrices that pass the first two checks.  The first
+    failing matrix raises the InvariantError that DensityMatrix raises for
+    it.  Returns the eigenvalues.
+    """
+    defects = np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    traces = np.trace(mats, axis1=-2, axis2=-1)
+    bad = (defects > TOL_HERM) | (np.abs(traces - 1.0) > TOL_TRACE)
+    first_bad = int(np.argmax(bad)) if bad.any() else len(mats)
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(mats[:first_bad])
+    negative = eigs[:first_bad, 0] < -TOL_PSD
+    if negative.any():
+        min_eig = eigs[np.argmax(negative), 0]
+        raise InvariantError(
+            f"not positive semidefinite: min eigenvalue {min_eig:.3e} < -{TOL_PSD}"
+        )
+    if first_bad < len(mats):
+        if defects[first_bad] > TOL_HERM:
+            raise InvariantError(
+                f"not Hermitian: max deviation {defects[first_bad]:.3e} > {TOL_HERM}"
+            )
+        raise InvariantError(
+            f"trace is {complex(traces[first_bad]):.15g}, not 1 within {TOL_TRACE}"
+        )
+    return eigs
+
+
 def _frozen_copy(mat: np.ndarray) -> np.ndarray:
     out = np.array(mat, dtype=np.complex128)
     out.flags.writeable = False
@@ -192,17 +231,7 @@ class DensityMatrix:
             raise DimensionError(
                 f"matrix shape {mat.shape} does not match dims ({self.dim_a}, {self.dim_b})"
             )
-        defect = hermiticity_defect(mat)
-        if defect > TOL_HERM:
-            raise InvariantError(f"not Hermitian: max deviation {defect:.3e} > {TOL_HERM}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise InvariantError(f"trace is {tr:.15g}, not 1 within {TOL_TRACE}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -TOL_PSD:
-            raise InvariantError(
-                f"not positive semidefinite: min eigenvalue {min_eig:.3e} < -{TOL_PSD}"
-            )
+        _check_states(mat[None])
         object.__setattr__(self, "mat", _frozen_copy(mat))
 
     @property

@@ -24,12 +24,10 @@ converse fails -- the criterion is one-sided).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
-    DensityMatrix,
     DimensionError,
     NumericError,
     _frozen_copy,
@@ -60,12 +58,14 @@ class RealignedMatrix:
 
 
 def _reshuffle(mat: np.ndarray, da: int, db: int) -> np.ndarray:
-    """The realigned (da^2, db^2) matrix of a (da*db, da*db) operator.
+    """The realigned (..., da^2, db^2) stack of a (..., da*db, da*db) stack.
 
     For da = db the reshuffle is its own inverse, so the same call maps a
     realigned matrix back to the operator.
     """
-    return mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    lead = mat.shape[:-2]
+    four = mat.reshape(lead + (da, db, da, db))
+    return four.swapaxes(-3, -2).reshape(lead + (da * da, db * db))
 
 
 def realign(rho, dims: tuple[int, int] | None = None) -> RealignedMatrix:
@@ -86,17 +86,3 @@ def realign(rho, dims: tuple[int, int] | None = None) -> RealignedMatrix:
 def ccn_value(rho, dims: tuple[int, int] | None = None) -> float:
     """Trace norm of the realigned operator (the CCN value tau)."""
     return realign(rho, dims).trace_norm
-
-
-class CcnVerdict(NamedTuple):
-    entangled: bool
-    margin: float  # tau - 1, reported whether or not the flag trips
-
-
-def ccn_entangled(rho: DensityMatrix) -> CcnVerdict:
-    """Flag a state as entangled when tau exceeds 1.
-
-    A True flag is a certificate; False only means the test is inconclusive.
-    """
-    tau = ccn_value(rho)
-    return CcnVerdict(tau > 1.0 + TOL_FLAG, tau - 1.0)

@@ -221,17 +221,17 @@ class Counterexample:
     t: float
 
     def __post_init__(self):
-        if not self.s > self.r:
+        ordered, bounded, psd, min_eig = _counterexample_rules(self.s, self.r, self.t)
+        if not ordered:
             raise ValueError(f"counterexample requires s > r, got s = {self.s}, r = {self.r}")
-        if abs(self.s) > 1 or abs(self.r) > 1:
+        if not bounded:
             raise ValueError(
                 f"counterexample requires |s| <= 1 and |r| <= 1, got s = {self.s}, r = {self.r}"
             )
-        eigs = counterexample_spectra(self).rho_eigs
-        if min(eigs) < -1e-12:
+        if not psd:
             raise ValueError(
                 f"counterexample (s, r, t) = ({self.s}, {self.r}, {self.t}) is not a state: "
-                f"min eigenvalue {min(eigs):.3e}"
+                f"min eigenvalue {min_eig:.3e}"
             )
 
 
@@ -289,17 +289,18 @@ FamilySpec = Union[
 ]
 
 
-def counterexample_matrix(s: float, r: float, t: float) -> np.ndarray:
-    """Canonical-basis matrix of the counterexample family."""
-    return 0.5 * np.array(
-        [
-            [1 + r, 0, 0, t],
-            [0, 0, 0, 0],
-            [0, 0, s - r, 0],
-            [t, 0, 0, 1 - s],
-        ],
-        dtype=np.complex128,
-    )
+def counterexample_matrix(s, r, t) -> np.ndarray:
+    """Canonical-basis matrix of the counterexample family.
+
+    Array parameters (broadcast together) give a stack of matrices.
+    """
+    s, r, t = np.broadcast_arrays(s, r, t)
+    out = np.zeros(s.shape + (4, 4), dtype=np.complex128)
+    out[..., 0, 0] = 1 + r
+    out[..., 0, 3] = out[..., 3, 0] = t
+    out[..., 2, 2] = s - r
+    out[..., 3, 3] = 1 - s
+    return 0.5 * out
 
 
 class CounterexampleSpectra(NamedTuple):
@@ -309,30 +310,65 @@ class CounterexampleSpectra(NamedTuple):
     g: float
 
 
-def counterexample_spectra(params: Counterexample) -> CounterexampleSpectra:
-    """Closed-form spectra of the counterexample state and its partial
-    transpose, plus the pieces of its CCN value tau = g + |t|."""
-    s, r, t = params.s, params.r, params.t
-    root = 0.5 * np.sqrt(t * t + (s + r) ** 2 / 4.0)
-    rho_eigs = (
-        0.0,
+def _square(x):
+    # pow(x, 2), as Python's float x ** 2 computes it; numpy's array x ** 2 is
+    # x * x, which can differ from it in the last bit
+    return np.float_power(x, 2.0)
+
+
+def _rho_eigs(s, r, t) -> tuple:
+    """The closed-form state eigenvalues of counterexample_spectra, elementwise."""
+    s, r, t = np.broadcast_arrays(s, r, t)
+    root = 0.5 * np.sqrt(t * t + _square(s + r) / 4.0)
+    return (
+        np.zeros_like(root),
         (s - r) / 2.0,
         0.5 + (r - s) / 4.0 + root,
         0.5 + (r - s) / 4.0 - root,
     )
-    pt_root = 0.5 * np.sqrt((s - r) ** 2 / 4.0 + t * t)
+
+
+def _counterexample_rules(s, r, t):
+    """The validity rules of Counterexample, elementwise on scalars or arrays.
+
+    Returns the masks (s > r, |s| <= 1 and |r| <= 1, closed-form spectrum
+    above -1e-12) and the minimal closed-form eigenvalue; a point is valid
+    where all three masks hold.
+    """
+    min_eig = np.minimum.reduce(_rho_eigs(s, r, t))
+    bounded = (np.abs(s) <= 1) & (np.abs(r) <= 1)
+    return np.greater(s, r), bounded, ~(min_eig < -1e-12), min_eig
+
+
+def _counterexample_closed_forms(s, r, t) -> CounterexampleSpectra:
+    """counterexample_spectra elementwise: each field holds arrays shaped like
+    the broadcast parameters."""
+    s, r, t = np.broadcast_arrays(s, r, t)
+    pt_root = 0.5 * np.sqrt(_square(s - r) / 4.0 + t * t)
     pt_eigs = (
         (1 + r) / 2.0,
         (1 - s) / 2.0,
         (s - r) / 4.0 + pt_root,
         (s - r) / 4.0 - pt_root,
     )
-    psi = (1 + r) ** 2 + (s - r) ** 2 + (1 - s) ** 2
-    disc = np.sqrt(psi * psi - 4.0 * (1 + r) ** 2 * (1 - s) ** 2)
+    psi = _square(1 + r) + _square(s - r) + _square(1 - s)
+    disc = np.sqrt(psi * psi - 4.0 * _square(1 + r) * _square(1 - s))
     lam_hi = (psi + disc) / 8.0
     lam_lo = (psi - disc) / 8.0
-    g = float(np.sqrt(lam_hi) + np.sqrt(max(lam_lo, 0.0)))
-    return CounterexampleSpectra(rho_eigs, pt_eigs, float(psi), g)
+    g = np.sqrt(lam_hi) + np.sqrt(np.maximum(lam_lo, 0.0))
+    return CounterexampleSpectra(_rho_eigs(s, r, t), pt_eigs, psi, g)
+
+
+def counterexample_spectra(params: Counterexample) -> CounterexampleSpectra:
+    """Closed-form spectra of the counterexample state and its partial
+    transpose, plus the pieces of its CCN value tau = g + |t|."""
+    closed = _counterexample_closed_forms(params.s, params.r, params.t)
+    return CounterexampleSpectra(
+        tuple(float(x) for x in closed.rho_eigs),
+        tuple(float(x) for x in closed.pt_eigs),
+        float(closed.psi),
+        float(closed.g),
+    )
 
 
 def rho_p_threshold(schmidt: tuple[float, float]) -> float:

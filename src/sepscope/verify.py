@@ -13,14 +13,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .criteria import (
+    _haar_starts,
+    _optimize_psd,
+    _ppt_from_eigs,
     fidelity_lower,
-    fidelity_optimize,
-    ppt_criterion,
-    realigned_trace,
     single_factor,
     tensor_pair,
 )
 from .linalg import (
+    DensityMatrix,
+    _check_states,
+    _partial_transpose,
     frobenius_norm,
     partial_trace,
     partial_transpose,
@@ -29,16 +32,18 @@ from .linalg import (
     trace_norm,
 )
 from .locc import AddAncilla, LocalUnitary, LvnMeasurement, monotonicity_probe, pinching
-from .realign import ccn_value, realign
+from .realign import _reshuffle, ccn_value, realign
 from .states import (
-    Counterexample,
+    _counterexample_closed_forms,
+    _counterexample_rules,
     counterexample_matrix,
-    counterexample_spectra,
-    make_state,
-    psi_plus,
     random_density_matrix,
     random_unitary,
 )
+
+# states of one local dimension per batched ascent in suite_sandwich: enough
+# to share the per-step dispatch, and memory stays bounded for any -n
+_SANDWICH_CHUNK = 32
 
 
 class CheckResult(NamedTuple):
@@ -174,27 +179,50 @@ def suite_norms(seed: int, n: int) -> list[CheckResult]:
 
 
 def suite_sandwich(seed: int, n: int, restarts: int = 6) -> list[CheckResult]:
-    """Fidelity sandwich tr(A)/d <= f <= tau/d plus the nonnegative trace."""
+    """Fidelity sandwich tr(A)/d <= f <= tau/d plus the nonnegative trace.
+
+    Instance k is a random d x d state, d = 2 for even k and 3 for odd k,
+    whose ascent starts from seed + k.  The states of each dimension ascend
+    together, _SANDWICH_CHUNK at a time.
+    """
     rng = np.random.default_rng(seed)
-    worst_lower = worst_upper = worst_trace = worst_dual = -np.inf
+    worst = np.full(4, -np.inf)
+    batches: dict[int, list[tuple[int, DensityMatrix]]] = {2: [], 3: []}
     for k in range(n):
         d = 2 if k % 2 == 0 else 3
-        rho = random_density_matrix(d, d, rng=rng)
-        lower = fidelity_lower(rho)
-        tau = ccn_value(rho)
-        best = fidelity_optimize(rho, restarts=restarts, seed=seed + k).value
-        worst_lower = max(worst_lower, lower - best)
-        worst_upper = max(worst_upper, best - tau / d)
-        worst_trace = max(worst_trace, -float(realigned_trace(rho).real))
-        psi = psi_plus(d)
-        overlap = float((psi.conj() @ rho.mat @ psi).real)
-        worst_dual = max(worst_dual, abs(realigned_trace(rho).real / d - overlap))
+        batches[d].append((seed + k, random_density_matrix(d, d, rng=rng)))
+        if len(batches[d]) == _SANDWICH_CHUNK:
+            worst = np.maximum(worst, _sandwich_slacks(batches[d], restarts))
+            batches[d].clear()
+    for batch in batches.values():
+        if batch:
+            worst = np.maximum(worst, _sandwich_slacks(batch, restarts))
     return [
-        CheckResult("fidelity lower bound holds", worst_lower, 1e-8),
-        CheckResult("fidelity upper bound holds", worst_upper, 1e-10),
-        CheckResult("realigned trace nonnegative", worst_trace, 1e-10),
-        CheckResult("realigned trace equals psi+ overlap", worst_dual, 1e-12),
+        CheckResult("fidelity lower bound holds", float(worst[0]), 1e-8),
+        CheckResult("fidelity upper bound holds", float(worst[1]), 1e-10),
+        CheckResult("realigned trace nonnegative", float(worst[2]), 1e-10),
+        CheckResult("realigned trace equals psi+ overlap", float(worst[3]), 1e-12),
     ]
+
+
+def _sandwich_slacks(batch: list[tuple[int, DensityMatrix]], restarts: int) -> np.ndarray:
+    """The worst slack of each sandwich check over (ascent seed, state) pairs
+    of one local dimension, in the order of suite_sandwich's results."""
+    seeds, states = zip(*batch)
+    d = states[0].dim_a
+    mats = np.stack([rho.mat for rho in states])
+    starts = np.stack([_haar_starts(d, restarts, np.random.default_rng(s)) for s in seeds])
+    best = np.array([opt.value for opt in _optimize_psd(mats, starts)])
+    aligned = _reshuffle(mats, d, d)
+    tau = np.linalg.svd(aligned, compute_uv=False).sum(axis=-1)
+    trace = np.trace(aligned, axis1=-2, axis2=-1).real
+    lower = np.array([fidelity_lower(rho) for rho in states])
+    return np.array([
+        np.max(lower - best),
+        np.max(best - tau / d),
+        np.max(-trace),
+        np.max(np.abs(trace / d - lower)),
+    ])
 
 
 def suite_monotonicity(seed: int, n: int) -> list[CheckResult]:
@@ -242,42 +270,38 @@ def _random_projector_family(dim: int, rng: np.random.Generator) -> tuple[np.nda
 
 def suite_spectra(seed: int, n: int, per_axis: int = 20) -> list[CheckResult]:
     """Closed-form spectra and CCN value of the counterexample family on a
-    deterministic grid; seed and n are accepted for interface uniformity."""
+    deterministic grid; seed and n are accepted for interface uniformity.
+
+    The grid runs one value of s at a time: the valid (r, t) points of that
+    row are validated as states and solved as one stack.
+    """
     del seed, n
     s_vals = np.linspace(-0.95, 0.95, per_axis)
     r_vals = np.linspace(-0.95, 0.95, per_axis)
     t_vals = np.concatenate([np.linspace(-0.3, -0.05, per_axis // 2 - 1), [0.0],
                              np.linspace(0.05, 0.35, per_axis - per_axis // 2)])
+    r_row, t_row = (a.ravel() for a in np.meshgrid(r_vals, t_vals, indexing="ij"))
     worst_rho = worst_pt = worst_tau = -np.inf
     ppt_mismatches = 0
     checked = 0
     for s in s_vals:
-        for r in r_vals:
-            for t in t_vals:
-                try:
-                    params = Counterexample(float(s), float(r), float(t))
-                except ValueError:
-                    continue
-                checked += 1
-                closed = counterexample_spectra(params)
-                mat = counterexample_matrix(s, r, t)
-                eig = np.sort(np.linalg.eigvalsh(mat))
-                worst_rho = max(
-                    worst_rho, float(np.max(np.abs(eig - np.sort(closed.rho_eigs))))
-                )
-                pt = ppt_criterion(make_state(params))
-                pt_eig = np.sort(
-                    np.linalg.eigvalsh(partial_transpose(mat, "second", dims=(2, 2)))
-                )
-                worst_pt = max(
-                    worst_pt, float(np.max(np.abs(pt_eig - np.sort(closed.pt_eigs))))
-                )
-                worst_tau = max(
-                    worst_tau,
-                    abs(ccn_value(mat, dims=(2, 2)) - (closed.g + abs(t))),
-                )
-                if pt.violated != (t != 0.0):
-                    ppt_mismatches += 1
+        valid = np.logical_and.reduce(_counterexample_rules(s, r_row, t_row)[:3])
+        if not valid.any():
+            continue
+        r, t = r_row[valid], t_row[valid]
+        checked += r.size
+        closed = _counterexample_closed_forms(s, r, t)
+        mats = counterexample_matrix(s, r, t)
+        eig = _check_states(mats, np.linalg.eigvalsh(mats))
+        closed_rho = np.sort(np.stack(closed.rho_eigs, axis=-1), axis=-1)
+        worst_rho = max(worst_rho, float(np.max(np.abs(eig - closed_rho))))
+        pt_eig = np.linalg.eigvalsh(_partial_transpose(mats, 2, 2))
+        closed_pt = np.sort(np.stack(closed.pt_eigs, axis=-1), axis=-1)
+        worst_pt = max(worst_pt, float(np.max(np.abs(pt_eig - closed_pt))))
+        tau = np.linalg.svd(_reshuffle(mats, 2, 2), compute_uv=False).sum(axis=-1)
+        worst_tau = max(worst_tau, float(np.max(np.abs(tau - (closed.g + np.abs(t))))))
+        violated = _ppt_from_eigs(pt_eig)[2]
+        ppt_mismatches += int(np.count_nonzero(violated != (t != 0.0)))
     if checked == 0:
         raise RuntimeError("spectra grid produced no valid parameter triples")
     return [

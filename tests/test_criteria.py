@@ -268,6 +268,21 @@ def test_full_reports_mixed_batch_matches_full_report(rng):
             assert got.fidelity_best == pytest.approx(want.fidelity_best, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_ascent_values_never_decrease_with_max_iter(d):
+    # on isotropic states the ascent reaches its optimum within a few steps,
+    # after which rounding can make the next value lower; the ascent must then
+    # keep the previous unitary, so more steps never return a lower value
+    mats = np.stack([make_state(Isotropic(d, f)).mat for f in np.linspace(0, 1, 41)])
+    starts = criteria._haar_starts(d, 16, np.random.default_rng(0))
+    previous = None
+    for max_iter in range(1, 13):
+        values, _, _ = criteria._ascend(mats, starts, criteria._ASCENT_TOL, max_iter)
+        if previous is not None:
+            assert np.all(values >= previous), f"a value fell at max_iter = {max_iter}"
+        previous = values
+
+
 # --- prop-4-style closed form ----------------------------------------------------
 
 

@@ -17,7 +17,9 @@ from sepscope.linalg import (
     tensor,
     trace_norm,
     trace_out,
+    _partial_transpose,
 )
+from sepscope.realign import _reshuffle, realign
 from sepscope.states import (
     counterexample_matrix,
     counterexample_spectra,
@@ -130,6 +132,21 @@ def test_partial_transpose_involution_and_full_transpose(rng):
         )
     both = partial_transpose(partial_transpose(rho, "first"), "second", dims=(2, 3))
     np.testing.assert_allclose(both, rho.mat.T, atol=0)
+
+
+def test_stacked_index_maps_act_matrix_by_matrix(rng):
+    for da, db in ((2, 3), (3, 2), (2, 2)):
+        mats = np.stack([random_density_matrix(da, db, rng=rng).mat for _ in range(5)])
+        stack = mats.reshape(5, 1, da * db, da * db)
+        for side in ("first", "second"):
+            got = _partial_transpose(stack, da, db, side)
+            for k, mat in enumerate(mats):
+                want = partial_transpose(mat, side, dims=(da, db))
+                np.testing.assert_array_equal(got[k, 0], want)
+        aligned = _reshuffle(stack, da, db)
+        assert aligned.shape == (5, 1, da * da, db * db)
+        for k, mat in enumerate(mats):
+            np.testing.assert_array_equal(aligned[k, 0], realign(mat, dims=(da, db)).mat)
 
 
 def test_partial_trace_product_state(rng):

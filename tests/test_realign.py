@@ -5,7 +5,7 @@ import pytest
 
 from sepscope.criteria import tensor_pair
 from sepscope.linalg import DimensionError, frobenius_norm, tensor, trace_norm
-from sepscope.realign import ccn_entangled, ccn_value, realign
+from sepscope.realign import TOL_FLAG, ccn_value, realign
 from sepscope.states import (
     Counterexample,
     Isotropic,
@@ -163,21 +163,19 @@ def test_ccn_variational_upper_bound(rng):
 
 def test_ccn_entangled_separable_fixtures():
     for spec in (Werner(2, 0.2), Isotropic(3, 0.1), MaxDisordered((0.4, -0.3, 0.2))):
-        verdict = ccn_entangled(make_state(spec))
-        assert not verdict.entangled
-        assert verdict.margin <= 1e-9
+        tau = ccn_value(make_state(spec))
+        assert not tau > 1 + TOL_FLAG
+        assert tau - 1 <= 1e-9
 
 
 def test_ccn_entangled_psi_plus():
-    rho = make_state(PureSchmidt((0.5, 0.5)))
-    verdict = ccn_entangled(rho)
-    assert verdict.entangled
-    assert verdict.margin == pytest.approx(1.0, abs=1e-10)
+    tau = ccn_value(make_state(PureSchmidt((0.5, 0.5))))
+    assert tau > 1 + TOL_FLAG
+    assert tau - 1 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ccn_entangled_counterexample_is_missed():
     # entangled (PPT violated) yet tau < 1: the criterion stays silent
-    rho = make_state(Counterexample(0.5, 0.25, 0.0625))
-    verdict = ccn_entangled(rho)
-    assert not verdict.entangled
-    assert verdict.margin == pytest.approx(-0.0536165235168156, abs=1e-12)
+    tau = ccn_value(make_state(Counterexample(0.5, 0.25, 0.0625)))
+    assert not tau > 1 + TOL_FLAG
+    assert tau - 1 == pytest.approx(-0.0536165235168156, abs=1e-12)

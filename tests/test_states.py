@@ -8,6 +8,9 @@ from sepscope.hsbasis import decompose
 from sepscope.linalg import partial_transpose
 from sepscope.realign import ccn_value
 from sepscope.states import (
+    _counterexample_closed_forms,
+    _counterexample_rules,
+    _square,
     BellDiagonal,
     Counterexample,
     Isotropic,
@@ -90,6 +93,38 @@ def test_counterexample_validation():
         Counterexample(0.25, 0.5, 0.0)
     with pytest.raises(ValueError, match="not a state"):
         Counterexample(0.9, -0.9, 0.9)
+
+
+def test_counterexample_array_forms_match_scalar_forms():
+    # boundary points included: s = r, |s| = 1, |r| = 1 and t = 0
+    grid = np.linspace(-1.0, 1.0, 9)
+    s, r, t = (a.ravel() for a in np.meshgrid(grid, grid, grid / 2, indexing="ij"))
+    valid = np.logical_and.reduce(_counterexample_rules(s, r, t)[:3])
+    closed = _counterexample_closed_forms(s[valid], r[valid], t[valid])
+    mats = counterexample_matrix(s, r, t)
+    kept = 0
+    for k in range(s.size):
+        try:
+            params = Counterexample(float(s[k]), float(r[k]), float(t[k]))
+        except ValueError:
+            assert not valid[k]
+            continue
+        assert valid[k]
+        want = counterexample_spectra(params)
+        got = [tuple(float(x[kept]) for x in closed.rho_eigs),
+               tuple(float(x[kept]) for x in closed.pt_eigs),
+               float(closed.psi[kept]), float(closed.g[kept])]
+        assert got == list(want)
+        np.testing.assert_array_equal(mats[k], counterexample_matrix(s[k], r[k], t[k]))
+        kept += 1
+    assert 0 < kept < s.size
+
+
+def test_array_squares_match_python_float_squares():
+    # the closed forms square with Python's float ** before they were
+    # vectorised; numpy's array x ** 2 may round differently in the last bit
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, 20000)
+    assert _square(x).tolist() == [v ** 2 for v in x.tolist()]
 
 
 def test_rho_p_threshold_values():
