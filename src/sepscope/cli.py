@@ -29,6 +29,11 @@ def _fmt(x: float) -> str:
 # --- state files -------------------------------------------------------------
 
 
+def _is_number(value, kinds) -> bool:
+    """isinstance(value, kinds), except that a JSON true or false is no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def load_state_file(path: str, relax: bool = False):
     """Load a JSON state file into a DensityMatrix (or, relaxed, a
     TraceClassOperator).
@@ -44,7 +49,7 @@ def load_state_file(path: str, relax: bool = False):
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(_is_number(d, int) and d >= 1 for d in dims)
     ):
         raise ValueError("'dims' must be two positive integers")
     side = dims[0] * dims[1]
@@ -59,7 +64,7 @@ def load_state_file(path: str, relax: bool = False):
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
+                or not all(_is_number(v, (int, float)) for v in cell)
             ):
                 raise ValueError(
                     f"matrix entry ({i}, {j}) must be a two-element [re, im] array"

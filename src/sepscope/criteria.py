@@ -109,6 +109,36 @@ def _vec_t(us: np.ndarray) -> np.ndarray:
     return us.swapaxes(-1, -2).reshape(us.shape[:-2] + (d * d,))
 
 
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _polar(g: np.ndarray) -> np.ndarray:
+    """Unitary polar factor W V^H of each matrix W S V^H in a stack (..., d, d).
+
+    At d = 2 it is closed-form: M + phi adj(M)^H = (s1 + s2) W V^H with
+    phi = det M / |det M| (any unit phi when det M = 0, here 1), normalised
+    by its Frobenius norm over sqrt(2).  M is first scaled by a power of two,
+    exactly, so that its largest entry modulus lies in [0.5, 1) and det M can
+    neither overflow nor underflow; a zero M gets the identity.  Other d use
+    the SVD.
+    """
+    if g.shape[-1] != 2:
+        w, _, vh = np.linalg.svd(g)
+        return w @ vh
+    _, exp = np.frexp(np.abs(g).max(axis=(-2, -1)))
+    g = g * np.ldexp(1.0, -exp)[..., None, None]
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    mod = np.abs(det)
+    phi = np.divide(det, mod, out=np.ones_like(det), where=mod > 0)
+    # adj(M)^H = [[conj m11, -conj m10], [-conj m01, conj m00]]
+    n = g + (phi[..., None, None] * _ADJ_SIGNS) * g[..., ::-1, ::-1].conj()
+    scale = np.linalg.norm(n, axis=(-2, -1)) / np.sqrt(2.0)
+    zero = scale == 0.0
+    n[zero] = np.eye(2)
+    scale[zero] = 1.0
+    return n / scale[..., None, None]
+
+
 def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     """Monotone fixed-point ascent of <psi_U|rho|psi_U> for a stack of PSD rho.
 
@@ -120,30 +150,36 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     decrease the objective.  Each (problem, restart) pair stops on its own:
     converged when the gradient norm is below 1e-300, when the next value is
     lower (only reachable through rounding noise; the previous U is kept) or
-    when the gain is at most tol; unconverged after max_iter steps.
+    when the gain is at most tol; unconverged after max_iter steps.  A
+    problem leaves the product once all its restarts have stopped.
 
     Returns the values (P, R), the unitaries (P, R, d, d) and the converged
     flags (P, R).
     """
     p, d = mats.shape[0], starts.shape[-1]
-    mats_t = mats.swapaxes(-1, -2)
+    # mats[live] below gathers C-contiguous copies; start from that layout so a
+    # problem's product, and so its result, stays the same when others leave
+    mats = np.ascontiguousarray(mats)
     x = _vec_t(np.broadcast_to(starts, (p,) + starts.shape[-3:])).copy()
-    y = x @ mats_t
+    y = x @ mats.swapaxes(-1, -2)
     values = np.sum(x.conj() * y, axis=-1).real / d
     converged = np.zeros(values.shape, dtype=bool)
     active = np.ones(values.shape, dtype=bool)
+    live = np.arange(p)  # the problems with a restart still ascending
+    live_t = mats.swapaxes(-1, -2)
+    act = active  # active[live]
     for _ in range(max_iter):
-        pi, ri = np.nonzero(active)
-        if pi.size == 0:
+        li, ri = np.nonzero(act)
+        if li.size == 0:
             break
+        pi = live[li]
         grad = y[pi, ri].reshape(-1, d, d).swapaxes(-1, -2) / d
         flat = np.linalg.norm(grad, axis=(-2, -1)) < 1e-300
-        w, _, vh = np.linalg.svd(grad)
-        x_next = _vec_t(w @ vh)
-        # the product runs over the whole stack; finished pairs are discarded
-        trial = x.copy()
-        trial[pi, ri] = x_next
-        y_next = (trial @ mats_t)[pi, ri]
+        x_next = _vec_t(_polar(grad))
+        # the product runs over the live problems; their finished pairs are discarded
+        trial = x[live]
+        trial[li, ri] = x_next
+        y_next = (trial @ live_t)[li, ri]
         nxt = np.sum(x_next.conj() * y_next, axis=-1).real / d
         gain = nxt - values[pi, ri]
         stop = flat | (nxt < values[pi, ri])
@@ -154,6 +190,12 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
         done = stop | (gain <= tol)
         converged[pi[done], ri[done]] = True
         active[pi[done], ri[done]] = False
+        if done.any():
+            act = active[live]
+            keep = act.any(axis=1)
+            if not keep.all():
+                live, act = live[keep], act[keep]
+                live_t = mats[live].swapaxes(-1, -2)
     us = x.reshape(values.shape + (d, d)).swapaxes(-1, -2)
     return values, us, converged
 

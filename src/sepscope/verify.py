@@ -84,63 +84,54 @@ def suite_norms(seed: int, n: int) -> list[CheckResult]:
         ],
         -np.inf,
     )
+
+    def note(name: str, slack: float) -> None:
+        w[name] = np.maximum(w[name], slack)  # a NaN slack stays NaN
+
     for _ in range(n):
         da, db = _random_dims(rng)
         side = da * db
 
         m = _random_gaussian(rng, side, side)
         u, v = random_unitary(side, rng), random_unitary(side, rng)
-        w["trace norm unitary invariance"] = max(
-            w["trace norm unitary invariance"], abs(trace_norm(u @ m @ v) - trace_norm(m))
-        )
-        w["trace norm >= frobenius norm"] = max(
-            w["trace norm >= frobenius norm"], frobenius_norm(m) - trace_norm(m)
-        )
+        note("trace norm unitary invariance", abs(trace_norm(u @ m @ v) - trace_norm(m)))
+        note("trace norm >= frobenius norm", frobenius_norm(m) - trace_norm(m))
 
         rho = random_density_matrix(da, db, rng=rng)
         for which in ("first", "second"):
             pt = partial_transpose(rho, which)
             again = partial_transpose(pt, which, dims=(da, db))
-            w["partial transpose involution"] = max(
-                w["partial transpose involution"], float(np.max(np.abs(again - rho.mat)))
-            )
+            note("partial transpose involution", np.max(np.abs(again - rho.mat)))
         both = partial_transpose(
             partial_transpose(rho, "first"), "second", dims=(da, db)
         )
-        w["both-sided transpose = full transpose"] = max(
-            w["both-sided transpose = full transpose"],
-            float(np.max(np.abs(both - rho.mat.T))),
-        )
+        note("both-sided transpose = full transpose", np.max(np.abs(both - rho.mat.T)))
         for which in ("first", "second"):
             red = partial_trace(rho, which)
-            w["partial trace normalisation"] = max(
-                w["partial trace normalisation"], abs(np.trace(red) - 1.0)
-            )
+            note("partial trace normalisation", abs(np.trace(red) - 1.0))
 
         perm = permute_subsystems(rho.mat, [da, db], (1, 0))
         eig_before = np.sort(np.linalg.eigvalsh(rho.mat))
         eig_after = np.sort(np.linalg.eigvalsh(perm))
-        w["subsystem permutation spectrum"] = max(
-            w["subsystem permutation spectrum"], float(np.max(np.abs(eig_before - eig_after)))
-        )
+        note("subsystem permutation spectrum", np.max(np.abs(eig_before - eig_after)))
 
-        w["realignment preserves frobenius norm"] = max(
-            w["realignment preserves frobenius norm"],
+        note(
+            "realignment preserves frobenius norm",
             abs(frobenius_norm(realign(rho).mat) - frobenius_norm(rho.mat)),
         )
 
         ua, ub = random_unitary(da, rng), random_unitary(db, rng)
         local = tensor(ua, ub)
         rotated = local @ rho.mat @ local.conj().T
-        w["ccn local-unitary invariance"] = max(
-            w["ccn local-unitary invariance"],
+        note(
+            "ccn local-unitary invariance",
             abs(ccn_value(rotated, dims=(da, db)) - ccn_value(rho)),
         )
 
         rho2 = random_density_matrix(2, 2, rng=rng)
         pair = tensor_pair(rho, rho2)
-        w["ccn multiplicativity under regrouping"] = max(
-            w["ccn multiplicativity under regrouping"],
+        note(
+            "ccn multiplicativity under regrouping",
             abs(ccn_value(pair.state) - ccn_value(rho) * ccn_value(rho2)),
         )
 
@@ -148,8 +139,8 @@ def suite_norms(seed: int, n: int) -> list[CheckResult]:
         h1 = (h1 + h1.conj().T) / 2
         h2 = _random_gaussian(rng, db, db)
         h2 = (h2 + h2.conj().T) / 2
-        w["subcross bound on hermitian products"] = max(
-            w["subcross bound on hermitian products"],
+        note(
+            "subcross bound on hermitian products",
             ccn_value(tensor(h1, h2), dims=(da, db)) - trace_norm(h1) * trace_norm(h2),
         )
 
@@ -158,9 +149,7 @@ def suite_norms(seed: int, n: int) -> list[CheckResult]:
         bound = sum(
             frobenius_norm(blocks[i, :, j, :]) for i in range(da) for j in range(da)
         )
-        w["explicit-decomposition upper bound on tau"] = max(
-            w["explicit-decomposition upper bound on tau"], ccn_value(rho) - bound
-        )
+        note("explicit-decomposition upper bound on tau", ccn_value(rho) - bound)
 
     tols = {
         "trace norm unitary invariance": 1e-10,
@@ -175,7 +164,7 @@ def suite_norms(seed: int, n: int) -> list[CheckResult]:
         "subcross bound on hermitian products": 1e-10,
         "explicit-decomposition upper bound on tau": 1e-10,
     }
-    return [CheckResult(name, w[name], tols[name]) for name in w]
+    return [CheckResult(name, float(w[name]), tols[name]) for name in w]
 
 
 def suite_sandwich(seed: int, n: int, restarts: int = 6) -> list[CheckResult]:
@@ -235,25 +224,25 @@ def suite_monotonicity(seed: int, n: int) -> list[CheckResult]:
 
         op_lu = LocalUnitary(random_unitary(da, rng), random_unitary(db, rng))
         probe = monotonicity_probe(op_lu, fs)
-        worst_lu = max(worst_lu, abs(probe.tau_after - probe.tau_before))
+        worst_lu = np.maximum(worst_lu, abs(probe.tau_after - probe.tau_before))
 
         side, dim = ("alice", da) if rng.integers(2) == 0 else ("bob", db)
         projs = _random_projector_family(dim, rng)
         probe = monotonicity_probe(LvnMeasurement(side, projs), fs)
-        worst_lvn = max(worst_lvn, probe.tau_after - probe.tau_before)
+        worst_lvn = np.maximum(worst_lvn, probe.tau_after - probe.tau_before)
 
         anc = random_density_matrix(2, 1, rng=rng).mat
         probe = monotonicity_probe(AddAncilla("alice", anc), fs)
-        worst_anc = max(worst_anc, probe.tau_after - probe.tau_before)
+        worst_anc = np.maximum(worst_anc, probe.tau_after - probe.tau_before)
 
         sigma = _random_gaussian(rng, dim, dim)
         pinched = pinching(sigma, projs)
-        worst_pinch = max(worst_pinch, frobenius_norm(pinched) - frobenius_norm(sigma))
+        worst_pinch = np.maximum(worst_pinch, frobenius_norm(pinched) - frobenius_norm(sigma))
     return [
-        CheckResult("local unitaries leave tau invariant", worst_lu, 1e-10),
-        CheckResult("projective measurements never increase tau", worst_lvn, 1e-10),
-        CheckResult("local ancillas never increase tau", worst_anc, 1e-10),
-        CheckResult("pinching never increases frobenius norm", worst_pinch, 1e-12),
+        CheckResult("local unitaries leave tau invariant", float(worst_lu), 1e-10),
+        CheckResult("projective measurements never increase tau", float(worst_lvn), 1e-10),
+        CheckResult("local ancillas never increase tau", float(worst_anc), 1e-10),
+        CheckResult("pinching never increases frobenius norm", float(worst_pinch), 1e-12),
     ]
 
 
@@ -294,20 +283,20 @@ def suite_spectra(seed: int, n: int, per_axis: int = 20) -> list[CheckResult]:
         mats = counterexample_matrix(s, r, t)
         eig = _check_states(mats, np.linalg.eigvalsh(mats))
         closed_rho = np.sort(np.stack(closed.rho_eigs, axis=-1), axis=-1)
-        worst_rho = max(worst_rho, float(np.max(np.abs(eig - closed_rho))))
+        worst_rho = np.maximum(worst_rho, np.max(np.abs(eig - closed_rho)))
         pt_eig = np.linalg.eigvalsh(_partial_transpose(mats, 2, 2))
         closed_pt = np.sort(np.stack(closed.pt_eigs, axis=-1), axis=-1)
-        worst_pt = max(worst_pt, float(np.max(np.abs(pt_eig - closed_pt))))
+        worst_pt = np.maximum(worst_pt, np.max(np.abs(pt_eig - closed_pt)))
         tau = np.linalg.svd(_reshuffle(mats, 2, 2), compute_uv=False).sum(axis=-1)
-        worst_tau = max(worst_tau, float(np.max(np.abs(tau - (closed.g + np.abs(t))))))
+        worst_tau = np.maximum(worst_tau, np.max(np.abs(tau - (closed.g + np.abs(t)))))
         violated = _ppt_from_eigs(pt_eig)[2]
         ppt_mismatches += int(np.count_nonzero(violated != (t != 0.0)))
     if checked == 0:
         raise RuntimeError("spectra grid produced no valid parameter triples")
     return [
-        CheckResult("closed-form state eigenvalues", worst_rho, 1e-12),
-        CheckResult("closed-form partial-transpose eigenvalues", worst_pt, 1e-12),
-        CheckResult("closed-form ccn value g + |t|", worst_tau, 1e-12),
+        CheckResult("closed-form state eigenvalues", float(worst_rho), 1e-12),
+        CheckResult("closed-form partial-transpose eigenvalues", float(worst_pt), 1e-12),
+        CheckResult("closed-form ccn value g + |t|", float(worst_tau), 1e-12),
         CheckResult("ppt violation exactly when t != 0", float(ppt_mismatches), 0.0),
     ]
 

@@ -111,6 +111,21 @@ def test_state_file_validation_messages(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"dims": [true, 1], "matrix": [[[1, 0]]]}', "'dims' must be two positive integers"),
+    ('{"dims": [1, 1], "matrix": [[[true, 0]]]}', "matrix entry (0, 0) must be a two-element"),
+    ('{"dims": [1, 1], "matrix": [[[1, false]]]}', "matrix entry (0, 0) must be a two-element"),
+])
+@pytest.mark.parametrize("relax", [False, True])
+def test_state_file_rejects_booleans(tmp_path, capsys, text, message, relax):
+    # JSON true and false are Python bools, which isinstance counts as ints
+    path = tmp_path / "bools.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "analyze", str(path), *(["--relax"] if relax else []))
+    assert code == 2
+    assert message in err
+
+
 def test_analyze_relax_family(capsys):
     code, out, _ = run(capsys, "analyze", "pure:a=0.5,0.5", "--relax", "--restarts", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 """Decision layer: PPT, fidelity bounds, closed forms, extended CCN."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -281,6 +282,102 @@ def test_ascent_values_never_decrease_with_max_iter(d):
         if previous is not None:
             assert np.all(values >= previous), f"a value fell at max_iter = {max_iter}"
         previous = values
+
+
+def _complex_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _svd_polar(g):
+    w, _, vh = np.linalg.svd(g)
+    return w @ vh
+
+
+def _unitarity_defect(us):
+    return np.max(np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1])))
+
+
+def test_polar_closed_form_matches_svd():
+    rng = np.random.default_rng(50)
+    gauss = _complex_gaussian(rng, (200, 2, 2))
+    psd = gauss @ gauss.conj().swapaxes(-1, -2) + 0.1 * np.eye(2)
+    # the polar factor of a complex matrix has condition number 1/s2, so the
+    # near-singular stack is upper triangular: there det = m00 m11 is exact
+    # and both methods resolve the phase of the tiny singular value
+    tiny = _complex_gaussian(rng, (200, 2, 2))
+    tiny[:, 1, 0] = 0.0
+    tiny[:, 1, 1] = 1e-17 * np.exp(2j * np.pi * rng.random(200))
+    assert np.all(np.abs(np.linalg.det(tiny)) < 1e-15)
+    for stack in (gauss, psd, tiny, 1e200 * gauss, 1e-200 * gauss):
+        np.testing.assert_allclose(criteria._polar(stack), _svd_polar(stack), rtol=0, atol=1e-14)
+
+
+def test_polar_rank_deficient_stacks_are_unitary():
+    rng = np.random.default_rng(51)
+    rank1 = _complex_gaussian(rng, (100, 2, 1)) @ _complex_gaussian(rng, (100, 1, 2))
+    rank1[:10] = np.array([[1.0, 2.0], [2.0, 4.0]])  # real, det exactly 0
+    zero = np.zeros((5, 2, 2), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        us, zero_us = criteria._polar(rank1), criteria._polar(zero)
+    assert _unitarity_defect(us) < 1e-14
+    assert _unitarity_defect(zero_us) < 1e-14
+    # a polar factor: U^H M is Hermitian positive semidefinite
+    h = us.conj().swapaxes(-1, -2) @ rank1
+    assert np.max(np.abs(h - h.conj().swapaxes(-1, -2))) < 1e-13
+    assert np.min(np.linalg.eigvalsh(h)) > -1e-13
+
+
+def test_ascent_is_exactly_scale_equivariant_at_d2():
+    # trace-class input is not normalised; scaling it and the tolerance by a
+    # power of two scales every value exactly, also where det M of a 2 x 2
+    # gradient is subnormal (about 1e-320) and would lose its phase unscaled
+    scale = 2.0**-530
+    rng = np.random.default_rng(52)
+    mats = np.stack([random_density_matrix(2, 2, rng=rng).mat for _ in range(3)])
+    starts = criteria._haar_starts(2, 4, rng)
+    values, us, converged = criteria._ascend(mats, starts, 1e-10, 2000)
+    scaled = criteria._ascend(scale * mats, starts, scale * 1e-10, 2000)
+    np.testing.assert_array_equal(scaled[0], scale * values)
+    np.testing.assert_array_equal(scaled[1], us)
+    np.testing.assert_array_equal(scaled[2], converged)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ascent_problems_leaving_the_product_match_solo_runs(d, monkeypatch):
+    # isotropic F = 0 and F = 1 stop within two steps (at F = 0 the identity
+    # restart's gradient is zero), the other states after many more: the live
+    # set shrinks while other problems still ascend
+    rng = np.random.default_rng(60 + d)
+    mats = [make_state(Isotropic(d, f)).mat for f in (0.0, 0.11, 1.0)]
+    mats += [random_density_matrix(d, d, rank=r, rng=rng).mat for r in (1, 2, d * d, d * d)]
+    mats = np.stack(mats)
+    starts = criteria._haar_starts(d, 6, rng)
+
+    steps = []
+    polar = criteria._polar
+
+    def counted(g):
+        steps[-1] += 1
+        return polar(g)
+
+    monkeypatch.setattr(criteria, "_polar", counted)
+    solo = []
+    for mat in mats:
+        steps.append(0)
+        solo.append(criteria._ascend(mat[None], starts, criteria._ASCENT_TOL, 2000))
+    assert max(steps) >= 5 * max(1, min(steps)), steps
+    values, us, converged = criteria._ascend(mats, starts, criteria._ASCENT_TOL, 2000)
+
+    if d == 2:
+        _assert_engine_matches_serial(list(mats), starts[None], d)
+    for k, (v, u, c) in enumerate(solo):
+        if d == 2:
+            np.testing.assert_allclose(values[k], v[0], rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(values[k], v[0])
+            np.testing.assert_array_equal(us[k], u[0])
+        np.testing.assert_array_equal(converged[k], c[0])
 
 
 # --- prop-4-style closed form ----------------------------------------------------

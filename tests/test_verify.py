@@ -131,3 +131,34 @@ def test_spectra_rejects_an_invalid_grid_state(monkeypatch):
     with pytest.raises(InvariantError) as info:
         verify.suite_spectra(0, 1)
     assert str(info.value) == _message(calls[0])
+
+
+def _nan_first_result(fn, poison):
+    """fn whose first result goes through poison, which makes it NaN."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if not calls:
+            calls.append(1)
+            return poison(out)
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("suite, attr, poison, check", [
+    ("norms", "partial_trace", lambda red: red * np.nan, "partial trace normalisation"),
+    ("monotonicity", "frobenius_norm", lambda v: v * np.nan,
+     "pinching never increases frobenius norm"),
+    ("spectra", "_counterexample_closed_forms", lambda c: c._replace(g=c.g * np.nan),
+     "closed-form ccn value g + |t|"),
+])
+def test_a_nan_slack_fails_its_check(monkeypatch, suite, attr, poison, check):
+    # only the first instance (or grid row) is NaN; every later slack is finite,
+    # and Python's max(worst, nan) would drop it
+    monkeypatch.setattr(verify, attr, _nan_first_result(getattr(verify, attr), poison))
+    results = {c.name: c for c in verify.SUITES[suite](3, 5)}
+    assert np.isnan(results[check].worst)
+    assert not results[check].passed
+    assert all(c.passed for name, c in results.items() if name != check)
