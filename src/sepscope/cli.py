@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--param", required=True, help="scalar parameter to sweep")
     p_sc.add_argument("--range", required=True, help="lo:hi:steps")
     p_sc.add_argument("--out", help="CSV output path (default stdout)")
-    p_sc.add_argument("--jobs", type=int, default=1,
-                      help="ignored; points are always evaluated serially")
     p_sc.add_argument("--restarts", type=int, default=16,
                       help="fidelity optimizer restarts per point (default 16)")
     p_sc.set_defaults(func=cmd_scan)

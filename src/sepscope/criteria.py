@@ -29,8 +29,9 @@ from .linalg import (
     tensor,
     trace_out,
     _mat_and_dims,
+    _partial_transpose,
 )
-from .realign import TOL_FLAG, _reshuffle, ccn_value
+from .realign import TOL_FLAG, _ccn_values, _reshuffle, ccn_value
 from .states import psi_plus, random_unitary
 
 TOL_DISORDERED = 1e-10  # max allowed Bloch-vector norm for "maximally disordered"
@@ -148,9 +149,10 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     reshape(rho x)^T/d, so one batched product y = x rho^T gives both.  Each
     step replaces U by the polar factor of the gradient, which cannot
     decrease the objective.  Each (problem, restart) pair stops on its own:
-    converged when the gradient norm is below 1e-300, when the next value is
-    lower (only reachable through rounding noise; the previous U is kept) or
-    when the gain is at most tol; unconverged after max_iter steps.  A
+    converged when the gradient's largest entry modulus is below 1e-300 (no
+    squares, so no overflow or underflow at any scale), when the next value
+    is lower (only reachable through rounding noise; the previous U is kept)
+    or when the gain is at most tol; unconverged after max_iter steps.  A
     problem leaves the product once all its restarts have stopped.
 
     Returns the values (P, R), the unitaries (P, R, d, d) and the converged
@@ -174,7 +176,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
             break
         pi = live[li]
         grad = y[pi, ri].reshape(-1, d, d).swapaxes(-1, -2) / d
-        flat = np.linalg.norm(grad, axis=(-2, -1)) < 1e-300
+        flat = np.abs(grad).max(axis=(-2, -1)) < 1e-300
         x_next = _vec_t(_polar(grad))
         # the product runs over the live problems; their finished pairs are discarded
         trial = x[live]
@@ -200,14 +202,13 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     return values, us, converged
 
 
-def _optimize_psd(mats: np.ndarray, starts: np.ndarray, tol=_ASCENT_TOL,
-                  max_iter=_ASCENT_MAX_ITER) -> list[FidelityResult]:
+def _optimize_psd(mats: np.ndarray, starts: np.ndarray) -> list[FidelityResult]:
     """Best restart of each PSD matrix in the stack.
 
     ``starts`` is (R, d, d), shared by every matrix, or (P, R, d, d), one set
     per matrix.
     """
-    values, us, converged = _ascend(mats, starts, tol, max_iter)
+    values, us, converged = _ascend(mats, starts, _ASCENT_TOL, _ASCENT_MAX_ITER)
     best = np.argmax(values, axis=1)  # the first restart wins ties
     return [
         FidelityResult(float(values[k, b]), us[k, b], bool(converged[k, b]))
@@ -215,13 +216,7 @@ def _optimize_psd(mats: np.ndarray, starts: np.ndarray, tol=_ASCENT_TOL,
     ]
 
 
-def fidelity_optimize(
-    rho,
-    restarts: int = 16,
-    tol: float = _ASCENT_TOL,
-    max_iter: int = _ASCENT_MAX_ITER,
-    seed: int = 0,
-) -> FidelityResult:
+def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     """Best found overlap with a maximally entangled state (I (x) U)|psi+>.
 
     Restart 0 starts from the identity (so the result is never below the
@@ -240,11 +235,11 @@ def fidelity_optimize(
         raise DimensionError("fidelity is defined for equal local dimensions only")
     d, rng = rho.dim_a, np.random.default_rng(seed)
     if isinstance(rho, DensityMatrix):
-        return _optimize_psd(rho.mat[None], _haar_starts(d, restarts, rng), tol, max_iter)[0]
-    return _optimize_trace_class(rho.mat, d, restarts, tol, max_iter, rng)
+        return _optimize_psd(rho.mat[None], _haar_starts(d, restarts, rng))[0]
+    return _optimize_trace_class(rho.mat, d, restarts, rng)
 
 
-def _optimize_trace_class(mat, d, restarts, tol, max_iter, rng) -> FidelityResult:
+def _optimize_trace_class(mat, d, restarts, rng) -> FidelityResult:
     herm = (mat + mat.conj().T) / 2.0
     skew = (mat - mat.conj().T) / 2.0j
     hermitian_input = np.linalg.norm(skew) <= 1e-13 * max(1.0, np.linalg.norm(herm))
@@ -253,7 +248,7 @@ def _optimize_trace_class(mat, d, restarts, tol, max_iter, rng) -> FidelityResul
     shifts = [max(0.0, -float(np.linalg.eigvalsh(c)[0])) for c in combos]
     mats = np.stack([c + shift * np.eye(d * d) for c, shift in zip(combos, shifts)])
     starts = np.stack([_haar_starts(d, restarts, rng) for _ in phases])  # phase-major draws
-    _, us, converged = _ascend(mats, starts, tol, max_iter)
+    _, us, converged = _ascend(mats, starts, _ASCENT_TOL, _ASCENT_MAX_ITER)
     x = _vec_t(us).reshape(-1, d * d)
     overlaps = np.abs(np.sum(x.conj() * (x @ mat.T), axis=-1)) / d
     best = int(np.argmax(overlaps))  # phase-major, the first restart wins ties
@@ -442,27 +437,20 @@ def _schmidt_tau(rho: DensityMatrix) -> float:
     return float(sv.sum() ** 2)
 
 
-def _square_dim(rho: DensityMatrix) -> int | None:
-    return rho.dim_a if rho.dim_a == rho.dim_b else None
-
-
 def full_reports(states, restarts: int = 16, seed: int = 0) -> list[CriterionReport]:
-    """full_report of every state, in order, with the fidelity ascents batched.
+    """full_report of every state, in order, with the work stacked.
 
-    Consecutive square states of one local dimension form a group: its Haar
-    starts are drawn once, as full_report would draw them for each state,
-    and its states ascend together, at most _CHUNK_POINTS at a time.
-    ``states`` may be a generator; it is consumed one chunk at a time.
+    Consecutive states of one shape form a group, handled at most
+    _CHUNK_POINTS at a time.  A square group draws its Haar starts once, as
+    full_report would draw them for each state, and its states ascend
+    together.  ``states`` may be a generator; it is consumed one chunk at a
+    time.
     """
     reports: list[CriterionReport] = []
-    for d, group in groupby(states, key=_square_dim):
-        if d is None:
-            reports += [_report(rho, None) for rho in group]
-            continue
-        starts = _haar_starts(d, restarts, np.random.default_rng(seed))
+    for (da, db), group in groupby(states, key=lambda rho: (rho.dim_a, rho.dim_b)):
+        starts = _haar_starts(da, restarts, np.random.default_rng(seed)) if da == db else None
         while chunk := list(islice(group, _CHUNK_POINTS)):
-            opts = _optimize_psd(np.stack([rho.mat for rho in chunk]), starts)
-            reports += [_report(rho, opt) for rho, opt in zip(chunk, opts)]
+            reports += _chunk_reports(chunk, starts)
     return reports
 
 
@@ -471,66 +459,75 @@ def full_report(rho: DensityMatrix, restarts: int = 16, seed: int = 0) -> Criter
     return full_reports([rho], restarts, seed)[0]
 
 
-def _report(rho: DensityMatrix, opt: FidelityResult | None) -> CriterionReport:
-    """The report of one state, given its fidelity ascent when it is square."""
-    tau = ccn_value(rho)
-    ppt = ppt_criterion(rho)
-    notes: list[str] = []
+def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> list[CriterionReport]:
+    """The reports of states of one shape, with their ascent starts when square.
 
-    tr_a = fid_low = fid_best = fid_up = None
-    fid_conv = None
-    max_dis = t_psd = None
-    if opt is not None:
-        d = rho.dim_a
-        overlap = fidelity_lower(rho)
-        tr_a = d * overlap
-        fid_up = tau / d
-        # rounding can lift a lower bound just past tau/d at a pure endpoint;
-        # a reported lower bound never exceeds its upper bound
-        fid_low, fid_best = min(overlap, fid_up), min(opt.value, fid_up)
-        fid_conv = opt.converged
-        # positivity of the correlation matrix is meaningful in the conjugated
-        # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD;
-        # the other checks do not depend on the basis
-        dec = decompose(rho, basis="spin")
-        max_dis = _max_disordered(dec)
-        t_spin = dec.t_mat
-        t_psd = bool(
-            hermiticity_defect(t_spin) <= 1e-10
-            and np.all(np.linalg.eigvalsh((t_spin + t_spin.conj().T) / 2) >= -1e-10)
-        )
-        if max_dis:
-            notes.append(
-                f"maximally disordered subsystems: tau = (1 + ||T||_1)/d = "
-                f"{ccn_max_disordered(dec):.12g}"
+    tau comes from one stacked SVD and the PPT fields from one stacked
+    eigensolve of the partial transposes.
+    """
+    da, db = chunk[0].dim_a, chunk[0].dim_b
+    mats = np.stack([rho.mat for rho in chunk])
+    taus = _ccn_values(mats, da, db)
+    ppts = zip(*_ppt_from_eigs(np.linalg.eigvalsh(_partial_transpose(mats, da, db))))
+    opts = [None] * len(chunk) if starts is None else _optimize_psd(mats, starts)
+    reports = []
+    for rho, tau, (min_eig, ppt_tn, ppt_flag), opt in zip(chunk, taus, ppts, opts):
+        tau = float(tau)
+        notes: list[str] = []
+        tr_a = fid_low = fid_best = fid_up = None
+        fid_conv = max_dis = t_psd = None
+        if opt is None:
+            notes.append("unequal local dimensions: fidelity bounds not defined")
+        else:
+            d = da
+            overlap = fidelity_lower(rho)
+            tr_a = d * overlap
+            fid_up = tau / d
+            # rounding can lift a lower bound just past tau/d at a pure endpoint;
+            # a reported lower bound never exceeds its upper bound
+            fid_low, fid_best = min(overlap, fid_up), min(opt.value, fid_up)
+            fid_conv = opt.converged
+            # positivity of the correlation matrix is meaningful in the conjugated
+            # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD;
+            # the other checks do not depend on the basis
+            dec = decompose(rho, basis="spin")
+            max_dis = _max_disordered(dec)
+            t_spin = dec.t_mat
+            t_psd = bool(
+                hermiticity_defect(t_spin) <= 1e-10
+                and np.all(np.linalg.eigvalsh((t_spin + t_spin.conj().T) / 2) >= -1e-10)
             )
-        purity = float(np.trace(rho.mat @ rho.mat).real)
-        if purity >= 1.0 - 1e-10:
-            notes.append(f"pure state: tau = (sum sqrt Schmidt)^2 = {_schmidt_tau(rho):.12g}")
-        if d > 1:  # the isotropic family needs d >= 2
-            proj = np.outer(psi_plus(d), psi_plus(d).conj())
-            iso = overlap * proj + (1 - overlap) * (np.eye(d * d) - proj) / (d * d - 1)
-            if np.max(np.abs(iso - rho.mat)) <= 1e-10:
-                notes.append(f"isotropic state with fidelity F = {overlap:.12g}")
-    else:
-        notes.append("unequal local dimensions: fidelity bounds not defined")
+            if max_dis:
+                notes.append(
+                    f"maximally disordered subsystems: tau = (1 + ||T||_1)/d = "
+                    f"{ccn_max_disordered(dec):.12g}"
+                )
+            purity = float(np.trace(rho.mat @ rho.mat).real)
+            if purity >= 1.0 - 1e-10:
+                notes.append(f"pure state: tau = (sum sqrt Schmidt)^2 = {_schmidt_tau(rho):.12g}")
+            if d > 1:  # the isotropic family needs d >= 2
+                proj = np.outer(psi_plus(d), psi_plus(d).conj())
+                iso = overlap * proj + (1 - overlap) * (np.eye(d * d) - proj) / (d * d - 1)
+                if np.max(np.abs(iso - rho.mat)) <= 1e-10:
+                    notes.append(f"isotropic state with fidelity F = {overlap:.12g}")
 
-    report = CriterionReport(
-        dim_a=rho.dim_a,
-        dim_b=rho.dim_b,
-        tau=tau,
-        ppt_min_eig=ppt.min_eig,
-        ppt_trace_norm=ppt.trace_norm,
-        realigned_trace=tr_a,
-        fidelity_lower=fid_low,
-        fidelity_best=fid_best,
-        fidelity_upper=fid_up,
-        fidelity_converged=fid_conv,
-        ccn_flag=tau > 1.0 + TOL_FLAG,
-        ppt_flag=ppt.violated,
-        distillable_flag=False,
-        max_disordered=max_dis,
-        t_psd=t_psd,
-        notes=tuple(notes),
-    )
-    return replace(report, distillable_flag=distillable_by_fidelity(report))
+        report = CriterionReport(
+            dim_a=da,
+            dim_b=db,
+            tau=tau,
+            ppt_min_eig=float(min_eig),
+            ppt_trace_norm=float(ppt_tn),
+            realigned_trace=tr_a,
+            fidelity_lower=fid_low,
+            fidelity_best=fid_best,
+            fidelity_upper=fid_up,
+            fidelity_converged=fid_conv,
+            ccn_flag=tau > 1.0 + TOL_FLAG,
+            ppt_flag=bool(ppt_flag),
+            distillable_flag=False,
+            max_disordered=max_dis,
+            t_psd=t_psd,
+            notes=tuple(notes),
+        )
+        reports.append(replace(report, distillable_flag=distillable_by_fidelity(report)))
+    return reports

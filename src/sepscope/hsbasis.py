@@ -33,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
+    TOL_TRACE,
     DensityMatrix,
     DimensionError,
     InvariantError,
@@ -40,7 +41,7 @@ from .linalg import (
     as_matrix,
     trace_norm,
 )
-from .realign import RealignedMatrix, _reshuffle
+from .realign import RealignedMatrix, _reshuffle, _singular_values
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -145,7 +146,7 @@ def decompose(rho, basis: str | None = None) -> HSDecomposition:
         if mat.shape[0] != mat.shape[1] or d * d != mat.shape[0]:
             raise DimensionError("input must be square with a square side d*d")
     tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > 1e-12:
+    if abs(tr - 1.0) > TOL_TRACE:
         raise InvariantError(f"trace is {tr:.15g}; decomposition requires unit trace")
     if basis is None:
         basis = "pauli" if d == 2 else "spin"
@@ -188,8 +189,7 @@ def realigned_from_decomposition(dec: HSDecomposition) -> RealignedMatrix:
     Agrees entrywise with realigning the reconstructed state.
     """
     aligned = _realigned(dec)
-    sv = np.linalg.svd(aligned, compute_uv=False)
-    return RealignedMatrix(dec.dim, dec.dim, aligned, sv)
+    return RealignedMatrix(dec.dim, dec.dim, aligned, _singular_values(aligned, dec.dim, dec.dim))
 
 
 def realigned_operator_basis(dec: HSDecomposition) -> np.ndarray:

@@ -125,12 +125,9 @@ def _partial_transpose(mats: np.ndarray, da: int, db: int, side: str = "second")
 def partial_trace(rho, side: str = "second", dims: tuple[int, int] | None = None) -> np.ndarray:
     """Trace out one factor; side names the subsystem that is removed."""
     mat, da, db = _mat_and_dims(rho, dims)
-    four = mat.reshape(da, db, da, db)
-    if side == "second":
-        return np.trace(four, axis1=1, axis2=3)
-    if side == "first":
-        return np.trace(four, axis1=0, axis2=2)
-    raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    if side not in ("first", "second"):
+        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    return trace_out(mat, (da, db), [0 if side == "first" else 1])
 
 
 def trace_out(mat, dims: Sequence[int], which: Iterable[int]) -> np.ndarray:

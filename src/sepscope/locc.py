@@ -177,13 +177,11 @@ def apply(op: LocalOperation, fs: FactorizedState) -> FactorizedState:
                 f"projector dim {op.projectors[0].shape[0]} does not match the "
                 f"{op.side} dimension {local_dim}"
             )
-        out = np.zeros_like(state.mat)
-        for p in op.projectors:
-            full = tensor(p, np.eye(state.dim_b)) if op.side == "alice" else tensor(
-                np.eye(state.dim_a), p
-            )
-            out += full @ state.mat @ full
-        new = DensityMatrix(state.dim_a, state.dim_b, out)
+        lifted = [
+            tensor(p, np.eye(state.dim_b)) if op.side == "alice" else tensor(np.eye(state.dim_a), p)
+            for p in op.projectors
+        ]
+        new = DensityMatrix(state.dim_a, state.dim_b, pinching(state.mat, lifted))
         return FactorizedState(new, fs.alice_factors, fs.bob_factors)
 
     raise TypeError(f"unknown local operation {op!r}")

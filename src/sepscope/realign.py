@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DimensionError,
-    NumericError,
-    _frozen_copy,
-    _mat_and_dims,
-)
+from .linalg import NumericError, _frozen_copy, _mat_and_dims
 
 TOL_FLAG = 1e-9  # criterion flags trip only this far above 1
 
@@ -68,21 +63,29 @@ def _reshuffle(mat: np.ndarray, da: int, db: int) -> np.ndarray:
     return four.swapaxes(-3, -2).reshape(lead + (da * da, db * db))
 
 
-def realign(rho, dims: tuple[int, int] | None = None) -> RealignedMatrix:
-    """Realign a bipartite operator; accepts wrapped or raw matrices."""
-    mat, da, db = _mat_and_dims(rho, dims)
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionError("realignment input must be square")
-    aligned = _reshuffle(mat, da, db)
+def _singular_values(aligned: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Singular values of a realigned (..., da^2, db^2) stack, matrix by matrix."""
     try:
-        sv = np.linalg.svd(aligned, compute_uv=False)
+        return np.linalg.svd(aligned, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"SVD did not converge while realigning a {da}x{db} bipartite operator"
         ) from exc
-    return RealignedMatrix(da, db, aligned, sv)
+
+
+def _ccn_values(mats: np.ndarray, da: int, db: int) -> np.ndarray:
+    """The CCN value tau of each operator in a (..., da*db, da*db) stack."""
+    return _singular_values(_reshuffle(mats, da, db), da, db).sum(axis=-1)
+
+
+def realign(rho, dims: tuple[int, int] | None = None) -> RealignedMatrix:
+    """Realign a bipartite operator; accepts wrapped or raw matrices."""
+    mat, da, db = _mat_and_dims(rho, dims)
+    aligned = _reshuffle(mat, da, db)
+    return RealignedMatrix(da, db, aligned, _singular_values(aligned, da, db))
 
 
 def ccn_value(rho, dims: tuple[int, int] | None = None) -> float:
     """Trace norm of the realigned operator (the CCN value tau)."""
-    return realign(rho, dims).trace_norm
+    mat, da, db = _mat_and_dims(rho, dims)
+    return float(_ccn_values(mat, da, db))

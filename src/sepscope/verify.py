@@ -32,7 +32,7 @@ from .linalg import (
     trace_norm,
 )
 from .locc import AddAncilla, LocalUnitary, LvnMeasurement, monotonicity_probe, pinching
-from .realign import _reshuffle, ccn_value, realign
+from .realign import _ccn_values, _reshuffle, ccn_value, realign
 from .states import (
     _counterexample_closed_forms,
     _counterexample_rules,
@@ -44,6 +44,22 @@ from .states import (
 # states of one local dimension per batched ascent in suite_sandwich: enough
 # to share the per-step dispatch, and memory stays bounded for any -n
 _SANDWICH_CHUNK = 32
+_SANDWICH_RESTARTS = 6
+
+# every check of suite_norms with its tolerance, in the order of its results
+_NORM_TOLS = {
+    "trace norm unitary invariance": 1e-10,
+    "trace norm >= frobenius norm": 1e-12,
+    "partial transpose involution": 1e-14,
+    "both-sided transpose = full transpose": 1e-14,
+    "partial trace normalisation": 1e-12,
+    "subsystem permutation spectrum": 1e-10,
+    "realignment preserves frobenius norm": 1e-12,
+    "ccn local-unitary invariance": 1e-10,
+    "ccn multiplicativity under regrouping": 1e-10,
+    "subcross bound on hermitian products": 1e-10,
+    "explicit-decomposition upper bound on tau": 1e-10,
+}
 
 
 class CheckResult(NamedTuple):
@@ -68,22 +84,7 @@ def _random_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 def suite_norms(seed: int, n: int) -> list[CheckResult]:
     """Norm identities, partial transpose/trace structure, realignment basics."""
     rng = np.random.default_rng(seed)
-    w = dict.fromkeys(
-        [
-            "trace norm unitary invariance",
-            "trace norm >= frobenius norm",
-            "partial transpose involution",
-            "both-sided transpose = full transpose",
-            "partial trace normalisation",
-            "subsystem permutation spectrum",
-            "realignment preserves frobenius norm",
-            "ccn local-unitary invariance",
-            "ccn multiplicativity under regrouping",
-            "subcross bound on hermitian products",
-            "explicit-decomposition upper bound on tau",
-        ],
-        -np.inf,
-    )
+    w = dict.fromkeys(_NORM_TOLS, -np.inf)
 
     def note(name: str, slack: float) -> None:
         w[name] = np.maximum(w[name], slack)  # a NaN slack stays NaN
@@ -151,28 +152,15 @@ def suite_norms(seed: int, n: int) -> list[CheckResult]:
         )
         note("explicit-decomposition upper bound on tau", ccn_value(rho) - bound)
 
-    tols = {
-        "trace norm unitary invariance": 1e-10,
-        "trace norm >= frobenius norm": 1e-12,
-        "partial transpose involution": 1e-14,
-        "both-sided transpose = full transpose": 1e-14,
-        "partial trace normalisation": 1e-12,
-        "subsystem permutation spectrum": 1e-10,
-        "realignment preserves frobenius norm": 1e-12,
-        "ccn local-unitary invariance": 1e-10,
-        "ccn multiplicativity under regrouping": 1e-10,
-        "subcross bound on hermitian products": 1e-10,
-        "explicit-decomposition upper bound on tau": 1e-10,
-    }
-    return [CheckResult(name, float(w[name]), tols[name]) for name in w]
+    return [CheckResult(name, float(w[name]), tol) for name, tol in _NORM_TOLS.items()]
 
 
-def suite_sandwich(seed: int, n: int, restarts: int = 6) -> list[CheckResult]:
+def suite_sandwich(seed: int, n: int) -> list[CheckResult]:
     """Fidelity sandwich tr(A)/d <= f <= tau/d plus the nonnegative trace.
 
     Instance k is a random d x d state, d = 2 for even k and 3 for odd k,
-    whose ascent starts from seed + k.  The states of each dimension ascend
-    together, _SANDWICH_CHUNK at a time.
+    whose _SANDWICH_RESTARTS ascent starts are drawn from seed + k.  The
+    states of each dimension ascend together, _SANDWICH_CHUNK at a time.
     """
     rng = np.random.default_rng(seed)
     worst = np.full(4, -np.inf)
@@ -181,11 +169,11 @@ def suite_sandwich(seed: int, n: int, restarts: int = 6) -> list[CheckResult]:
         d = 2 if k % 2 == 0 else 3
         batches[d].append((seed + k, random_density_matrix(d, d, rng=rng)))
         if len(batches[d]) == _SANDWICH_CHUNK:
-            worst = np.maximum(worst, _sandwich_slacks(batches[d], restarts))
+            worst = np.maximum(worst, _sandwich_slacks(batches[d]))
             batches[d].clear()
     for batch in batches.values():
         if batch:
-            worst = np.maximum(worst, _sandwich_slacks(batch, restarts))
+            worst = np.maximum(worst, _sandwich_slacks(batch))
     return [
         CheckResult("fidelity lower bound holds", float(worst[0]), 1e-8),
         CheckResult("fidelity upper bound holds", float(worst[1]), 1e-10),
@@ -194,17 +182,18 @@ def suite_sandwich(seed: int, n: int, restarts: int = 6) -> list[CheckResult]:
     ]
 
 
-def _sandwich_slacks(batch: list[tuple[int, DensityMatrix]], restarts: int) -> np.ndarray:
+def _sandwich_slacks(batch: list[tuple[int, DensityMatrix]]) -> np.ndarray:
     """The worst slack of each sandwich check over (ascent seed, state) pairs
     of one local dimension, in the order of suite_sandwich's results."""
     seeds, states = zip(*batch)
     d = states[0].dim_a
     mats = np.stack([rho.mat for rho in states])
-    starts = np.stack([_haar_starts(d, restarts, np.random.default_rng(s)) for s in seeds])
+    starts = np.stack([
+        _haar_starts(d, _SANDWICH_RESTARTS, np.random.default_rng(s)) for s in seeds
+    ])
     best = np.array([opt.value for opt in _optimize_psd(mats, starts)])
-    aligned = _reshuffle(mats, d, d)
-    tau = np.linalg.svd(aligned, compute_uv=False).sum(axis=-1)
-    trace = np.trace(aligned, axis1=-2, axis2=-1).real
+    tau = _ccn_values(mats, d, d)
+    trace = np.trace(_reshuffle(mats, d, d), axis1=-2, axis2=-1).real
     lower = np.array([fidelity_lower(rho) for rho in states])
     return np.array([
         np.max(lower - best),
@@ -247,14 +236,10 @@ def suite_monotonicity(seed: int, n: int) -> list[CheckResult]:
 
 
 def _random_projector_family(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Complete orthogonal projectors from random blocks of a Haar frame."""
+    """Two complementary projectors from a random cut of a Haar frame (dim >= 2)."""
     u = random_unitary(dim, rng)
-    cut = int(rng.integers(1, dim)) if dim > 1 else 1
-    first = u[:, :cut] @ u[:, :cut].conj().T
-    second = u[:, cut:] @ u[:, cut:].conj().T
-    if dim == 1:
-        return (np.eye(1, dtype=np.complex128),)
-    return (first, second)
+    cut = int(rng.integers(1, dim))
+    return (u[:, :cut] @ u[:, :cut].conj().T, u[:, cut:] @ u[:, cut:].conj().T)
 
 
 def suite_spectra(seed: int, n: int, per_axis: int = 20) -> list[CheckResult]:
@@ -287,7 +272,7 @@ def suite_spectra(seed: int, n: int, per_axis: int = 20) -> list[CheckResult]:
         pt_eig = np.linalg.eigvalsh(_partial_transpose(mats, 2, 2))
         closed_pt = np.sort(np.stack(closed.pt_eigs, axis=-1), axis=-1)
         worst_pt = np.maximum(worst_pt, np.max(np.abs(pt_eig - closed_pt)))
-        tau = np.linalg.svd(_reshuffle(mats, 2, 2), compute_uv=False).sum(axis=-1)
+        tau = _ccn_values(mats, 2, 2)
         worst_tau = np.maximum(worst_tau, np.max(np.abs(tau - (closed.g + np.abs(t)))))
         violated = _ppt_from_eigs(pt_eig)[2]
         ppt_mismatches += int(np.count_nonzero(violated != (t != 0.0)))

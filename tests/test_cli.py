@@ -183,8 +183,10 @@ def test_scan_deterministic_and_parallel(tmp_path, capsys):
     assert code == 0
     code, out2, _ = run(capsys, *args)
     assert out1 == out2
-    code, out3, _ = run(capsys, *args, "--jobs", "3")
-    assert out1 == out3
+    # the no-op --jobs option is gone; argparse rejects it
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--jobs", "3"])
+    assert exc.value.code == 2
 
 
 def test_scan_argument_errors(capsys):

@@ -255,11 +255,15 @@ def test_batched_ascent_matches_serial_reference_trace_class():
 
 
 def test_full_reports_mixed_batch_matches_full_report(rng):
-    # two groups of d = 3 around a rectangular state, then d = 2; the first
-    # group spans a chunk boundary
+    # two groups of d = 3 around a rectangular state, then d = 2, then 2 x 3,
+    # 3 x 2 and d = 2 again; the first d = 3 and the 2 x 3 group span a chunk
+    # boundary, so their tau and PPT fields come from stacks of 16 and of 2
     states = [make_state(Isotropic(3, f)) for f in np.linspace(0.1, 0.9, 18)]
     states += [random_density_matrix(2, 3, rng=rng), make_state(Isotropic(3, 0.5))]
     states += [random_density_matrix(2, 2, rng=rng) for _ in range(3)]
+    states += [random_density_matrix(2, 3, rng=rng) for _ in range(18)]
+    states += [random_density_matrix(3, 2, rng=rng, rank=r) for r in (1, 3, 6)]
+    states += [random_density_matrix(2, 2, rng=rng)]
     batched = full_reports(iter(states), restarts=4, seed=3)
     assert len(batched) == len(states)
     for rho, got in zip(states, batched):
@@ -267,6 +271,9 @@ def test_full_reports_mixed_batch_matches_full_report(rng):
         assert replace(got, fidelity_best=None) == replace(want, fidelity_best=None)
         if want.fidelity_best is not None:
             assert got.fidelity_best == pytest.approx(want.fidelity_best, abs=1e-12)
+        # the stacked tau and PPT fields equal the one-state public calls
+        assert got.tau == ccn_value(rho)
+        assert (got.ppt_min_eig, got.ppt_trace_norm, got.ppt_flag) == ppt_criterion(rho)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -331,16 +338,25 @@ def test_polar_rank_deficient_stacks_are_unitary():
 def test_ascent_is_exactly_scale_equivariant_at_d2():
     # trace-class input is not normalised; scaling it and the tolerance by a
     # power of two scales every value exactly, also where det M of a 2 x 2
-    # gradient is subnormal (about 1e-320) and would lose its phase unscaled
-    scale = 2.0**-530
-    rng = np.random.default_rng(52)
-    mats = np.stack([random_density_matrix(2, 2, rng=rng).mat for _ in range(3)])
-    starts = criteria._haar_starts(2, 4, rng)
-    values, us, converged = criteria._ascend(mats, starts, 1e-10, 2000)
-    scaled = criteria._ascend(scale * mats, starts, scale * 1e-10, 2000)
-    np.testing.assert_array_equal(scaled[0], scale * values)
-    np.testing.assert_array_equal(scaled[1], us)
-    np.testing.assert_array_equal(scaled[2], converged)
+    # gradient is subnormal (about 1e-320) and would lose its phase unscaled.
+    # At 2^570 squared gradient entries overflow and at 2^-570 they underflow,
+    # so the flat rule must not square them.  The SVD polar factor at d = 3
+    # is equivariant only up to rounding.
+    for d in (2, 3):
+        rng = np.random.default_rng(52)
+        mats = np.stack([random_density_matrix(d, d, rng=rng).mat for _ in range(3)])
+        starts = criteria._haar_starts(d, 4, rng)
+        values, us, converged = criteria._ascend(mats, starts, 1e-10, 2000)
+        for exponent in (-530, -570, 570):
+            scale = 2.0**exponent
+            scaled = criteria._ascend(scale * mats, starts, scale * 1e-10, 2000)
+            if d == 2:
+                np.testing.assert_array_equal(scaled[0], scale * values)
+                np.testing.assert_array_equal(scaled[1], us)
+            else:
+                np.testing.assert_allclose(scaled[0] / scale, values, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(scaled[1], us, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(scaled[2], converged)
 
 
 @pytest.mark.parametrize("d", [2, 3])
