@@ -19,7 +19,7 @@ from .criteria import CriterionReport, fidelity_optimize, full_report, full_repo
 from .linalg import DensityMatrix, TraceClassOperator
 from .realign import ccn_value
 from .states import FamilySpec, make_state, param_kind, parse_family, replace_param
-from .verify import SUITES, run_suites
+from .verify import SUITES
 
 
 def _fmt(x: float) -> str:
@@ -76,11 +76,7 @@ def load_state_file(path: str, relax: bool = False):
 
 def save_state_file(path: str, op) -> None:
     """Write a state (or trace-class operator) in the JSON schema above."""
-    side = op.dim_a * op.dim_b
-    rows = [
-        [[float(op.mat[i, j].real), float(op.mat[i, j].imag)] for j in range(side)]
-        for i in range(side)
-    ]
+    rows = np.stack([op.mat.real, op.mat.imag], axis=-1).tolist()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"dims": [op.dim_a, op.dim_b], "matrix": rows}, handle)
 
@@ -128,7 +124,7 @@ def cmd_analyze(args) -> int:
         op = make_state(spec)
         if args.relax:
             op = TraceClassOperator(op.dim_a, op.dim_b, op.mat)
-    if isinstance(op, TraceClassOperator):
+    if args.relax:
         return _analyze_relaxed(op, args)
     report = full_report(op, restarts=args.restarts, seed=args.seed)
     if args.json:
@@ -187,9 +183,11 @@ def _csv_cell(value) -> str:
     return repr(float(value))
 
 
-def ccn_threshold(
-    spec: FamilySpec, key: str, lo: float, hi: float, xtol: float = 1e-9
-) -> float | None:
+# bisection stops once the bracket is this narrow
+_THRESHOLD_XTOL = 1e-9
+
+
+def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float) -> float | None:
     """Bisect tau(parameter) = 1 inside [lo, hi]; None without a sign change."""
 
     def excess(value: float) -> float:
@@ -204,7 +202,7 @@ def ccn_threshold(
         return None
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if hi - lo <= xtol:
+        if hi - lo <= _THRESHOLD_XTOL:
             break
         if np.sign(excess(mid)) == np.sign(f_lo):
             lo = mid
@@ -262,7 +260,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"-n must be at least 1, got {args.n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
-    for name, checks in run_suites(names, args.seed, args.n):
+    for name in names:
+        checks = SUITES[name](args.seed, args.n)
         for check in checks:
             status = "PASS" if check.passed else "FAIL"
             print(

@@ -63,9 +63,9 @@ def _ppt_from_eigs(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def realigned_trace(op) -> complex:
     """Trace of the realigned operator (requires equal local dimensions)."""
-    if isinstance(op, (DensityMatrix, TraceClassOperator)) and op.dim_a != op.dim_b:
-        raise DimensionError("realigned trace requires equal local dimensions")
     mat, da, db = _mat_and_dims(op, None)
+    if da != db:
+        raise DimensionError("realigned trace requires equal local dimensions")
     return complex(np.trace(_reshuffle(mat, da, db)))
 
 
@@ -75,9 +75,7 @@ def fidelity_lower(rho: DensityMatrix) -> float:
     Returns the overlap; ``verify sandwich`` checks it against the realigned
     trace.
     """
-    if rho.dim_a != rho.dim_b:
-        raise DimensionError("fidelity is defined for equal local dimensions only")
-    psi = psi_plus(rho.dim_a)
+    psi = psi_plus(rho.dim)
     return float((psi.conj() @ rho.mat @ psi).real)
 
 
@@ -229,11 +227,9 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     the ascent then runs on shifted Hermitian combinations over a phase
     grid and reports the best modulus found.
     """
-    if not isinstance(rho, (DensityMatrix, TraceClassOperator)):
+    if not isinstance(rho, TraceClassOperator):
         raise TypeError("expected a DensityMatrix or TraceClassOperator")
-    if rho.dim_a != rho.dim_b:
-        raise DimensionError("fidelity is defined for equal local dimensions only")
-    d, rng = rho.dim_a, np.random.default_rng(seed)
+    d, rng = rho.dim, np.random.default_rng(seed)
     if isinstance(rho, DensityMatrix):
         return _optimize_psd(rho.mat[None], _haar_starts(d, restarts, rng))[0]
     return _optimize_trace_class(rho.mat, d, restarts, rng)

@@ -34,11 +34,10 @@ import numpy as np
 
 from .linalg import (
     TOL_TRACE,
-    DensityMatrix,
     DimensionError,
     InvariantError,
     _frozen_copy,
-    as_matrix,
+    _mat_and_dims,
     trace_norm,
 )
 from .realign import RealignedMatrix, _reshuffle, _singular_values
@@ -136,15 +135,9 @@ def decompose(rho, basis: str | None = None) -> HSDecomposition:
     C = d * W_a^dag @ realign(rho) @ conj(W_b), with r = C[1:, 0],
     s = C[0, 1:] and T = C[1:, 1:]^T.
     """
-    if isinstance(rho, DensityMatrix):
-        if rho.dim_a != rho.dim_b:
-            raise DimensionError("decomposition requires equal local dimensions")
-        d, mat = rho.dim_a, rho.mat
-    else:
-        mat = as_matrix(rho)
-        d = round(np.sqrt(mat.shape[0]))
-        if mat.shape[0] != mat.shape[1] or d * d != mat.shape[0]:
-            raise DimensionError("input must be square with a square side d*d")
+    mat, d, db = _mat_and_dims(rho, None)
+    if d != db:
+        raise DimensionError("decomposition requires equal local dimensions")
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > TOL_TRACE:
         raise InvariantError(f"trace is {tr:.15g}; decomposition requires unit trace")

@@ -82,9 +82,15 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def _check_positive(dims: Sequence[int]) -> None:
+    """Reject any subsystem dimension below 1 before numpy reshapes by it."""
+    if min(dims, default=1) < 1:
+        raise DimensionError("subsystem dimensions must be positive")
+
+
 def _mat_and_dims(rho, dims: tuple[int, int] | None) -> tuple[np.ndarray, int, int]:
-    """Accept a DensityMatrix/TraceClassOperator or a raw array plus dims."""
-    if isinstance(rho, (DensityMatrix, TraceClassOperator)):
+    """Accept a TraceClassOperator (or DensityMatrix) or a raw array plus dims."""
+    if isinstance(rho, TraceClassOperator):
         return rho.mat, rho.dim_a, rho.dim_b
     mat = as_matrix(rho)
     if dims is None:
@@ -94,8 +100,9 @@ def _mat_and_dims(rho, dims: tuple[int, int] | None) -> tuple[np.ndarray, int, i
             raise DimensionError(
                 "subsystem dimensions are required for a non-square-of-integer matrix"
             )
-        return mat, d, d
+        dims = (d, d)
     dim_a, dim_b = int(dims[0]), int(dims[1])
+    _check_positive((dim_a, dim_b))
     if mat.shape != (dim_a * dim_b, dim_a * dim_b):
         raise DimensionError(
             f"matrix shape {mat.shape} does not match dims ({dim_a}, {dim_b})"
@@ -130,18 +137,25 @@ def partial_trace(rho, side: str = "second", dims: tuple[int, int] | None = None
     return trace_out(mat, (da, db), [0 if side == "first" else 1])
 
 
+def _factor_dims(mat, dims: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """mat as a matrix and dims as a list of positive ints whose product is its side."""
+    mat = as_matrix(mat)
+    dims = [int(d) for d in dims]
+    _check_positive(dims)
+    side = int(np.prod(dims))
+    if mat.shape != (side, side):
+        raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims}")
+    return mat, dims
+
+
 def trace_out(mat, dims: Sequence[int], which: Iterable[int]) -> np.ndarray:
     """Trace out the listed tensor factors of a multi-factor operator.
 
     dims lists every factor dimension in order; which gives 0-based factor
     indices to remove.  The kept factors stay in their original order.
     """
-    mat = as_matrix(mat)
-    dims = [int(d) for d in dims]
+    mat, dims = _factor_dims(mat, dims)
     n = len(dims)
-    side = int(np.prod(dims))
-    if mat.shape != (side, side):
-        raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims}")
     which = sorted(set(int(i) for i in which))
     if which and (which[0] < 0 or which[-1] >= n):
         raise DimensionError(f"factor index out of range for {n} factors: {which}")
@@ -159,12 +173,8 @@ def permute_subsystems(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarra
 
     Output factor p is input factor perm[p]; trace and spectrum are preserved.
     """
-    mat = as_matrix(m)
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    side = int(np.prod(dims))
-    if mat.shape != (side, side):
-        raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims}")
+    mat, dims = _factor_dims(m, dims)
+    n, side = len(dims), mat.shape[0]
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(n)):
         raise DimensionError(f"perm {perm} is not a permutation of 0..{n - 1}")
@@ -212,23 +222,25 @@ def _frozen_copy(mat: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Unit-trace Hermitian PSD operator with declared bipartite dimensions."""
+class TraceClassOperator:
+    """Arbitrary finite operator with declared bipartite dimensions.
+
+    Only positive dimensions, finiteness and the matching square shape are
+    enforced; used where Hermiticity/positivity/normalisation are not assumed.
+    """
 
     dim_a: int
     dim_b: int
     mat: np.ndarray
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise DimensionError("subsystem dimensions must be positive")
+        _check_positive((self.dim_a, self.dim_b))
         mat = as_matrix(self.mat)
         side = self.dim_a * self.dim_b
         if mat.shape != (side, side):
             raise DimensionError(
                 f"matrix shape {mat.shape} does not match dims ({self.dim_a}, {self.dim_b})"
             )
-        _check_states(mat[None])
         object.__setattr__(self, "mat", _frozen_copy(mat))
 
     @property
@@ -242,24 +254,9 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class TraceClassOperator:
-    """Arbitrary finite operator with declared bipartite dimensions.
-
-    Same storage as DensityMatrix but only squareness and finiteness are
-    enforced; used where Hermiticity/positivity/normalisation are not assumed.
-    """
-
-    dim_a: int
-    dim_b: int
-    mat: np.ndarray
+class DensityMatrix(TraceClassOperator):
+    """Unit-trace Hermitian PSD operator: a TraceClassOperator that is a state."""
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise DimensionError("subsystem dimensions must be positive")
-        mat = as_matrix(self.mat)
-        side = self.dim_a * self.dim_b
-        if mat.shape != (side, side):
-            raise DimensionError(
-                f"matrix shape {mat.shape} does not match dims ({self.dim_a}, {self.dim_b})"
-            )
-        object.__setattr__(self, "mat", _frozen_copy(mat))
+        super().__post_init__()
+        _check_states(self.mat[None])

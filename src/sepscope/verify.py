@@ -293,6 +293,3 @@ SUITES: dict[str, Callable[[int, int], list[CheckResult]]] = {
     "spectra": suite_spectra,
 }
 
-
-def run_suites(names: list[str], seed: int, n: int) -> list[tuple[str, list[CheckResult]]]:
-    return [(name, SUITES[name](seed, n)) for name in names]

@@ -183,7 +183,7 @@ def test_criterion_6_rho_p_thresholds():
     crossings = {}
     for alpha in ((0.5, 0.5), (0.7, 0.3), (0.9, 0.1)):
         template = RhoP(alpha, 0.0)
-        crossing = ccn_threshold(template, "p", 0.0, 1.0, xtol=1e-9)
+        crossing = ccn_threshold(template, "p", 0.0, 1.0)
         crossings[alpha] = crossing
         worst = max(worst, abs(crossing - rho_p_threshold(alpha)))
     elapsed = time.perf_counter() - start

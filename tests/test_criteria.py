@@ -111,6 +111,17 @@ def test_fidelity_lower_rejects_rectangular(rng):
         fidelity_lower(random_density_matrix(2, 3, rng=rng))
 
 
+@pytest.mark.parametrize("func", [realigned_trace, fidelity_lower, fidelity_optimize, decompose])
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda rho: rho, lambda rho: TraceClassOperator(2, 3, rho.mat)],
+    ids=["state", "operator"],
+)
+def test_square_only_functions_reject_rectangular_operators(rng, func, wrap):
+    with pytest.raises(DimensionError):
+        func(wrap(random_density_matrix(2, 3, rng=rng)))
+
+
 # --- fidelity optimizer ---------------------------------------------------------
 
 

@@ -19,7 +19,8 @@ from sepscope.linalg import (
     trace_out,
     _partial_transpose,
 )
-from sepscope.realign import _reshuffle, realign
+from sepscope.criteria import realigned_trace
+from sepscope.realign import _reshuffle, ccn_value, realign
 from sepscope.states import (
     counterexample_matrix,
     counterexample_spectra,
@@ -261,6 +262,46 @@ def test_trace_class_operator_relaxed():
     assert op.mat.shape == (2, 2)
     with pytest.raises(DimensionError):
         TraceClassOperator(2, 2, np.eye(2))
+
+
+def test_density_matrix_is_a_trace_class_operator(rng):
+    rho = random_density_matrix(2, 2, rng=rng)
+    assert isinstance(rho, TraceClassOperator)
+    assert not isinstance(TraceClassOperator(2, 2, rho.mat), DensityMatrix)
+
+
+def test_trace_class_operator_rectangular_dim_property():
+    op = TraceClassOperator(2, 3, np.eye(6))
+    with pytest.raises(DimensionError, match="no common local dimension"):
+        _ = op.dim
+    assert TraceClassOperator(3, 3, np.eye(9)).dim == 3
+
+
+_EYE4 = np.eye(4) / 4
+_EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ccn_value(_EYE4, dims=(-2, -2)),
+        lambda: realign(_EYE4, dims=(-2, -2)),
+        lambda: partial_transpose(_EYE4, dims=(-2, -2)),
+        lambda: partial_trace(_EYE4, dims=(-2, -2)),
+        lambda: trace_out(_EYE4, [-2, -2], [0]),
+        lambda: permute_subsystems(_EYE4, [-2, -2], [1, 0]),
+        lambda: ccn_value(_EMPTY, dims=(0, 0)),
+        lambda: realigned_trace(_EMPTY),
+        lambda: trace_out(_EMPTY, [0, 3], [0]),
+    ],
+    ids=[
+        "ccn_value", "realign", "partial_transpose", "partial_trace", "trace_out",
+        "permute_subsystems", "ccn_value-empty", "realigned_trace-empty", "trace_out-empty",
+    ],
+)
+def test_nonpositive_dims_rejected_before_numerics(call):
+    with pytest.raises(DimensionError, match="subsystem dimensions must be positive"):
+        call()
 
 
 def test_density_matrix_rectangular_dim_property(rng):
