@@ -5,9 +5,11 @@ entangled pure state.  Three quantities sandwich it:
 
     tr(A(rho))/d  <=  f(rho)  <=  ||A(rho)||_1 / d
 
-with A the realignment map.  The lower end equals <psi+|rho|psi+> exactly;
-the middle is estimated by a monotone ascent over local unitaries and is
-always reported as a certified lower bound, never as the global optimum.
+with A the realignment map.  The lower end equals <psi+|rho|psi+> exactly.
+At d = 2 the middle is exact: the top eigenvalue of the state in the magic
+basis.  Above, it is estimated by a monotone ascent over local unitaries on
+rho - lambda_min I, which has the same maximisers, and is reported as a
+certified lower bound, not as the global optimum.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .linalg import (
     permute_subsystems,
     tensor,
     trace_out,
+    _check_dims,
     _mat_and_dims,
     _partial_transpose,
 )
@@ -94,10 +97,13 @@ _ASCENT_MAX_ITER = 2000
 _CHUNK_POINTS = 16
 
 
-def _haar_starts(d: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
-    """(restarts, d, d) starts: the identity, then Haar-random draws in order."""
+def _check_restarts(restarts: int) -> None:
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+
+
+def _haar_starts(d: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
+    """(restarts, d, d) starts: the identity, then Haar-random draws in order."""
     draws = [random_unitary(d, rng) for _ in range(restarts - 1)]
     return np.stack([np.eye(d, dtype=np.complex128)] + draws)
 
@@ -200,13 +206,45 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     return values, us, converged
 
 
-def _optimize_psd(mats: np.ndarray, starts: np.ndarray) -> list[FidelityResult]:
-    """Best restart of each PSD matrix in the stack.
+# columns: the magic basis |Phi+>, i|Phi->, i|Psi+>, |Psi-> of Hill and Wootters,
+# in which every maximally entangled two-qubit state is real up to a phase
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]) / np.sqrt(2.0)
 
-    ``starts`` is (R, d, d), shared by every matrix, or (P, R, d, d), one set
-    per matrix.
+
+def _two_qubit_optimum(mats: np.ndarray) -> list[FidelityResult]:
+    """The exact fidelity of each PSD matrix in a (P, 4, 4) stack.
+
+    Every maximally entangled two-qubit state is M v for a real unit v, up to
+    a phase, with M the magic basis.  So f = max_v v^T Re(M^H rho M) v, the
+    top eigenvalue: the fully entangled fraction of Bennett, DiVincenzo,
+    Smolin and Wootters.  Its eigenvector gives psi = M v, which is
+    (I (x) U)|psi+> for U = sqrt(2) reshape(psi)^T.
     """
-    values, us, converged = _ascend(mats, starts, _ASCENT_TOL, _ASCENT_MAX_ITER)
+    vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ mats @ _MAGIC).real)
+    psi = vecs[..., -1] @ _MAGIC.T
+    us = np.sqrt(2.0) * psi.reshape(-1, 2, 2).swapaxes(-1, -2)
+    return [FidelityResult(float(v), u, True) for v, u in zip(vals[:, -1], us)]
+
+
+def _optimize_psd(mats: np.ndarray, starts: np.ndarray | None) -> list[FidelityResult]:
+    """Best fidelity of each PSD matrix in the stack (P, d^2, d^2).
+
+    At d = 2 it is exact (_two_qubit_optimum) and ``starts`` is unused.
+    Above, each matrix ascends from ``starts``, (R, d, d) shared by every
+    matrix or (P, R, d, d) one set per matrix, and the best restart wins.
+    The ascent runs on rho - s I with s = max(lambda_min, 0): that moves
+    every value by exactly s, so it keeps the maximisers, and it removes the
+    s U/d part of the gradient, which only damps each step.  The values are
+    evaluated on rho itself.
+    """
+    side = mats.shape[-1]
+    if side == 4:
+        return _two_qubit_optimum(mats)
+    shift = np.maximum(np.linalg.eigvalsh(mats)[:, 0], 0.0)
+    shifted = mats - shift[:, None, None] * np.eye(side)
+    _, us, converged = _ascend(shifted, starts, _ASCENT_TOL, _ASCENT_MAX_ITER)
+    x = _vec_t(us)
+    values = np.sum(x.conj() * (x @ mats.swapaxes(-1, -2)), axis=-1).real / us.shape[-1]
     best = np.argmax(values, axis=1)  # the first restart wins ties
     return [
         FidelityResult(float(values[k, b]), us[k, b], bool(converged[k, b]))
@@ -217,11 +255,13 @@ def _optimize_psd(mats: np.ndarray, starts: np.ndarray) -> list[FidelityResult]:
 def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     """Best found overlap with a maximally entangled state (I (x) U)|psi+>.
 
-    Restart 0 starts from the identity (so the result is never below the
-    realigned-trace lower bound); further restarts draw Haar-random seeds.
-    The returned value is a certified lower bound on the fidelity, and the
-    returned unitary reproduces it.  Restarts are merged deterministically
-    (first restart wins ties), so results are reproducible for fixed seed.
+    For a state at d = 2 the value is exact: the top eigenvalue of the state
+    in the magic basis.  Above, restart 0 starts from the identity (so the
+    result is never below the realigned-trace lower bound); further restarts
+    draw Haar-random seeds.  The returned value is a certified lower bound on
+    the fidelity, and the returned unitary reproduces it.  Restarts are
+    merged deterministically (first restart wins ties), so results are
+    reproducible for fixed seed.
 
     For a non-PSD trace-class operator the fidelity is max |<psi|op|psi>|;
     the ascent then runs on shifted Hermitian combinations over a phase
@@ -229,9 +269,11 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     """
     if not isinstance(rho, TraceClassOperator):
         raise TypeError("expected a DensityMatrix or TraceClassOperator")
+    _check_restarts(restarts)
     d, rng = rho.dim, np.random.default_rng(seed)
     if isinstance(rho, DensityMatrix):
-        return _optimize_psd(rho.mat[None], _haar_starts(d, restarts, rng))[0]
+        starts = None if d == 2 else _haar_starts(d, restarts, rng)
+        return _optimize_psd(rho.mat[None], starts)[0]
     return _optimize_trace_class(rho.mat, d, restarts, rng)
 
 
@@ -324,14 +366,11 @@ class FactorizedState:
     bob_factors: tuple[int, ...]
 
     def __post_init__(self):
-        alice = tuple(int(d) for d in self.alice_factors)
-        bob = tuple(int(d) for d in self.bob_factors)
+        alice, bob = _check_dims(self.alice_factors), _check_dims(self.bob_factors)
         object.__setattr__(self, "alice_factors", alice)
         object.__setattr__(self, "bob_factors", bob)
         if not alice or not bob:
             raise DimensionError("each side needs at least one factor")
-        if min(alice + bob) < 1:
-            raise DimensionError("factor dimensions must be positive")
         if int(np.prod(alice)) != self.state.dim_a or int(np.prod(bob)) != self.state.dim_b:
             raise DimensionError(
                 f"factors {alice} x {bob} do not multiply to the state dims "
@@ -437,14 +476,15 @@ def full_reports(states, restarts: int = 16, seed: int = 0) -> list[CriterionRep
     """full_report of every state, in order, with the work stacked.
 
     Consecutive states of one shape form a group, handled at most
-    _CHUNK_POINTS at a time.  A square group draws its Haar starts once, as
-    full_report would draw them for each state, and its states ascend
-    together.  ``states`` may be a generator; it is consumed one chunk at a
-    time.
+    _CHUNK_POINTS at a time.  A square group above d = 2 draws its Haar
+    starts once, as full_report would draw them for each state, and its
+    states ascend together; at d = 2 the fidelity is exact and needs none.
+    ``states`` may be a generator; it is consumed one chunk at a time.
     """
+    _check_restarts(restarts)
     reports: list[CriterionReport] = []
     for (da, db), group in groupby(states, key=lambda rho: (rho.dim_a, rho.dim_b)):
-        starts = _haar_starts(da, restarts, np.random.default_rng(seed)) if da == db else None
+        starts = _haar_starts(da, restarts, np.random.default_rng(seed)) if da == db != 2 else None
         while chunk := list(islice(group, _CHUNK_POINTS)):
             reports += _chunk_reports(chunk, starts)
     return reports
@@ -456,7 +496,8 @@ def full_report(rho: DensityMatrix, restarts: int = 16, seed: int = 0) -> Criter
 
 
 def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> list[CriterionReport]:
-    """The reports of states of one shape, with their ascent starts when square.
+    """The reports of states of one shape, with their ascent starts when
+    square above d = 2.
 
     tau comes from one stacked SVD and the PPT fields from one stacked
     eigensolve of the partial transposes.
@@ -465,7 +506,7 @@ def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> lis
     mats = np.stack([rho.mat for rho in chunk])
     taus = _ccn_values(mats, da, db)
     ppts = zip(*_ppt_from_eigs(np.linalg.eigvalsh(_partial_transpose(mats, da, db))))
-    opts = [None] * len(chunk) if starts is None else _optimize_psd(mats, starts)
+    opts = _optimize_psd(mats, starts) if da == db else [None] * len(chunk)
     reports = []
     for rho, tau, (min_eig, ppt_tn, ppt_flag), opt in zip(chunk, taus, ppts, opts):
         tau = float(tau)

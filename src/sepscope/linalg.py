@@ -82,10 +82,16 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _check_positive(dims: Sequence[int]) -> None:
-    """Reject any subsystem dimension below 1 before numpy reshapes by it."""
+def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """dims as Python ints, after rejecting any that is not an integer (a
+    Python or numpy int; bools and floats such as 2.0 are refused) or is
+    below 1, before numpy reshapes by it."""
+    for d in dims:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            raise DimensionError(f"subsystem dimensions must be integers, got {d!r}")
     if min(dims, default=1) < 1:
         raise DimensionError("subsystem dimensions must be positive")
+    return tuple(int(d) for d in dims)
 
 
 def _mat_and_dims(rho, dims: tuple[int, int] | None) -> tuple[np.ndarray, int, int]:
@@ -101,8 +107,9 @@ def _mat_and_dims(rho, dims: tuple[int, int] | None) -> tuple[np.ndarray, int, i
                 "subsystem dimensions are required for a non-square-of-integer matrix"
             )
         dims = (d, d)
-    dim_a, dim_b = int(dims[0]), int(dims[1])
-    _check_positive((dim_a, dim_b))
+    if len(dims) != 2:
+        raise DimensionError(f"expected two subsystem dimensions, got {len(dims)}")
+    dim_a, dim_b = _check_dims(dims)
     if mat.shape != (dim_a * dim_b, dim_a * dim_b):
         raise DimensionError(
             f"matrix shape {mat.shape} does not match dims ({dim_a}, {dim_b})"
@@ -140,8 +147,7 @@ def partial_trace(rho, side: str = "second", dims: tuple[int, int] | None = None
 def _factor_dims(mat, dims: Sequence[int]) -> tuple[np.ndarray, list[int]]:
     """mat as a matrix and dims as a list of positive ints whose product is its side."""
     mat = as_matrix(mat)
-    dims = [int(d) for d in dims]
-    _check_positive(dims)
+    dims = list(_check_dims(dims))
     side = int(np.prod(dims))
     if mat.shape != (side, side):
         raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims}")
@@ -234,7 +240,9 @@ class TraceClassOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        _check_positive((self.dim_a, self.dim_b))
+        dim_a, dim_b = _check_dims((self.dim_a, self.dim_b))
+        object.__setattr__(self, "dim_a", dim_a)
+        object.__setattr__(self, "dim_b", dim_b)
         mat = as_matrix(self.mat)
         side = self.dim_a * self.dim_b
         if mat.shape != (side, side):

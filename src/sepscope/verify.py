@@ -158,9 +158,10 @@ def suite_norms(seed: int, n: int) -> list[CheckResult]:
 def suite_sandwich(seed: int, n: int) -> list[CheckResult]:
     """Fidelity sandwich tr(A)/d <= f <= tau/d plus the nonnegative trace.
 
-    Instance k is a random d x d state, d = 2 for even k and 3 for odd k,
-    whose _SANDWICH_RESTARTS ascent starts are drawn from seed + k.  The
-    states of each dimension ascend together, _SANDWICH_CHUNK at a time.
+    Instance k is a random d x d state, d = 2 for even k and 3 for odd k.
+    At d = 2 the fidelity is exact; at d = 3 the instance's
+    _SANDWICH_RESTARTS ascent starts are drawn from seed + k.  The states of
+    each dimension are handled together, _SANDWICH_CHUNK at a time.
     """
     rng = np.random.default_rng(seed)
     worst = np.full(4, -np.inf)
@@ -188,7 +189,7 @@ def _sandwich_slacks(batch: list[tuple[int, DensityMatrix]]) -> np.ndarray:
     seeds, states = zip(*batch)
     d = states[0].dim_a
     mats = np.stack([rho.mat for rho in states])
-    starts = np.stack([
+    starts = None if d == 2 else np.stack([
         _haar_starts(d, _SANDWICH_RESTARTS, np.random.default_rng(s)) for s in seeds
     ])
     best = np.array([opt.value for opt in _optimize_psd(mats, starts)])

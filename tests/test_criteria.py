@@ -407,6 +407,90 @@ def test_ascent_problems_leaving_the_product_match_solo_runs(d, monkeypatch):
         np.testing.assert_array_equal(converged[k], c[0])
 
 
+# --- exact two-qubit fidelity and the shifted ascent ----------------------------------
+
+
+def _two_qubit_cases():
+    rng = np.random.default_rng(70)
+    states = [random_density_matrix(2, 2, rng=rng) for _ in range(20)]
+    states += [random_density_matrix(2, 2, rank=1, rng=rng) for _ in range(10)]
+    states += [make_state(Werner(2, p)) for p in np.linspace(0, 1, 11)]
+    states += [make_state(Counterexample(0.5, 0.25, t)) for t in np.linspace(-0.2, 0.2, 9)]
+    return states
+
+
+def test_two_qubit_fidelity_is_exact():
+    states = _two_qubit_cases()
+    mats = np.stack([rho.mat for rho in states])
+    # many restarts of the ascent, none of which may beat the exact value
+    starts = criteria._haar_starts(2, 32, np.random.default_rng(71))
+    ascended, _, _ = criteria._ascend(mats, starts, criteria._ASCENT_TOL, 2000)
+    for rho, climbed in zip(states, ascended):
+        res = fidelity_optimize(rho)
+        assert res.converged
+        assert _unitarity_defect(res.unitary) < 1e-12
+        assert _overlap(rho.mat, res.unitary).real == pytest.approx(res.value, abs=1e-13)
+        assert climbed.max() <= res.value + 1e-12
+        assert res.value >= fidelity_lower(rho) - 1e-12
+        assert res.value <= ccn_value(rho) / 2 + 1e-12
+
+
+def test_two_qubit_fidelity_matches_closed_form_on_bell_diagonal_states(rng):
+    for _ in range(10):
+        rho = _entangled_bell_diagonal(rng)
+        value = fidelity_optimize(rho).value
+        assert value == pytest.approx(
+            fidelity_two_qubit_max_disordered(decompose(rho), True), abs=1e-12
+        )
+        assert value == pytest.approx(ccn_value(rho) / 2, abs=1e-12)
+
+
+def test_full_reports_draw_no_starts_at_d2(monkeypatch, rng):
+    states = [random_density_matrix(2, 2, rng=rng) for _ in range(3)]
+    want = [fidelity_optimize(rho).value for rho in states]
+
+    def refuse(d, restarts, rng):
+        raise AssertionError("Haar starts drawn at d = 2")
+
+    monkeypatch.setattr(criteria, "_haar_starts", refuse)
+    reports = full_reports(states)
+    for value, report in zip(want, reports):
+        assert report.fidelity_best == min(value, report.fidelity_upper)
+    assert all(r.fidelity_converged for r in reports)
+    with pytest.raises(ValueError, match="restarts"):
+        full_reports(states, restarts=0)
+
+
+def test_shifted_ascent_leaves_the_flat_isotropic_point_fast(monkeypatch):
+    # isotropic F = 0.11 at d = 3 is nearly I/9, so the plain ascent's steps are
+    # damped by lambda_min U/d and it crawled for over a thousand of them; the
+    # exact value there is (1 - F)/(d^2 - 1)
+    steps = [0]
+    polar = criteria._polar
+
+    def counted(g):
+        steps[0] += 1
+        return polar(g)
+
+    monkeypatch.setattr(criteria, "_polar", counted)
+    res = full_report(make_state(Isotropic(3, 0.11)))
+    assert res.fidelity_best == pytest.approx(0.89 / 8, abs=1e-10)
+    assert res.fidelity_converged
+    assert steps[0] < 100, steps
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_shifted_ascent_reports_the_unshifted_value(d):
+    rng = np.random.default_rng(72 + d)
+    states = [random_density_matrix(d, d, rank=r, rng=rng) for r in (1, 2, d * d, d * d)]
+    states += [make_state(Isotropic(d, f)) for f in (0.0, 1 / d**2, 0.5)]
+    for rho in states:
+        res = fidelity_optimize(rho, restarts=4)
+        assert _overlap(rho.mat, res.unitary).real == pytest.approx(res.value, abs=1e-13)
+        assert res.value >= fidelity_lower(rho) - 1e-12
+        assert res.value <= ccn_value(rho) / d + 1e-10
+
+
 # --- prop-4-style closed form ----------------------------------------------------
 
 
@@ -568,6 +652,10 @@ def test_factorized_state_validation(rng):
     assert fs.factor_dims == (2, 2, 2)
     with pytest.raises(DimensionError):
         FactorizedState(rho, (3, 2), (2,))
+    with pytest.raises(DimensionError, match="subsystem dimensions must be positive"):
+        FactorizedState(rho, (-2, -2), (2,))
+    with pytest.raises(DimensionError, match="subsystem dimensions must be integers"):
+        FactorizedState(rho, (2.0, 2), (2,))
 
 
 # --- sandwich and variational identities ---------------------------------------------

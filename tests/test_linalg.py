@@ -308,3 +308,37 @@ def test_density_matrix_rectangular_dim_property(rng):
     rho = random_density_matrix(2, 3, rng=rng)
     with pytest.raises(DimensionError):
         _ = rho.dim
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ccn_value(_EYE4, dims=(2.9, 2.0)),
+        lambda: partial_transpose(_EYE4, dims=(2.0, 2)),
+        lambda: trace_out(_EYE4, [2.5, 2], [0]),
+        lambda: permute_subsystems(_EYE4, [2, np.float64(2.0)], [1, 0]),
+        lambda: TraceClassOperator(2.0, 2, _EYE4),
+        lambda: DensityMatrix(2, 2.0, _EYE4),
+        lambda: DensityMatrix(True, 4, _EYE4),
+    ],
+    ids=[
+        "ccn_value", "partial_transpose", "trace_out", "permute_subsystems",
+        "operator", "state", "state-bool",
+    ],
+)
+def test_non_integer_dims_rejected(call):
+    with pytest.raises(DimensionError, match="subsystem dimensions must be integers"):
+        call()
+
+
+@pytest.mark.parametrize("dims", [(4,), (2, 2, 1)])
+def test_dims_of_the_wrong_length_rejected(dims):
+    with pytest.raises(DimensionError, match="expected two subsystem dimensions"):
+        ccn_value(_EYE4, dims=dims)
+
+
+def test_numpy_integer_dims_accepted():
+    rho = DensityMatrix(np.int64(2), np.int32(2), _EYE4)
+    assert (type(rho.dim_a), type(rho.dim_b)) == (int, int)
+    assert ccn_value(_EYE4, dims=(np.int64(2), 2)) == ccn_value(rho)
+    assert trace_out(_EYE4, [np.int64(2), 2], [0]).shape == (2, 2)
