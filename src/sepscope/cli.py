@@ -142,10 +142,11 @@ def _analyze_relaxed(op: TraceClassOperator, args) -> int:
         d = op.dim_a
         tr = realigned_trace(op)
         opt = fidelity_optimize(op, restarts=args.restarts, seed=args.seed)
+        # a reported lower bound never exceeds its upper bound, as in full_reports
         out.update(
             realigned_trace_re=tr.real,
             realigned_trace_im=tr.imag,
-            fidelity_best=opt.value,
+            fidelity_best=min(opt.value, tau / d),
             fidelity_upper=tau / d,
             fidelity_converged=opt.converged,
         )

@@ -114,34 +114,11 @@ def _vec_t(us: np.ndarray) -> np.ndarray:
     return us.swapaxes(-1, -2).reshape(us.shape[:-2] + (d * d,))
 
 
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
 def _polar(g: np.ndarray) -> np.ndarray:
-    """Unitary polar factor W V^H of each matrix W S V^H in a stack (..., d, d).
-
-    At d = 2 it is closed-form: M + phi adj(M)^H = (s1 + s2) W V^H with
-    phi = det M / |det M| (any unit phi when det M = 0, here 1), normalised
-    by its Frobenius norm over sqrt(2).  M is first scaled by a power of two,
-    exactly, so that its largest entry modulus lies in [0.5, 1) and det M can
-    neither overflow nor underflow; a zero M gets the identity.  Other d use
-    the SVD.
-    """
-    if g.shape[-1] != 2:
-        w, _, vh = np.linalg.svd(g)
-        return w @ vh
-    _, exp = np.frexp(np.abs(g).max(axis=(-2, -1)))
-    g = g * np.ldexp(1.0, -exp)[..., None, None]
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    mod = np.abs(det)
-    phi = np.divide(det, mod, out=np.ones_like(det), where=mod > 0)
-    # adj(M)^H = [[conj m11, -conj m10], [-conj m01, conj m00]]
-    n = g + (phi[..., None, None] * _ADJ_SIGNS) * g[..., ::-1, ::-1].conj()
-    scale = np.linalg.norm(n, axis=(-2, -1)) / np.sqrt(2.0)
-    zero = scale == 0.0
-    n[zero] = np.eye(2)
-    scale[zero] = 1.0
-    return n / scale[..., None, None]
+    """Unitary polar factor W V^H of each matrix W S V^H in a stack (..., d, d),
+    from the SVD at every d; the ascent calls it once per step."""
+    w, _, vh = np.linalg.svd(g)
+    return w @ vh
 
 
 def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
@@ -263,9 +240,9 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     merged deterministically (first restart wins ties), so results are
     reproducible for fixed seed.
 
-    For a non-PSD trace-class operator the fidelity is max |<psi|op|psi>|;
-    the ascent then runs on shifted Hermitian combinations over a phase
-    grid and reports the best modulus found.
+    For a trace-class operator the fidelity is max |<psi|op|psi>|; the
+    ascent then runs at every d, on Hermitian combinations over a phase grid
+    shifted as for states, and reports the best modulus found.
     """
     if not isinstance(rho, TraceClassOperator):
         raise TypeError("expected a DensityMatrix or TraceClassOperator")
@@ -278,13 +255,21 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
 
 
 def _optimize_trace_class(mat, d, restarts, rng) -> FidelityResult:
+    """Best found max |<psi_U|mat|psi_U>| over a grid of phases theta.
+
+    Each combination c = cos(theta) H + sin(theta) K of the Hermitian and
+    skew-Hermitian parts (two phases for Hermitian input, else 24) ascends
+    from its own Haar starts on c - lambda_min(c) I: PSD, so the ascent is
+    monotone, and every value moves by the same amount, so the maximisers
+    stay.  Every (phase, restart) pair is then scored by its overlap modulus
+    on ``mat`` itself; the first in phase-major order wins ties.
+    """
     herm = (mat + mat.conj().T) / 2.0
     skew = (mat - mat.conj().T) / 2.0j
     hermitian_input = np.linalg.norm(skew) <= 1e-13 * max(1.0, np.linalg.norm(herm))
     phases = (0.0, np.pi) if hermitian_input else tuple(2 * np.pi * k / 24 for k in range(24))
     combos = [np.cos(theta) * herm + np.sin(theta) * skew for theta in phases]
-    shifts = [max(0.0, -float(np.linalg.eigvalsh(c)[0])) for c in combos]
-    mats = np.stack([c + shift * np.eye(d * d) for c, shift in zip(combos, shifts)])
+    mats = np.stack([c - np.linalg.eigvalsh(c)[0] * np.eye(d * d) for c in combos])
     starts = np.stack([_haar_starts(d, restarts, rng) for _ in phases])  # phase-major draws
     _, us, converged = _ascend(mats, starts, _ASCENT_TOL, _ASCENT_MAX_ITER)
     x = _vec_t(us).reshape(-1, d * d)
