@@ -265,10 +265,16 @@ def cmd_verify(args) -> int:
         checks = SUITES[name](args.seed, args.n)
         for check in checks:
             status = "PASS" if check.passed else "FAIL"
-            print(
+            line = (
                 f"[{name}] {check.name}: {status} "
                 f"(worst slack {check.worst:.3e}, tol {check.tol:g})"
             )
+            if not check.passed and check.instance is not None:
+                line += (
+                    f"; instance {check.instance}: replay with sepscope verify {name} "
+                    f"--seed {args.seed} -n {check.instance + 1}"
+                )
+            print(line)
             failed = failed or not check.passed
         print(f"suite {name}: {'PASS' if all(c.passed for c in checks) else 'FAIL'}")
     return 1 if failed else 0

@@ -27,12 +27,12 @@ from .linalg import (
     TraceClassOperator,
     hermiticity_defect,
     partial_transpose,
-    permute_subsystems,
-    tensor,
     trace_out,
     _check_dims,
+    _kron,
     _mat_and_dims,
     _partial_transpose,
+    _permute_subsystems,
 )
 from .realign import TOL_FLAG, _ccn_values, _reshuffle, ccn_value
 from .states import psi_plus, random_unitary
@@ -374,11 +374,17 @@ def single_factor(state: DensityMatrix) -> FactorizedState:
 
 def tensor_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> FactorizedState:
     """Product of two bipartite states, regrouped to (A1 A2 | B1 B2)."""
-    mat = tensor(rho1.mat, rho2.mat)  # factor order (A1, B1, A2, B2)
     dims = [rho1.dim_a, rho1.dim_b, rho2.dim_a, rho2.dim_b]
-    regrouped = permute_subsystems(mat, dims, (0, 2, 1, 3))
+    regrouped = _tensor_pairs(rho1.mat, rho2.mat, dims)
     state = DensityMatrix(rho1.dim_a * rho2.dim_a, rho1.dim_b * rho2.dim_b, regrouped)
     return FactorizedState(state, (rho1.dim_a, rho2.dim_a), (rho1.dim_b, rho2.dim_b))
+
+
+def _tensor_pairs(mats1: np.ndarray, mats2: np.ndarray, dims: list[int]) -> np.ndarray:
+    """tensor_pair's regrouped matrix for stacks of the two states' matrices,
+    dims being [dA1, dB1, dA2, dB2]."""
+    # the product's factor order is (A1, B1, A2, B2)
+    return _permute_subsystems(_kron(mats1, mats2), dims, [0, 2, 1, 3])
 
 
 class ExtendedCcnResult(NamedTuple):
@@ -438,11 +444,16 @@ class CriterionReport:
 def distillable_by_fidelity(report: CriterionReport) -> bool:
     """One-sided distillability certificate.
 
-    True when the realigned trace exceeds 1, or when a maximally disordered
-    state with PSD correlation matrix violates the CCN bound.  False means
-    "not certified", never "not distillable".
+    True when the overlap with some maximally entangled state exceeds 1/d,
+    which violates the reduction criterion (M. and P. Horodecki, PRA 59,
+    4206 (1999)): at psi+ that is a realigned trace above 1, and at the
+    ascent's unitary a fidelity_best above 1/d.  Also True when a maximally
+    disordered state with PSD correlation matrix violates the CCN bound.
+    False means "not certified", never "not distillable".
     """
     if report.realigned_trace is not None and report.realigned_trace > 1.0 + TOL_FLAG:
+        return True
+    if report.fidelity_best is not None and report.fidelity_best > 1.0 / report.dim_a + TOL_FLAG:
         return True
     if report.max_disordered and report.t_psd and report.tau > 1.0 + TOL_FLAG:
         return True

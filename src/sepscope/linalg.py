@@ -51,6 +51,16 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
+def _max_abs(mats: np.ndarray) -> np.ndarray:
+    """The largest entry modulus of each matrix in a (..., r, c) stack."""
+    return np.max(np.abs(mats), axis=(-2, -1))
+
+
+def _dagger(mats: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix in a (..., r, c) stack."""
+    return mats.conj().swapaxes(-1, -2)
+
+
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product tr(a^dag b); conjugate-linear in a."""
     a = as_matrix(a)
@@ -62,24 +72,46 @@ def hs_inner(a, b) -> complex:
 
 def frobenius_norm(m) -> float:
     """Hilbert-Schmidt norm sqrt(tr(m^dag m))."""
-    return float(np.linalg.norm(as_matrix(m)))
+    return float(_frobenius_norms(as_matrix(m)))
+
+
+def _frobenius_norms(mats: np.ndarray) -> np.ndarray:
+    """frobenius_norm of each matrix in a (..., r, c) stack: the real and
+    imaginary parts of its row-major entries each enter one dot product, as
+    in np.linalg.norm of a single matrix."""
+    flat = mats.reshape(mats.shape[:-2] + (1, -1))
+    re, im = flat.real, flat.imag
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def trace_norm(m) -> float:
     """Sum of singular values of m."""
-    m = as_matrix(m)
+    return float(_trace_norms(as_matrix(m)))
+
+
+def _trace_norms(mats: np.ndarray) -> np.ndarray:
+    """trace_norm of each matrix in a (..., r, c) stack."""
     try:
-        return float(np.linalg.svd(m, compute_uv=False).sum())
+        return np.linalg.svd(mats, compute_uv=False).sum(axis=-1)
     except np.linalg.LinAlgError as exc:
+        rows, cols = mats.shape[-2:]
         raise NumericError(
-            f"SVD did not converge for {m.shape[0]}x{m.shape[1]} matrix "
-            f"(frobenius norm {np.linalg.norm(m):.3e})"
+            f"SVD did not converge for {rows}x{cols} matrix "
+            f"(frobenius norm {np.linalg.norm(mats):.3e})"
         ) from exc
 
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with the first argument as the slow index."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    return _kron(as_matrix(a), as_matrix(b))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tensor of matching (..., r, c) stacks, matrix by matrix; either may be
+    a single matrix.  One broadcast product, as np.kron forms it."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -165,13 +197,21 @@ def trace_out(mat, dims: Sequence[int], which: Iterable[int]) -> np.ndarray:
     which = sorted(set(int(i) for i in which))
     if which and (which[0] < 0 or which[-1] >= n):
         raise DimensionError(f"factor index out of range for {n} factors: {which}")
-    out = mat.reshape(dims + dims)
+    return _trace_out(mat, dims, which)
+
+
+def _trace_out(mats: np.ndarray, dims: list[int], which: list[int]) -> np.ndarray:
+    """trace_out of a (..., side, side) stack, for checked dims and sorted
+    distinct factor indices."""
+    lead = mats.shape[:-2]
+    out = mats.reshape(lead + tuple(dims + dims))
     remaining = list(dims)
     for idx in reversed(which):
-        out = np.trace(out, axis1=idx, axis2=idx + len(remaining))
+        axis = len(lead) + idx
+        out = np.trace(out, axis1=axis, axis2=axis + len(remaining))
         del remaining[idx]
     kept = int(np.prod(remaining)) if remaining else 1
-    return out.reshape(kept, kept)
+    return out.reshape(lead + (kept, kept))
 
 
 def permute_subsystems(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -180,12 +220,18 @@ def permute_subsystems(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarra
     Output factor p is input factor perm[p]; trace and spectrum are preserved.
     """
     mat, dims = _factor_dims(m, dims)
-    n, side = len(dims), mat.shape[0]
+    n = len(dims)
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(n)):
         raise DimensionError(f"perm {perm} is not a permutation of 0..{n - 1}")
-    axes = perm + [p + n for p in perm]
-    return mat.reshape(dims + dims).transpose(axes).reshape(side, side)
+    return _permute_subsystems(mat, dims, perm)
+
+
+def _permute_subsystems(mats: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
+    """permute_subsystems of a (..., side, side) stack, for checked dims and perm."""
+    lead, side, n = mats.shape[:-2], mats.shape[-1], len(dims)
+    axes = list(range(len(lead))) + [len(lead) + p for p in perm + [q + n for q in perm]]
+    return mats.reshape(lead + tuple(dims + dims)).transpose(axes).reshape(lead + (side, side))
 
 
 def _check_states(mats: np.ndarray, eigs: np.ndarray | None = None) -> np.ndarray:
@@ -198,7 +244,7 @@ def _check_states(mats: np.ndarray, eigs: np.ndarray | None = None) -> np.ndarra
     failing matrix raises the InvariantError that DensityMatrix raises for
     it.  Returns the eigenvalues.
     """
-    defects = np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    defects = _max_abs(mats - _dagger(mats))
     traces = np.trace(mats, axis1=-2, axis2=-1)
     bad = (defects > TOL_HERM) | (np.abs(traces - 1.0) > TOL_TRACE)
     first_bad = int(np.argmax(bad)) if bad.any() else len(mats)

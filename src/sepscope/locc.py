@@ -10,6 +10,7 @@ and may move either way under local trace-outs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -20,10 +21,11 @@ from .linalg import (
     DimensionError,
     InvariantError,
     as_matrix,
-    hermiticity_defect,
-    permute_subsystems,
-    tensor,
     trace_out,
+    _dagger,
+    _kron,
+    _max_abs,
+    _permute_subsystems,
 )
 from .realign import ccn_value
 
@@ -78,10 +80,24 @@ class LocalUnitary:
             u = as_matrix(getattr(self, name))
             if u.shape[0] != u.shape[1]:
                 raise DimensionError(f"{name} must be square")
-            defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-            if defect > TOL_UNITARY:
-                raise InvariantError(f"{name} is not unitary: defect {defect:.3e}")
+            _check_unitaries(u[None], name)
             object.__setattr__(self, name, u)
+
+
+def _check_unitaries(us: np.ndarray, name: str) -> None:
+    """LocalUnitary's check of the field ``name`` on a (N, d, d) stack; the
+    first failing matrix raises the InvariantError that LocalUnitary raises."""
+    defects = _max_abs(_dagger(us) @ us - np.eye(us.shape[-1]))
+    bad = defects > TOL_UNITARY
+    if bad.any():
+        raise InvariantError(f"{name} is not unitary: defect {defects[np.argmax(bad)]:.3e}")
+
+
+def _local_unitary(mats: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    """The LocalUnitary branch of apply on (..., side, side) stacks: every
+    matrix conjugated by its own U_a (x) U_b."""
+    u = _kron(u_a, u_b)
+    return u @ mats @ _dagger(u)
 
 
 @dataclass(frozen=True)
@@ -97,22 +113,28 @@ class LvnMeasurement:
         if not projs:
             raise InvariantError("measurement needs at least one projector")
         dim = projs[0].shape[0]
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for i, p in enumerate(projs):
-            if p.shape != (dim, dim):
-                raise DimensionError("projectors must share one square shape")
-            if hermiticity_defect(p) > TOL_PROJECTOR:
-                raise InvariantError(f"projector {i} is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > TOL_PROJECTOR:
-                raise InvariantError(f"projector {i} is not idempotent")
-            total += p
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.max(np.abs(projs[i] @ projs[j])) > TOL_PROJECTOR:
-                    raise InvariantError(f"projectors {i} and {j} are not orthogonal")
-        if np.max(np.abs(total - np.eye(dim))) > TOL_PROJECTOR:
-            raise InvariantError("projectors do not sum to the identity")
+        if any(p.shape != (dim, dim) for p in projs):
+            raise DimensionError("projectors must share one square shape")
+        _check_projectors(np.stack(projs)[:, None])
         object.__setattr__(self, "projectors", projs)
+
+
+def _check_projectors(projs: np.ndarray) -> None:
+    """LvnMeasurement's checks on N projector families at once: projs is
+    (K, N, d, d), holding projector k of family n at [k, n].  The first
+    failing family raises the InvariantError that LvnMeasurement raises."""
+    checks = []  # (defect of each family, message), in the order they are checked
+    for i, p in enumerate(projs):
+        checks.append((_max_abs(p - _dagger(p)), f"projector {i} is not Hermitian"))
+        checks.append((_max_abs(p @ p - p), f"projector {i} is not idempotent"))
+    for i, j in combinations(range(len(projs)), 2):
+        checks.append((_max_abs(projs[i] @ projs[j]), f"projectors {i} and {j} are not orthogonal"))
+    checks.append((_max_abs(sum(projs) - np.eye(projs.shape[-1])),
+                   "projectors do not sum to the identity"))
+    bad = np.array([defect > TOL_PROJECTOR for defect, _ in checks])
+    if bad.any():
+        family = np.argmax(bad.any(axis=0))
+        raise InvariantError(checks[np.argmax(bad[:, family])][1])
 
 
 LocalOperation = Union[AddAncilla, TraceOutFactor, LocalUnitary, LvnMeasurement]
@@ -120,11 +142,35 @@ LocalOperation = Union[AddAncilla, TraceOutFactor, LocalUnitary, LvnMeasurement]
 
 def pinching(sigma, projectors: Sequence[np.ndarray]) -> np.ndarray:
     """sum_k P_k sigma P_k for a complete orthogonal projector family."""
-    sigma = as_matrix(sigma)
-    out = np.zeros_like(sigma)
+    return _pinching(as_matrix(sigma), projectors)
+
+
+def _pinching(sigmas: np.ndarray, projectors) -> np.ndarray:
+    """pinching of a (..., d, d) stack, each P_k being one matrix or a
+    matching stack; the terms are added in the order k = 0, 1, ..."""
+    out = np.zeros_like(sigmas)
     for p in projectors:
-        out += p @ sigma @ p
+        out += p @ sigmas @ p
     return out
+
+
+def _measured(mats: np.ndarray, projs, side: str, dim_a: int, dim_b: int) -> np.ndarray:
+    """The LvnMeasurement branch of apply on a (..., side, side) stack, each
+    projector P_k being one local matrix or a matching stack."""
+    if side == "alice":
+        lifted = [_kron(p, np.eye(dim_b, dtype=np.complex128)) for p in projs]
+    else:
+        lifted = [_kron(np.eye(dim_a, dtype=np.complex128), p) for p in projs]
+    return _pinching(mats, lifted)
+
+
+def _with_ancilla(mats: np.ndarray, ancillas: np.ndarray, side: str, dim_a: int, dim_b: int) -> np.ndarray:
+    """The AddAncilla branch of apply on (..., side, side) stacks of states
+    and ancillas: the ancilla factor goes last on its side."""
+    mats = _kron(mats, ancillas)  # factors (A, B, anc)
+    if side == "alice":
+        mats = _permute_subsystems(mats, [dim_a, dim_b, ancillas.shape[-1]], [0, 2, 1])
+    return mats
 
 
 def apply(op: LocalOperation, fs: FactorizedState) -> FactorizedState:
@@ -133,9 +179,8 @@ def apply(op: LocalOperation, fs: FactorizedState) -> FactorizedState:
     state = fs.state
     if isinstance(op, AddAncilla):
         d_anc = op.ancilla.shape[0]
-        mat = tensor(state.mat, op.ancilla)  # factors (A, B, anc)
+        mat = _with_ancilla(state.mat, op.ancilla, op.side, state.dim_a, state.dim_b)
         if op.side == "alice":
-            mat = permute_subsystems(mat, [state.dim_a, state.dim_b, d_anc], (0, 2, 1))
             new = DensityMatrix(state.dim_a * d_anc, state.dim_b, mat)
             return FactorizedState(new, fs.alice_factors + (d_anc,), fs.bob_factors)
         new = DensityMatrix(state.dim_a, state.dim_b * d_anc, mat)
@@ -166,8 +211,7 @@ def apply(op: LocalOperation, fs: FactorizedState) -> FactorizedState:
                 f"unitary dims ({op.u_a.shape[0]}, {op.u_b.shape[0]}) do not match "
                 f"state dims ({state.dim_a}, {state.dim_b})"
             )
-        u = tensor(op.u_a, op.u_b)
-        new = DensityMatrix(state.dim_a, state.dim_b, u @ state.mat @ u.conj().T)
+        new = DensityMatrix(state.dim_a, state.dim_b, _local_unitary(state.mat, op.u_a, op.u_b))
         return FactorizedState(new, fs.alice_factors, fs.bob_factors)
 
     if isinstance(op, LvnMeasurement):
@@ -177,11 +221,8 @@ def apply(op: LocalOperation, fs: FactorizedState) -> FactorizedState:
                 f"projector dim {op.projectors[0].shape[0]} does not match the "
                 f"{op.side} dimension {local_dim}"
             )
-        lifted = [
-            tensor(p, np.eye(state.dim_b)) if op.side == "alice" else tensor(np.eye(state.dim_a), p)
-            for p in op.projectors
-        ]
-        new = DensityMatrix(state.dim_a, state.dim_b, pinching(state.mat, lifted))
+        mat = _measured(state.mat, op.projectors, op.side, state.dim_a, state.dim_b)
+        new = DensityMatrix(state.dim_a, state.dim_b, mat)
         return FactorizedState(new, fs.alice_factors, fs.bob_factors)
 
     raise TypeError(f"unknown local operation {op!r}")

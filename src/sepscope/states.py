@@ -24,7 +24,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .hsbasis import PAULI, spin_basis
-from .linalg import DensityMatrix, tensor
+from .linalg import DensityMatrix, _dagger, tensor
 
 __all__ = [
     "Werner",
@@ -81,13 +81,21 @@ def swap_operator(d: int) -> np.ndarray:
     return out
 
 
+def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A complex Gaussian matrix; the real parts are drawn before the imaginary."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _haar_unitaries(_ginibre(rng, d, d))
+
+
+def _haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
+    """random_unitary of each Ginibre matrix in a (..., d, d) stack."""
+    q, r = np.linalg.qr(ginibre / np.sqrt(2.0))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def random_density_matrix(
@@ -101,11 +109,16 @@ def random_density_matrix(
         raise ValueError(f"rank = {rank} outside [1, {side}]")
     if rng is None:
         rng = np.random.default_rng()
-    g = rng.standard_normal((side, rank)) + 1j * rng.standard_normal((side, rank))
-    mat = g @ g.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    mat /= np.trace(mat).real
-    return DensityMatrix(dim_a, dim_b, mat)
+    return DensityMatrix(dim_a, dim_b, _gram_states(_ginibre(rng, side, rank)))
+
+
+def _gram_states(g: np.ndarray) -> np.ndarray:
+    """The unvalidated random_density_matrix of each Gaussian G in a
+    (..., side, rank) stack."""
+    mats = g @ _dagger(g)
+    mats = (mats + _dagger(mats)) / 2.0
+    mats /= np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
+    return mats
 
 
 def random_max_disordered(d: int, rng: np.random.Generator) -> DensityMatrix:

@@ -2,8 +2,13 @@
 
 Each suite runs its checks over random instances (or, for the closed-form
 spectra, a deterministic parameter grid) and reports the worst observed
-slack per property.  A check passes when its worst slack stays at or below
-the stated tolerance.
+slack per property and, for random instances, the instance it came from.
+A check passes when its worst slack stays at or below the stated tolerance.
+
+The random suites draw their instances one by one from the seeded
+generator, so instance k is the same for every n > k, and then evaluate
+instances of one shape together through the same stacked kernels the
+library's public functions call.
 """
 
 from __future__ import annotations
@@ -16,29 +21,38 @@ from .criteria import (
     _haar_starts,
     _optimize_psd,
     _ppt_from_eigs,
+    _tensor_pairs,
     fidelity_lower,
-    single_factor,
-    tensor_pair,
 )
 from .linalg import (
     DensityMatrix,
     _check_states,
+    _dagger,
+    _frobenius_norms,
+    _kron,
+    _max_abs,
     _partial_transpose,
-    frobenius_norm,
-    partial_trace,
-    partial_transpose,
-    permute_subsystems,
-    tensor,
-    trace_norm,
+    _permute_subsystems,
+    _trace_norms,
+    _trace_out,
 )
-from .locc import AddAncilla, LocalUnitary, LvnMeasurement, monotonicity_probe, pinching
-from .realign import _ccn_values, _reshuffle, ccn_value, realign
+from .locc import (
+    _check_projectors,
+    _check_unitaries,
+    _local_unitary,
+    _measured,
+    _pinching,
+    _with_ancilla,
+)
+from .realign import _ccn_values, _reshuffle
 from .states import (
     _counterexample_closed_forms,
     _counterexample_rules,
+    _ginibre,
+    _gram_states,
+    _haar_unitaries,
     counterexample_matrix,
     random_density_matrix,
-    random_unitary,
 )
 
 # states of one local dimension per batched ascent in suite_sandwich: enough
@@ -46,7 +60,12 @@ from .states import (
 _SANDWICH_CHUNK = 32
 _SANDWICH_RESTARTS = 6
 
-# every check of suite_norms with its tolerance, in the order of its results
+# instances of one group evaluated together in suite_norms and
+# suite_monotonicity: enough to share the per-call dispatch, while a stack of
+# the 36 x 36 pair states stays small (it sets the suites' peak memory)
+_GROUP_CHUNK = 12
+
+# every check of a suite with its tolerance, in the order of its results
 _NORM_TOLS = {
     "trace norm unitary invariance": 1e-10,
     "trace norm >= frobenius norm": 1e-12,
@@ -60,16 +79,39 @@ _NORM_TOLS = {
     "subcross bound on hermitian products": 1e-10,
     "explicit-decomposition upper bound on tau": 1e-10,
 }
+_SANDWICH_TOLS = {
+    "fidelity lower bound holds": 1e-8,
+    "fidelity upper bound holds": 1e-10,
+    "realigned trace nonnegative": 1e-10,
+    "realigned trace equals psi+ overlap": 1e-12,
+}
+_MONOTONICITY_TOLS = {
+    "local unitaries leave tau invariant": 1e-10,
+    "projective measurements never increase tau": 1e-10,
+    "local ancillas never increase tau": 1e-10,
+    "pinching never increases frobenius norm": 1e-12,
+}
 
 
 class CheckResult(NamedTuple):
     name: str
     worst: float
     tol: float
+    instance: int | None = None  # 0-based instance of the worst slack; None on a grid
 
     @property
     def passed(self) -> bool:
         return self.worst <= self.tol
+
+
+def _results(slacks: np.ndarray, tols: dict[str, float]) -> list[CheckResult]:
+    """One CheckResult per row of a (checks, n) slack array: the worst slack
+    and its instance, the first NaN counting as the worst."""
+    worst, at = np.max(slacks, axis=1), np.argmax(slacks, axis=1)
+    return [
+        CheckResult(name, float(w), tol, int(k))
+        for (name, tol), w, k in zip(tols.items(), worst, at)
+    ]
 
 
 def _random_dims(rng: np.random.Generator) -> tuple[int, int]:
@@ -77,82 +119,91 @@ def _random_dims(rng: np.random.Generator) -> tuple[int, int]:
     return int(da), int(db)
 
 
-def _random_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _stacked_slacks(seed: int, n: int, draw, evaluate, checks: int) -> np.ndarray:
+    """(checks, n) slacks of n instances drawn in order by draw(rng).
+
+    draw returns an instance's group key and its raw draws; evaluate(key,
+    *stacks) returns the (checks, N) slacks of N instances of one group,
+    each draw stacked across them.  A group is evaluated whenever it holds
+    _GROUP_CHUNK instances, and what is left of each group at the end.
+    """
+    rng = np.random.default_rng(seed)
+    slacks = np.empty((checks, n))
+    groups: dict = {}
+
+    def flush(key) -> None:
+        ks, draws = zip(*groups.pop(key))
+        slacks[:, list(ks)] = evaluate(key, *(np.stack(d) for d in zip(*draws)))
+
+    for k in range(n):
+        key, draws = draw(rng)
+        groups.setdefault(key, []).append((k, draws))
+        if len(groups[key]) == _GROUP_CHUNK:
+            flush(key)
+    for key in list(groups):
+        flush(key)
+    return slacks
 
 
 def suite_norms(seed: int, n: int) -> list[CheckResult]:
     """Norm identities, partial transpose/trace structure, realignment basics."""
-    rng = np.random.default_rng(seed)
-    w = dict.fromkeys(_NORM_TOLS, -np.inf)
+    slacks = _stacked_slacks(seed, n, _draw_norms, _norm_slacks, len(_NORM_TOLS))
+    return _results(slacks, _NORM_TOLS)
 
-    def note(name: str, slack: float) -> None:
-        w[name] = np.maximum(w[name], slack)  # a NaN slack stays NaN
 
-    for _ in range(n):
-        da, db = _random_dims(rng)
-        side = da * db
+def _draw_norms(rng: np.random.Generator):
+    """A suite_norms instance: its dims and its Gaussian draws in generator
+    order, each Haar unitary and random state still the Gaussian matrix it
+    is built from."""
+    da, db = _random_dims(rng)
+    side = da * db
+    m, u, v, g = (_ginibre(rng, side, side) for _ in range(4))
+    ua, ub = _ginibre(rng, da, da), _ginibre(rng, db, db)
+    g2 = _ginibre(rng, 4, 4)
+    h1, h2 = _ginibre(rng, da, da), _ginibre(rng, db, db)
+    return (da, db), (m, u, v, g, ua, ub, g2, h1, h2)
 
-        m = _random_gaussian(rng, side, side)
-        u, v = random_unitary(side, rng), random_unitary(side, rng)
-        note("trace norm unitary invariance", abs(trace_norm(u @ m @ v) - trace_norm(m)))
-        note("trace norm >= frobenius norm", frobenius_norm(m) - trace_norm(m))
 
-        rho = random_density_matrix(da, db, rng=rng)
-        for which in ("first", "second"):
-            pt = partial_transpose(rho, which)
-            again = partial_transpose(pt, which, dims=(da, db))
-            note("partial transpose involution", np.max(np.abs(again - rho.mat)))
-        both = partial_transpose(
-            partial_transpose(rho, "first"), "second", dims=(da, db)
-        )
-        note("both-sided transpose = full transpose", np.max(np.abs(both - rho.mat.T)))
-        for which in ("first", "second"):
-            red = partial_trace(rho, which)
-            note("partial trace normalisation", abs(np.trace(red) - 1.0))
+def _norm_slacks(dims, m, u, v, g, ua, ub, g2, h1, h2) -> np.ndarray:
+    """The suite_norms slacks of one group of (da, db) instances, in the
+    order of _NORM_TOLS."""
+    da, db = dims
+    u, v, ua, ub = (_haar_unitaries(z) for z in (u, v, ua, ub))
+    rho, rho2 = _gram_states(g), _gram_states(g2)
+    eigs = _check_states(rho)
+    _check_states(rho2)
+    pair = _tensor_pairs(rho, rho2, [da, db, 2, 2])
+    _check_states(pair)
+    h1, h2 = (h1 + _dagger(h1)) / 2, (h2 + _dagger(h2)) / 2
 
-        perm = permute_subsystems(rho.mat, [da, db], (1, 0))
-        eig_before = np.sort(np.linalg.eigvalsh(rho.mat))
-        eig_after = np.sort(np.linalg.eigvalsh(perm))
-        note("subsystem permutation spectrum", np.max(np.abs(eig_before - eig_after)))
-
-        note(
-            "realignment preserves frobenius norm",
-            abs(frobenius_norm(realign(rho).mat) - frobenius_norm(rho.mat)),
-        )
-
-        ua, ub = random_unitary(da, rng), random_unitary(db, rng)
-        local = tensor(ua, ub)
-        rotated = local @ rho.mat @ local.conj().T
-        note(
-            "ccn local-unitary invariance",
-            abs(ccn_value(rotated, dims=(da, db)) - ccn_value(rho)),
-        )
-
-        rho2 = random_density_matrix(2, 2, rng=rng)
-        pair = tensor_pair(rho, rho2)
-        note(
-            "ccn multiplicativity under regrouping",
-            abs(ccn_value(pair.state) - ccn_value(rho) * ccn_value(rho2)),
-        )
-
-        h1 = _random_gaussian(rng, da, da)
-        h1 = (h1 + h1.conj().T) / 2
-        h2 = _random_gaussian(rng, db, db)
-        h2 = (h2 + h2.conj().T) / 2
-        note(
-            "subcross bound on hermitian products",
-            ccn_value(tensor(h1, h2), dims=(da, db)) - trace_norm(h1) * trace_norm(h2),
-        )
-
-        # rho = sum_ij E_ij (x) block_ij gives the bound sum_ij ||block_ij||_2
-        blocks = rho.mat.reshape(da, db, da, db)
-        bound = sum(
-            frobenius_norm(blocks[i, :, j, :]) for i in range(da) for j in range(da)
-        )
-        note("explicit-decomposition upper bound on tau", ccn_value(rho) - bound)
-
-    return [CheckResult(name, float(w[name]), tol) for name, tol in _NORM_TOLS.items()]
+    trace_norm_m = _trace_norms(m)
+    tau = _ccn_values(rho, da, db)
+    involution = [
+        _max_abs(_partial_transpose(_partial_transpose(rho, da, db, which), da, db, which) - rho)
+        for which in ("first", "second")
+    ]
+    both = _partial_transpose(_partial_transpose(rho, da, db, "first"), da, db, "second")
+    normalisation = [
+        np.abs(np.trace(_trace_out(rho, [da, db], [i]), axis1=-2, axis2=-1) - 1.0)
+        for i in (0, 1)
+    ]
+    swapped = np.linalg.eigvalsh(_permute_subsystems(rho, [da, db], [1, 0]))
+    # rho = sum_ij E_ij (x) block_ij gives the bound sum_ij ||block_ij||_2
+    block_norms = _frobenius_norms(rho.reshape(-1, da, db, da, db).swapaxes(2, 3))
+    bound = sum(block_norms[:, i, j] for i in range(da) for j in range(da))
+    return np.array([
+        np.abs(_trace_norms(u @ m @ v) - trace_norm_m),
+        _frobenius_norms(m) - trace_norm_m,
+        np.maximum(*involution),
+        _max_abs(both - rho.swapaxes(-1, -2)),
+        np.maximum(*normalisation),
+        np.max(np.abs(eigs - swapped), axis=-1),
+        np.abs(_frobenius_norms(_reshuffle(rho, da, db)) - _frobenius_norms(rho)),
+        np.abs(_ccn_values(_local_unitary(rho, ua, ub), da, db) - tau),
+        np.abs(_ccn_values(pair, 2 * da, 2 * db) - tau * _ccn_values(rho2, 2, 2)),
+        _ccn_values(_kron(h1, h2), da, db) - _trace_norms(h1) * _trace_norms(h2),
+        tau - bound,
+    ])
 
 
 def suite_sandwich(seed: int, n: int) -> list[CheckResult]:
@@ -164,29 +215,28 @@ def suite_sandwich(seed: int, n: int) -> list[CheckResult]:
     each dimension are handled together, _SANDWICH_CHUNK at a time.
     """
     rng = np.random.default_rng(seed)
-    worst = np.full(4, -np.inf)
+    slacks = np.empty((len(_SANDWICH_TOLS), n))
     batches: dict[int, list[tuple[int, DensityMatrix]]] = {2: [], 3: []}
+
+    def flush(batch: list[tuple[int, DensityMatrix]]) -> None:
+        ks, states = zip(*batch)
+        slacks[:, list(ks)] = _sandwich_slacks([seed + k for k in ks], states)
+        batch.clear()
+
     for k in range(n):
         d = 2 if k % 2 == 0 else 3
-        batches[d].append((seed + k, random_density_matrix(d, d, rng=rng)))
+        batches[d].append((k, random_density_matrix(d, d, rng=rng)))
         if len(batches[d]) == _SANDWICH_CHUNK:
-            worst = np.maximum(worst, _sandwich_slacks(batches[d]))
-            batches[d].clear()
+            flush(batches[d])
     for batch in batches.values():
         if batch:
-            worst = np.maximum(worst, _sandwich_slacks(batch))
-    return [
-        CheckResult("fidelity lower bound holds", float(worst[0]), 1e-8),
-        CheckResult("fidelity upper bound holds", float(worst[1]), 1e-10),
-        CheckResult("realigned trace nonnegative", float(worst[2]), 1e-10),
-        CheckResult("realigned trace equals psi+ overlap", float(worst[3]), 1e-12),
-    ]
+            flush(batch)
+    return _results(slacks, _SANDWICH_TOLS)
 
 
-def _sandwich_slacks(batch: list[tuple[int, DensityMatrix]]) -> np.ndarray:
-    """The worst slack of each sandwich check over (ascent seed, state) pairs
-    of one local dimension, in the order of suite_sandwich's results."""
-    seeds, states = zip(*batch)
+def _sandwich_slacks(seeds, states) -> np.ndarray:
+    """The sandwich slacks of states of one local dimension, each with its
+    ascent seed, in the order of _SANDWICH_TOLS."""
     d = states[0].dim_a
     mats = np.stack([rho.mat for rho in states])
     starts = None if d == 2 else np.stack([
@@ -196,51 +246,60 @@ def _sandwich_slacks(batch: list[tuple[int, DensityMatrix]]) -> np.ndarray:
     tau = _ccn_values(mats, d, d)
     trace = np.trace(_reshuffle(mats, d, d), axis1=-2, axis2=-1).real
     lower = np.array([fidelity_lower(rho) for rho in states])
-    return np.array([
-        np.max(lower - best),
-        np.max(best - tau / d),
-        np.max(-trace),
-        np.max(np.abs(trace / d - lower)),
-    ])
+    return np.array([lower - best, best - tau / d, -trace, np.abs(trace / d - lower)])
 
 
 def suite_monotonicity(seed: int, n: int) -> list[CheckResult]:
     """CCN behaviour under the elementary local operations."""
-    rng = np.random.default_rng(seed)
-    worst_lu = worst_lvn = worst_anc = worst_pinch = -np.inf
-    for _ in range(n):
-        da, db = _random_dims(rng)
-        fs = single_factor(random_density_matrix(da, db, rng=rng))
-
-        op_lu = LocalUnitary(random_unitary(da, rng), random_unitary(db, rng))
-        probe = monotonicity_probe(op_lu, fs)
-        worst_lu = np.maximum(worst_lu, abs(probe.tau_after - probe.tau_before))
-
-        side, dim = ("alice", da) if rng.integers(2) == 0 else ("bob", db)
-        projs = _random_projector_family(dim, rng)
-        probe = monotonicity_probe(LvnMeasurement(side, projs), fs)
-        worst_lvn = np.maximum(worst_lvn, probe.tau_after - probe.tau_before)
-
-        anc = random_density_matrix(2, 1, rng=rng).mat
-        probe = monotonicity_probe(AddAncilla("alice", anc), fs)
-        worst_anc = np.maximum(worst_anc, probe.tau_after - probe.tau_before)
-
-        sigma = _random_gaussian(rng, dim, dim)
-        pinched = pinching(sigma, projs)
-        worst_pinch = np.maximum(worst_pinch, frobenius_norm(pinched) - frobenius_norm(sigma))
-    return [
-        CheckResult("local unitaries leave tau invariant", float(worst_lu), 1e-10),
-        CheckResult("projective measurements never increase tau", float(worst_lvn), 1e-10),
-        CheckResult("local ancillas never increase tau", float(worst_anc), 1e-10),
-        CheckResult("pinching never increases frobenius norm", float(worst_pinch), 1e-12),
-    ]
+    slacks = _stacked_slacks(
+        seed, n, _draw_monotonicity, _monotonicity_slacks, len(_MONOTONICITY_TOLS)
+    )
+    return _results(slacks, _MONOTONICITY_TOLS)
 
 
-def _random_projector_family(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Two complementary projectors from a random cut of a Haar frame (dim >= 2)."""
-    u = random_unitary(dim, rng)
+def _draw_monotonicity(rng: np.random.Generator):
+    """A suite_monotonicity instance: its dims, measured side and projector
+    cut, and its Gaussian draws in generator order, each Haar unitary and
+    random state still the Gaussian matrix it is built from."""
+    da, db = _random_dims(rng)
+    g = _ginibre(rng, da * db, da * db)
+    ua, ub = _ginibre(rng, da, da), _ginibre(rng, db, db)
+    side, dim = ("alice", da) if rng.integers(2) == 0 else ("bob", db)
+    frame = _ginibre(rng, dim, dim)
     cut = int(rng.integers(1, dim))
-    return (u[:, :cut] @ u[:, :cut].conj().T, u[:, cut:] @ u[:, cut:].conj().T)
+    g_anc = _ginibre(rng, 2, 2)
+    sigma = _ginibre(rng, dim, dim)
+    return (da, db, side, cut), (g, ua, ub, frame, g_anc, sigma)
+
+
+def _monotonicity_slacks(key, g, ua, ub, frame, g_anc, sigma) -> np.ndarray:
+    """The suite_monotonicity slacks of one group of instances sharing dims,
+    measured side and cut, in the order of _MONOTONICITY_TOLS.  The
+    measurement projects onto the first cut columns of a Haar frame and onto
+    the rest."""
+    da, db, side, cut = key
+    rho, anc = _gram_states(g), _gram_states(g_anc)
+    _check_states(rho)
+    _check_states(anc)
+    ua, ub, frame = _haar_unitaries(ua), _haar_unitaries(ub), _haar_unitaries(frame)
+    _check_unitaries(ua, "u_a")
+    _check_unitaries(ub, "u_b")
+    projs = np.stack([frame[..., :cut] @ _dagger(frame[..., :cut]),
+                      frame[..., cut:] @ _dagger(frame[..., cut:])])
+    _check_projectors(projs)
+
+    tau = _ccn_values(rho, da, db)
+    rotated = _local_unitary(rho, ua, ub)
+    measured = _measured(rho, projs, side, da, db)
+    extended = _with_ancilla(rho, anc, "alice", da, db)
+    for after in (rotated, measured, extended):
+        _check_states(after)
+    return np.array([
+        np.abs(_ccn_values(rotated, da, db) - tau),
+        _ccn_values(measured, da, db) - tau,
+        _ccn_values(extended, 2 * da, db) - tau,
+        _frobenius_norms(_pinching(sigma, projs)) - _frobenius_norms(sigma),
+    ])
 
 
 def suite_spectra(seed: int, n: int, per_axis: int = 20) -> list[CheckResult]:

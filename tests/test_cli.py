@@ -63,12 +63,14 @@ def test_analyze_json_output(capsys):
     assert data["ccn_flag"] and data["ppt_flag"] and data["distillable_flag"]
     assert data["tau"] == pytest.approx(2 * 0.95, abs=1e-10)
     assert data["realigned_trace"] == pytest.approx(2 * 0.95, abs=1e-10)
-    # the werner singlet mixture has almost no overlap with |psi+>, so the
-    # one-sided certificate stays silent even though tau flags entanglement
+    # the werner singlet mixture has almost no overlap with |psi+>, but its
+    # fidelity with the singlet, (1 + 3p)/4 > 1/2, certifies distillability
     code, out, _ = run(capsys, "analyze", "werner:d=2,p=0.9", "--json", "--restarts", "2")
     data = json.loads(out)
-    assert data["ccn_flag"] and data["ppt_flag"] and not data["distillable_flag"]
+    assert data["realigned_trace"] < 1
+    assert data["ccn_flag"] and data["ppt_flag"] and data["distillable_flag"]
     assert data["tau"] == pytest.approx((1 + 3 * 0.9) / 2, abs=1e-10)
+    assert data["fidelity_best"] == pytest.approx((1 + 3 * 0.9) / 4, abs=1e-10)
 
 
 def test_analyze_parse_failure(capsys):
@@ -314,3 +316,31 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "always fails: FAIL" in out
     assert "suite norms: FAIL" in out
+
+
+def test_verify_failure_prints_a_replay_command(capsys, monkeypatch):
+    from sepscope import verify
+
+    trace_norms = verify._trace_norms
+
+    # double the trace norm of every matrix whose corner entry exceeds 1, so
+    # unitary invariance fails on the instances where only u m v or m has one
+    def doubled(mats):
+        return trace_norms(mats) * (1 + (mats[..., 0, 0].real > 1.0))
+
+    monkeypatch.setattr(verify, "_trace_norms", doubled)
+    code, out, _ = run(capsys, "verify", "norms", "--seed", "3")
+    assert code == 1
+    [fail] = [line for line in out.splitlines() if line.startswith("[") and ": FAIL" in line]
+    head, replay = fail.split("; instance ")
+    k = int(replay.split(":")[0])
+    assert head.startswith("[norms] trace norm unitary invariance: FAIL (worst slack ")
+    assert replay == f"{k}: replay with sepscope verify norms --seed 3 -n {k + 1}"
+    assert 0 < k < 99
+    # PASS lines carry no instance
+    assert all(line.endswith(")") for line in out.splitlines() if ": PASS" in line)
+    code, again, _ = run(capsys, "verify", "norms", "--seed", "3", "-n", str(k + 1))
+    assert code == 1
+    assert [line for line in again.splitlines() if ": FAIL" in line] == [fail, "suite norms: FAIL"]
+    worst, replayed = (verify.suite_norms(3, n)[0] for n in (100, k + 1))
+    assert replayed == worst and worst.instance == k

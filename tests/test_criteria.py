@@ -23,7 +23,7 @@ from sepscope.criteria import (
     tensor_pair,
 )
 from sepscope.hsbasis import decompose
-from sepscope.linalg import DimensionError, TraceClassOperator, tensor
+from sepscope.linalg import DensityMatrix, DimensionError, TraceClassOperator, tensor
 from sepscope.realign import ccn_value, realign
 from sepscope.states import (
     BellDiagonal,
@@ -572,6 +572,23 @@ def test_distillable_isotropic_threshold():
     assert above.distillable_flag
     below = full_report(make_state(Isotropic(3, 0.32)), restarts=2)
     assert not below.distillable_flag
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_distillable_flag_is_local_unitary_invariant(d):
+    # f > 1/d certifies distillability whichever maximally entangled state
+    # attains it, and after U_A (x) U_B that is rarely psi+
+    rng = np.random.default_rng(d)
+    states = []
+    for fidelity in (1 / d + 0.02, 0.5, 1.0):
+        rho = make_state(Isotropic(d, fidelity))
+        states.append(rho)
+        for _ in range(3):
+            local = tensor(random_unitary(d, rng), random_unitary(d, rng))
+            states.append(DensityMatrix(d, d, local @ rho.mat @ local.conj().T))
+    reports = full_reports(states)
+    assert all(report.distillable_flag for report in reports)
+    assert sum(report.realigned_trace > 1 for report in reports) == 3
 
 
 def test_distillable_psd_correlation_route_branch():
