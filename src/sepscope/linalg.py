@@ -56,11 +56,6 @@ def _max_abs(mats: np.ndarray) -> np.ndarray:
     return np.max(np.abs(mats), axis=(-2, -1))
 
 
-def _dagger(mats: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of each matrix in a (..., r, c) stack."""
-    return mats.conj().swapaxes(-1, -2)
-
-
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product tr(a^dag b); conjugate-linear in a."""
     a = as_matrix(a)
@@ -96,10 +91,13 @@ def _trace_norms(mats: np.ndarray) -> np.ndarray:
         return np.linalg.svd(mats, compute_uv=False).sum(axis=-1)
     except np.linalg.LinAlgError as exc:
         rows, cols = mats.shape[-2:]
-        raise NumericError(
-            f"SVD did not converge for {rows}x{cols} matrix "
-            f"(frobenius norm {np.linalg.norm(mats):.3e})"
-        ) from exc
+        if mats.ndim == 2:
+            what = f"{rows}x{cols} matrix (frobenius norm {np.linalg.norm(mats):.3e})"
+        else:
+            norms = np.linalg.norm(mats, axis=(-2, -1))
+            what = (f"a stack of {norms.size} {rows}x{cols} matrices "
+                    f"(largest frobenius norm {np.max(norms):.3e})")
+        raise NumericError(f"SVD did not converge for {what}") from exc
 
 
 def tensor(a, b) -> np.ndarray:
@@ -244,7 +242,7 @@ def _check_states(mats: np.ndarray, eigs: np.ndarray | None = None) -> np.ndarra
     failing matrix raises the InvariantError that DensityMatrix raises for
     it.  Returns the eigenvalues.
     """
-    defects = _max_abs(mats - _dagger(mats))
+    defects = _max_abs(mats - mats.conj().swapaxes(-1, -2))
     traces = np.trace(mats, axis1=-2, axis2=-1)
     bad = (defects > TOL_HERM) | (np.abs(traces - 1.0) > TOL_TRACE)
     first_bad = int(np.argmax(bad)) if bad.any() else len(mats)

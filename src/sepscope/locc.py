@@ -22,7 +22,6 @@ from .linalg import (
     InvariantError,
     as_matrix,
     trace_out,
-    _dagger,
     _kron,
     _max_abs,
     _permute_subsystems,
@@ -87,7 +86,7 @@ class LocalUnitary:
 def _check_unitaries(us: np.ndarray, name: str) -> None:
     """LocalUnitary's check of the field ``name`` on a (N, d, d) stack; the
     first failing matrix raises the InvariantError that LocalUnitary raises."""
-    defects = _max_abs(_dagger(us) @ us - np.eye(us.shape[-1]))
+    defects = _max_abs(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1]))
     bad = defects > TOL_UNITARY
     if bad.any():
         raise InvariantError(f"{name} is not unitary: defect {defects[np.argmax(bad)]:.3e}")
@@ -97,7 +96,7 @@ def _local_unitary(mats: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.nda
     """The LocalUnitary branch of apply on (..., side, side) stacks: every
     matrix conjugated by its own U_a (x) U_b."""
     u = _kron(u_a, u_b)
-    return u @ mats @ _dagger(u)
+    return u @ mats @ u.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def _check_projectors(projs: np.ndarray) -> None:
     failing family raises the InvariantError that LvnMeasurement raises."""
     checks = []  # (defect of each family, message), in the order they are checked
     for i, p in enumerate(projs):
-        checks.append((_max_abs(p - _dagger(p)), f"projector {i} is not Hermitian"))
+        checks.append((_max_abs(p - p.conj().swapaxes(-1, -2)), f"projector {i} is not Hermitian"))
         checks.append((_max_abs(p @ p - p), f"projector {i} is not idempotent"))
     for i, j in combinations(range(len(projs)), 2):
         checks.append((_max_abs(projs[i] @ projs[j]), f"projectors {i} and {j} are not orthogonal"))

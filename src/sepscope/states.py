@@ -24,7 +24,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .hsbasis import PAULI, spin_basis
-from .linalg import DensityMatrix, _dagger, tensor
+from .linalg import DensityMatrix, tensor
 
 __all__ = [
     "Werner",
@@ -115,8 +115,8 @@ def random_density_matrix(
 def _gram_states(g: np.ndarray) -> np.ndarray:
     """The unvalidated random_density_matrix of each Gaussian G in a
     (..., side, rank) stack."""
-    mats = g @ _dagger(g)
-    mats = (mats + _dagger(mats)) / 2.0
+    mats = g @ g.conj().swapaxes(-1, -2)
+    mats = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
     mats /= np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
     return mats
 

@@ -25,9 +25,7 @@ from .criteria import (
     fidelity_lower,
 )
 from .linalg import (
-    DensityMatrix,
     _check_states,
-    _dagger,
     _frobenius_norms,
     _kron,
     _max_abs,
@@ -44,7 +42,7 @@ from .locc import (
     _pinching,
     _with_ancilla,
 )
-from .realign import _ccn_values, _reshuffle
+from .realign import _ccn_values, _reshuffle, realign
 from .states import (
     _counterexample_closed_forms,
     _counterexample_rules,
@@ -119,13 +117,14 @@ def _random_dims(rng: np.random.Generator) -> tuple[int, int]:
     return int(da), int(db)
 
 
-def _stacked_slacks(seed: int, n: int, draw, evaluate, checks: int) -> np.ndarray:
-    """(checks, n) slacks of n instances drawn in order by draw(rng).
+def _stacked_slacks(seed: int, n: int, draw, evaluate, checks: int,
+                    chunk: int = _GROUP_CHUNK) -> np.ndarray:
+    """(checks, n) slacks of n instances drawn in order by draw(rng, k).
 
-    draw returns an instance's group key and its raw draws; evaluate(key,
-    *stacks) returns the (checks, N) slacks of N instances of one group,
-    each draw stacked across them.  A group is evaluated whenever it holds
-    _GROUP_CHUNK instances, and what is left of each group at the end.
+    draw returns instance k's group key and its draws; evaluate(key, *draws)
+    returns the (checks, N) slacks of N instances of one group, each draw
+    given as the tuple of its N values.  A group is evaluated whenever it
+    holds chunk instances, and what is left of each group at the end.
     """
     rng = np.random.default_rng(seed)
     slacks = np.empty((checks, n))
@@ -133,12 +132,12 @@ def _stacked_slacks(seed: int, n: int, draw, evaluate, checks: int) -> np.ndarra
 
     def flush(key) -> None:
         ks, draws = zip(*groups.pop(key))
-        slacks[:, list(ks)] = evaluate(key, *(np.stack(d) for d in zip(*draws)))
+        slacks[:, list(ks)] = evaluate(key, *zip(*draws))
 
     for k in range(n):
-        key, draws = draw(rng)
+        key, draws = draw(rng, k)
         groups.setdefault(key, []).append((k, draws))
-        if len(groups[key]) == _GROUP_CHUNK:
+        if len(groups[key]) == chunk:
             flush(key)
     for key in list(groups):
         flush(key)
@@ -151,7 +150,7 @@ def suite_norms(seed: int, n: int) -> list[CheckResult]:
     return _results(slacks, _NORM_TOLS)
 
 
-def _draw_norms(rng: np.random.Generator):
+def _draw_norms(rng: np.random.Generator, k: int):
     """A suite_norms instance: its dims and its Gaussian draws in generator
     order, each Haar unitary and random state still the Gaussian matrix it
     is built from."""
@@ -164,20 +163,24 @@ def _draw_norms(rng: np.random.Generator):
     return (da, db), (m, u, v, g, ua, ub, g2, h1, h2)
 
 
-def _norm_slacks(dims, m, u, v, g, ua, ub, g2, h1, h2) -> np.ndarray:
+def _norm_slacks(dims, *draws) -> np.ndarray:
     """The suite_norms slacks of one group of (da, db) instances, in the
-    order of _NORM_TOLS."""
+    order of _NORM_TOLS.  The states go through the public realign one at a
+    time; its realigned matrices and their trace norms give the realignment
+    check and tau."""
     da, db = dims
+    m, u, v, g, ua, ub, g2, h1, h2 = map(np.stack, draws)
     u, v, ua, ub = (_haar_unitaries(z) for z in (u, v, ua, ub))
     rho, rho2 = _gram_states(g), _gram_states(g2)
     eigs = _check_states(rho)
     _check_states(rho2)
     pair = _tensor_pairs(rho, rho2, [da, db, 2, 2])
     _check_states(pair)
-    h1, h2 = (h1 + _dagger(h1)) / 2, (h2 + _dagger(h2)) / 2
+    h1, h2 = ((h + h.conj().swapaxes(-1, -2)) / 2 for h in (h1, h2))
 
     trace_norm_m = _trace_norms(m)
-    tau = _ccn_values(rho, da, db)
+    realigned = [realign(r, (da, db)) for r in rho]
+    tau = np.array([r.trace_norm for r in realigned])
     involution = [
         _max_abs(_partial_transpose(_partial_transpose(rho, da, db, which), da, db, which) - rho)
         for which in ("first", "second")
@@ -198,7 +201,7 @@ def _norm_slacks(dims, m, u, v, g, ua, ub, g2, h1, h2) -> np.ndarray:
         _max_abs(both - rho.swapaxes(-1, -2)),
         np.maximum(*normalisation),
         np.max(np.abs(eigs - swapped), axis=-1),
-        np.abs(_frobenius_norms(_reshuffle(rho, da, db)) - _frobenius_norms(rho)),
+        np.abs(_frobenius_norms(np.stack([r.mat for r in realigned])) - _frobenius_norms(rho)),
         np.abs(_ccn_values(_local_unitary(rho, ua, ub), da, db) - tau),
         np.abs(_ccn_values(pair, 2 * da, 2 * db) - tau * _ccn_values(rho2, 2, 2)),
         _ccn_values(_kron(h1, h2), da, db) - _trace_norms(h1) * _trace_norms(h2),
@@ -214,30 +217,20 @@ def suite_sandwich(seed: int, n: int) -> list[CheckResult]:
     _SANDWICH_RESTARTS ascent starts are drawn from seed + k.  The states of
     each dimension are handled together, _SANDWICH_CHUNK at a time.
     """
-    rng = np.random.default_rng(seed)
-    slacks = np.empty((len(_SANDWICH_TOLS), n))
-    batches: dict[int, list[tuple[int, DensityMatrix]]] = {2: [], 3: []}
 
-    def flush(batch: list[tuple[int, DensityMatrix]]) -> None:
-        ks, states = zip(*batch)
-        slacks[:, list(ks)] = _sandwich_slacks([seed + k for k in ks], states)
-        batch.clear()
-
-    for k in range(n):
+    def draw(rng: np.random.Generator, k: int):
         d = 2 if k % 2 == 0 else 3
-        batches[d].append((k, random_density_matrix(d, d, rng=rng)))
-        if len(batches[d]) == _SANDWICH_CHUNK:
-            flush(batches[d])
-    for batch in batches.values():
-        if batch:
-            flush(batch)
+        return d, (seed + k, random_density_matrix(d, d, rng=rng))
+
+    slacks = _stacked_slacks(
+        seed, n, draw, _sandwich_slacks, len(_SANDWICH_TOLS), _SANDWICH_CHUNK
+    )
     return _results(slacks, _SANDWICH_TOLS)
 
 
-def _sandwich_slacks(seeds, states) -> np.ndarray:
-    """The sandwich slacks of states of one local dimension, each with its
-    ascent seed, in the order of _SANDWICH_TOLS."""
-    d = states[0].dim_a
+def _sandwich_slacks(d: int, seeds, states) -> np.ndarray:
+    """The sandwich slacks of d x d states, each with its ascent seed, in
+    the order of _SANDWICH_TOLS."""
     mats = np.stack([rho.mat for rho in states])
     starts = None if d == 2 else np.stack([
         _haar_starts(d, _SANDWICH_RESTARTS, np.random.default_rng(s)) for s in seeds
@@ -257,7 +250,7 @@ def suite_monotonicity(seed: int, n: int) -> list[CheckResult]:
     return _results(slacks, _MONOTONICITY_TOLS)
 
 
-def _draw_monotonicity(rng: np.random.Generator):
+def _draw_monotonicity(rng: np.random.Generator, k: int):
     """A suite_monotonicity instance: its dims, measured side and projector
     cut, and its Gaussian draws in generator order, each Haar unitary and
     random state still the Gaussian matrix it is built from."""
@@ -272,20 +265,21 @@ def _draw_monotonicity(rng: np.random.Generator):
     return (da, db, side, cut), (g, ua, ub, frame, g_anc, sigma)
 
 
-def _monotonicity_slacks(key, g, ua, ub, frame, g_anc, sigma) -> np.ndarray:
+def _monotonicity_slacks(key, *draws) -> np.ndarray:
     """The suite_monotonicity slacks of one group of instances sharing dims,
     measured side and cut, in the order of _MONOTONICITY_TOLS.  The
     measurement projects onto the first cut columns of a Haar frame and onto
     the rest."""
     da, db, side, cut = key
+    g, ua, ub, frame, g_anc, sigma = map(np.stack, draws)
     rho, anc = _gram_states(g), _gram_states(g_anc)
     _check_states(rho)
     _check_states(anc)
     ua, ub, frame = _haar_unitaries(ua), _haar_unitaries(ub), _haar_unitaries(frame)
     _check_unitaries(ua, "u_a")
     _check_unitaries(ub, "u_b")
-    projs = np.stack([frame[..., :cut] @ _dagger(frame[..., :cut]),
-                      frame[..., cut:] @ _dagger(frame[..., cut:])])
+    kept, rest = frame[..., :cut], frame[..., cut:]
+    projs = np.stack([kept @ kept.conj().swapaxes(-1, -2), rest @ rest.conj().swapaxes(-1, -2)])
     _check_projectors(projs)
 
     tau = _ccn_values(rho, da, db)

@@ -8,6 +8,7 @@ from sepscope.linalg import (
     DensityMatrix,
     DimensionError,
     InvariantError,
+    NumericError,
     TraceClassOperator,
     frobenius_norm,
     hs_inner,
@@ -18,6 +19,7 @@ from sepscope.linalg import (
     trace_norm,
     trace_out,
     _partial_transpose,
+    _trace_norms,
 )
 from sepscope.criteria import realigned_trace
 from sepscope.realign import _reshuffle, ccn_value, realign
@@ -88,6 +90,20 @@ def test_frobenius_norm_examples():
     assert frobenius_norm(I2) == pytest.approx(np.sqrt(2))
     assert frobenius_norm(SIGMA_X) == pytest.approx(np.sqrt(2))
     assert frobenius_norm(E[0][1] + E[1][0]) == pytest.approx(np.sqrt(2))
+
+
+def test_svd_failure_names_the_matrix_or_the_stack(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericError, match=r"^SVD did not converge for 2x2 matrix "
+                                           r"\(frobenius norm 2\.000e\+00\)$"):
+        trace_norm(2 * E[0][0])
+    stack = np.stack([np.eye(2), 3 * np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(NumericError, match=r"^SVD did not converge for a stack of 3 2x2 "
+                                           r"matrices \(largest frobenius norm 4\.243e\+00\)$"):
+        _trace_norms(stack)
 
 
 def test_trace_norm_invariant_under_isometries(rng):
