@@ -14,28 +14,29 @@ certified lower bound, not as the global optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby, islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .hsbasis import PAULI, HSDecomposition, decompose, t_trace_norm
+from .hsbasis import PAULI, HSDecomposition, _coefficients, t_trace_norm
 from .linalg import (
     DensityMatrix,
     DimensionError,
     TraceClassOperator,
-    hermiticity_defect,
     partial_transpose,
     trace_out,
     _check_dims,
     _kron,
     _mat_and_dims,
+    _max_abs,
     _partial_transpose,
     _permute_subsystems,
+    _trace_norms,
 )
 from .realign import TOL_FLAG, _ccn_values, _reshuffle, ccn_value
-from .states import psi_plus, random_unitary
+from .states import _ginibre, _haar_unitaries, psi_plus
 
 TOL_DISORDERED = 1e-10  # max allowed Bloch-vector norm for "maximally disordered"
 
@@ -103,9 +104,14 @@ def _check_restarts(restarts: int) -> None:
 
 
 def _haar_starts(d: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
-    """(restarts, d, d) starts: the identity, then Haar-random draws in order."""
-    draws = [random_unitary(d, rng) for _ in range(restarts - 1)]
-    return np.stack([np.eye(d, dtype=np.complex128)] + draws)
+    """(restarts, d, d) starts: the identity, then Haar-random draws in order,
+    bit-identical to drawing random_unitary restarts - 1 times."""
+    starts = np.empty((restarts, d, d), dtype=np.complex128)
+    starts[0] = np.eye(d)
+    for k in range(1, restarts):
+        starts[k] = _ginibre(rng, d, d)
+    starts[1:] = _haar_unitaries(starts[1:])
+    return starts
 
 
 def _vec_t(us: np.ndarray) -> np.ndarray:
@@ -291,8 +297,12 @@ _SIGNATURE_UNITARIES = {
 
 def _max_disordered(dec: HSDecomposition) -> bool:
     """Both Bloch vectors vanish (always so at d = 1, where they are empty)."""
-    bloch = np.concatenate([dec.r_vec, dec.s_vec])
-    return bool(np.all(np.abs(bloch) <= TOL_DISORDERED))
+    return bool(_disordered(dec.r_vec, dec.s_vec))
+
+
+def _disordered(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """_max_disordered of each pair of Bloch vectors in (..., k) stacks."""
+    return np.all(np.abs(np.concatenate([r, s], axis=-1)) <= TOL_DISORDERED, axis=-1)
 
 
 def fidelity_two_qubit_max_disordered(dec: HSDecomposition, entangled_hint: bool) -> float:
@@ -451,13 +461,19 @@ def distillable_by_fidelity(report: CriterionReport) -> bool:
     disordered state with PSD correlation matrix violates the CCN bound.
     False means "not certified", never "not distillable".
     """
-    if report.realigned_trace is not None and report.realigned_trace > 1.0 + TOL_FLAG:
+    return _distillable(
+        report.dim_a, report.tau, report.realigned_trace, report.fidelity_best,
+        report.max_disordered, report.t_psd,
+    )
+
+
+def _distillable(d, tau, realigned_trace, fidelity_best, max_disordered, t_psd) -> bool:
+    """distillable_by_fidelity from the report fields it reads."""
+    if realigned_trace is not None and realigned_trace > 1.0 + TOL_FLAG:
         return True
-    if report.fidelity_best is not None and report.fidelity_best > 1.0 / report.dim_a + TOL_FLAG:
+    if fidelity_best is not None and fidelity_best > 1.0 / d + TOL_FLAG:
         return True
-    if report.max_disordered and report.t_psd and report.tau > 1.0 + TOL_FLAG:
-        return True
-    return False
+    return bool(max_disordered and t_psd and tau > 1.0 + TOL_FLAG)
 
 
 def _schmidt_tau(rho: DensityMatrix) -> float:
@@ -496,71 +512,80 @@ def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> lis
     square above d = 2.
 
     tau comes from one stacked SVD and the PPT fields from one stacked
-    eigensolve of the partial transposes.
+    eigensolve of the partial transposes.  A square chunk also stacks its
+    Bloch coefficients, the T >= 0 test and the purity and isotropic tests;
+    the overlap <psi+|rho|psi+> and the Schmidt value of a pure state stay
+    per state.
     """
     da, db = chunk[0].dim_a, chunk[0].dim_b
     mats = np.stack([rho.mat for rho in chunk])
     taus = _ccn_values(mats, da, db)
-    ppts = zip(*_ppt_from_eigs(np.linalg.eigvalsh(_partial_transpose(mats, da, db))))
-    opts = _optimize_psd(mats, starts) if da == db else [None] * len(chunk)
-    reports = []
-    for rho, tau, (min_eig, ppt_tn, ppt_flag), opt in zip(chunk, taus, ppts, opts):
-        tau = float(tau)
-        notes: list[str] = []
-        tr_a = fid_low = fid_best = fid_up = None
-        fid_conv = max_dis = t_psd = None
-        if opt is None:
-            notes.append("unequal local dimensions: fidelity bounds not defined")
-        else:
-            d = da
-            overlap = fidelity_lower(rho)
-            tr_a = d * overlap
-            fid_up = tau / d
-            # rounding can lift a lower bound just past tau/d at a pure endpoint;
-            # a reported lower bound never exceeds its upper bound
-            fid_low, fid_best = min(overlap, fid_up), min(opt.value, fid_up)
-            fid_conv = opt.converged
-            # positivity of the correlation matrix is meaningful in the conjugated
-            # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD;
-            # the other checks do not depend on the basis
-            dec = decompose(rho, basis="spin")
-            max_dis = _max_disordered(dec)
-            t_spin = dec.t_mat
-            t_psd = bool(
-                hermiticity_defect(t_spin) <= 1e-10
-                and np.all(np.linalg.eigvalsh((t_spin + t_spin.conj().T) / 2) >= -1e-10)
-            )
-            if max_dis:
-                notes.append(
-                    f"maximally disordered subsystems: tau = (1 + ||T||_1)/d = "
-                    f"{ccn_max_disordered(dec):.12g}"
-                )
-            purity = float(np.trace(rho.mat @ rho.mat).real)
-            if purity >= 1.0 - 1e-10:
-                notes.append(f"pure state: tau = (sum sqrt Schmidt)^2 = {_schmidt_tau(rho):.12g}")
-            if d > 1:  # the isotropic family needs d >= 2
-                proj = np.outer(psi_plus(d), psi_plus(d).conj())
-                iso = overlap * proj + (1 - overlap) * (np.eye(d * d) - proj) / (d * d - 1)
-                if np.max(np.abs(iso - rho.mat)) <= 1e-10:
-                    notes.append(f"isotropic state with fidelity F = {overlap:.12g}")
-
-        report = CriterionReport(
-            dim_a=da,
-            dim_b=db,
-            tau=tau,
-            ppt_min_eig=float(min_eig),
-            ppt_trace_norm=float(ppt_tn),
-            realigned_trace=tr_a,
-            fidelity_lower=fid_low,
-            fidelity_best=fid_best,
-            fidelity_upper=fid_up,
-            fidelity_converged=fid_conv,
-            ccn_flag=tau > 1.0 + TOL_FLAG,
-            ppt_flag=bool(ppt_flag),
-            distillable_flag=False,
-            max_disordered=max_dis,
-            t_psd=t_psd,
-            notes=tuple(notes),
+    ppts = _ppt_from_eigs(np.linalg.eigvalsh(_partial_transpose(mats, da, db)))
+    fixed = [
+        dict(dim_a=da, dim_b=db, tau=tau, ppt_min_eig=min_eig, ppt_trace_norm=ppt_tn,
+             ccn_flag=tau > 1.0 + TOL_FLAG, ppt_flag=ppt_flag)
+        for tau, min_eig, ppt_tn, ppt_flag in zip(*(a.tolist() for a in (taus, *ppts)))
+    ]
+    if da != db:
+        undefined = dict(
+            realigned_trace=None, fidelity_lower=None, fidelity_best=None, fidelity_upper=None,
+            fidelity_converged=None, distillable_flag=False, max_disordered=None, t_psd=None,
+            notes=("unequal local dimensions: fidelity bounds not defined",),
         )
-        reports.append(replace(report, distillable_flag=distillable_by_fidelity(report)))
+        return [CriterionReport(**common, **undefined) for common in fixed]
+    d = da
+    opts = _optimize_psd(mats, starts)
+    overlaps = np.array([fidelity_lower(rho) for rho in chunk])
+    notes: list[list[str]] = [[] for _ in chunk]
+    # positivity of the correlation matrix is meaningful in the conjugated
+    # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD;
+    # the other checks do not depend on the basis
+    coeff = _coefficients(mats, d, "spin")
+    t_mats = coeff[:, 1:, 1:].swapaxes(-1, -2)
+    max_dis = _disordered(coeff[:, 1:, 0], coeff[:, 0, 1:])
+    t_psd = _psd_correlations(t_mats)
+    (dis,) = np.nonzero(max_dis)
+    for k, value in zip(dis, (1.0 + _trace_norms(t_mats[dis])) / d):
+        notes[k].append(f"maximally disordered subsystems: tau = (1 + ||T||_1)/d = {value:.12g}")
+    purity = np.trace(mats @ mats, axis1=-2, axis2=-1).real
+    for k in np.nonzero(purity >= 1.0 - 1e-10)[0]:
+        notes[k].append(f"pure state: tau = (sum sqrt Schmidt)^2 = {_schmidt_tau(chunk[k]):.12g}")
+    if d > 1:  # the isotropic family needs d >= 2
+        psi = psi_plus(d)
+        proj = np.outer(psi, psi.conj())
+        ov = overlaps[:, None, None]
+        # iso - rho, with iso = F proj + (1 - F)(I - proj)/(d^2 - 1), built in
+        # place: numpy reuses a temporary only of the result's shape, so the
+        # plain expression broadcast over the chunk allocates at every step
+        iso = (1 - ov) * (np.eye(d * d) - proj)
+        iso /= d * d - 1
+        iso += ov * proj
+        iso -= mats
+        for k in np.nonzero(_max_abs(iso) <= 1e-10)[0]:
+            notes[k].append(f"isotropic state with fidelity F = {overlaps[k]:.12g}")
+
+    reports = []
+    for common, overlap, opt, dis_k, psd_k, note in zip(
+        fixed, overlaps.tolist(), opts, max_dis.tolist(), t_psd.tolist(), notes
+    ):
+        tau = common["tau"]
+        tr_a, fid_up = d * overlap, tau / d
+        # rounding can lift a lower bound just past tau/d at a pure endpoint;
+        # a reported lower bound never exceeds its upper bound
+        fid_best = min(opt.value, fid_up)
+        reports.append(CriterionReport(
+            **common, realigned_trace=tr_a, fidelity_lower=min(overlap, fid_up),
+            fidelity_best=fid_best, fidelity_upper=fid_up, fidelity_converged=opt.converged,
+            distillable_flag=_distillable(d, tau, tr_a, fid_best, dis_k, psd_k),
+            max_disordered=dis_k, t_psd=psd_k, notes=tuple(note),
+        ))
     return reports
+
+
+def _psd_correlations(t_mats: np.ndarray) -> np.ndarray:
+    """Whether each correlation matrix in a (P, k, k) stack is Hermitian and
+    PSD, both within 1e-10; True for the empty T of d = 1."""
+    t_herm = t_mats.conj().swapaxes(-1, -2)
+    defects = np.abs(t_mats - t_herm).max(axis=(-2, -1), initial=0.0)
+    t_eigs = np.linalg.eigvalsh((t_mats + t_herm) / 2)
+    return (defects <= 1e-10) & np.all(t_eigs >= -1e-10, axis=-1)

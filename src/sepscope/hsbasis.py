@@ -143,9 +143,15 @@ def decompose(rho, basis: str | None = None) -> HSDecomposition:
         raise InvariantError(f"trace is {tr:.15g}; decomposition requires unit trace")
     if basis is None:
         basis = "pauli" if d == 2 else "spin"
-    w_a, w_b = _local_frames(d, basis)
-    coeff = d * (w_a.conj().T @ _reshuffle(mat, d, d) @ w_b.conj())
+    coeff = _coefficients(mat, d, basis)
     return HSDecomposition(d, basis, coeff[1:, 0], coeff[0, 1:], coeff[1:, 1:].T)
+
+
+def _coefficients(mats: np.ndarray, d: int, basis: str) -> np.ndarray:
+    """The coefficient matrix C of each operator in a (..., d^2, d^2) stack,
+    unchecked: r = C[..., 1:, 0], s = C[..., 0, 1:] and T = C[..., 1:, 1:]^T."""
+    w_a, w_b = _local_frames(d, basis)
+    return d * (w_a.conj().T @ _reshuffle(mats, d, d) @ w_b.conj())
 
 
 def _realigned(dec: HSDecomposition) -> np.ndarray:

@@ -242,7 +242,11 @@ def _check_states(mats: np.ndarray, eigs: np.ndarray | None = None) -> np.ndarra
     failing matrix raises the InvariantError that DensityMatrix raises for
     it.  Returns the eigenvalues.
     """
-    defects = _max_abs(mats - mats.conj().swapaxes(-1, -2))
+    # |rho^H - rho| = |rho - rho^H| entry by entry, so the difference can go
+    # in place into the conjugate-transposed copy
+    herm = mats.conj().swapaxes(-1, -2)
+    herm -= mats
+    defects = _max_abs(herm)
     traces = np.trace(mats, axis1=-2, axis2=-1)
     bad = (defects > TOL_HERM) | (np.abs(traces - 1.0) > TOL_TRACE)
     first_bad = int(np.argmax(bad)) if bad.any() else len(mats)

@@ -1,13 +1,14 @@
 """Decision layer: PPT, fidelity bounds, closed forms, extended CCN."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from sepscope import criteria
 from sepscope.criteria import (
+    CriterionReport,
     FactorizedState,
     ccn_max_disordered,
     distillable_by_fidelity,
@@ -23,8 +24,14 @@ from sepscope.criteria import (
     tensor_pair,
 )
 from sepscope.hsbasis import decompose
-from sepscope.linalg import DensityMatrix, DimensionError, TraceClassOperator, tensor
-from sepscope.realign import ccn_value, realign
+from sepscope.linalg import (
+    DensityMatrix,
+    DimensionError,
+    TraceClassOperator,
+    hermiticity_defect,
+    tensor,
+)
+from sepscope.realign import TOL_FLAG, ccn_value, realign
 from sepscope.states import (
     BellDiagonal,
     Counterexample,
@@ -34,6 +41,7 @@ from sepscope.states import (
     RhoP,
     Werner,
     make_state,
+    parse_family,
     psi_plus,
     random_density_matrix,
     random_unitary,
@@ -286,6 +294,86 @@ def test_full_reports_mixed_batch_matches_full_report(rng):
         # the stacked tau and PPT fields equal the one-state public calls
         assert got.tau == ccn_value(rho)
         assert (got.ppt_min_eig, got.ppt_trace_norm, got.ppt_flag) == ppt_criterion(rho)
+
+
+def _reference_report(rho, fidelity_best, fidelity_converged) -> CriterionReport:
+    """The report of one state, every field rebuilt from the public one-state
+    calls as the per-state report loop built it.  The ascent's value and
+    converged flag are given: the batched ascent is checked against
+    full_report above."""
+    da, db = rho.dim_a, rho.dim_b
+    tau = ccn_value(rho)
+    ppt = ppt_criterion(rho)
+    notes = []
+    tr_a = fid_low = fid_up = max_dis = t_psd = None
+    if da != db:
+        notes.append("unequal local dimensions: fidelity bounds not defined")
+    else:
+        d = da
+        overlap = fidelity_lower(rho)
+        tr_a, fid_up = d * overlap, tau / d
+        fid_low = min(overlap, fid_up)
+        dec = decompose(rho, basis="spin")
+        t = dec.t_mat
+        t_psd = bool(
+            hermiticity_defect(t) <= 1e-10
+            and np.all(np.linalg.eigvalsh((t + t.conj().T) / 2) >= -1e-10)
+        )
+        try:
+            value = ccn_max_disordered(dec)
+        except ValueError:
+            max_dis = False
+        else:
+            max_dis = True
+            notes.append(f"maximally disordered subsystems: tau = (1 + ||T||_1)/d = {value:.12g}")
+        if float(np.trace(rho.mat @ rho.mat).real) >= 1.0 - 1e-10:
+            notes.append(f"pure state: tau = (sum sqrt Schmidt)^2 = {criteria._schmidt_tau(rho):.12g}")
+        if d > 1:
+            proj = np.outer(psi_plus(d), psi_plus(d).conj())
+            iso = overlap * proj + (1 - overlap) * (np.eye(d * d) - proj) / (d * d - 1)
+            if np.max(np.abs(iso - rho.mat)) <= 1e-10:
+                notes.append(f"isotropic state with fidelity F = {overlap:.12g}")
+    report = CriterionReport(
+        dim_a=da, dim_b=db, tau=tau, ppt_min_eig=ppt.min_eig, ppt_trace_norm=ppt.trace_norm,
+        realigned_trace=tr_a, fidelity_lower=fid_low, fidelity_best=fidelity_best,
+        fidelity_upper=fid_up, fidelity_converged=fidelity_converged,
+        ccn_flag=tau > 1.0 + TOL_FLAG, ppt_flag=ppt.violated, distillable_flag=False,
+        max_disordered=max_dis, t_psd=t_psd, notes=tuple(notes),
+    )
+    return replace(report, distillable_flag=distillable_by_fidelity(report))
+
+
+def test_full_reports_match_the_per_state_reference(rng):
+    # 25 states at d = 3 cross the 16-state chunk boundary; then the d = 2,
+    # d = 1 and 2 x 3 groups.  The d = 2 group holds a pure and a nearly pure
+    # state, maximally disordered states whose T is PSD, not PSD, and PSD in
+    # its Hermitian part only (a local rotation of the first), states with
+    # only one Bloch vector zero, and a generic state
+    states = [make_state(Isotropic(3, f)) for f in np.linspace(0.0, 1.0, 21)]
+    states += [make_state(Werner(3, p)) for p in (-0.5, 0.0, 0.6)]
+    states += [random_density_matrix(3, 3, rank=1, rng=rng)]
+    families = ("pure:a=0.3,0.7", "rhop:a=0.7,0.3;p=0.999", "werner:d=2,p=0.7")
+    states += [make_state(parse_family(f)) for f in families]
+    states += [make_state(MaxDisordered(t)) for t in ((0.3, -0.2, 0.4), (-0.5, -0.2, -0.3))]
+    rotate = tensor(np.diag(np.exp([-0.15j, 0.15j])), np.eye(2))
+    states += [DensityMatrix(2, 2, rotate @ states[-2].mat @ rotate.conj().T)]
+    mixed, biased = np.eye(2) / 2, np.diag([0.8, 0.2])
+    states += [DensityMatrix(2, 2, tensor(mixed, biased)), DensityMatrix(2, 2, tensor(biased, mixed))]
+    states += [random_density_matrix(2, 2, rng=rng)]
+    states += [make_state(parse_family(f)) for f in ("pure:a=1", "random:da=1,db=1")]
+    states += [random_density_matrix(2, 3, rng=rng)]
+    reports = full_reports((rho for rho in states), restarts=4, seed=3)
+    assert len(reports) == len(states)
+    for k, (rho, got) in enumerate(zip(states, reports)):
+        want = _reference_report(rho, got.fidelity_best, got.fidelity_converged)
+        for field in fields(CriterionReport):
+            mine, theirs = getattr(got, field.name), getattr(want, field.name)
+            assert (mine, type(mine)) == (theirs, type(theirs)), (k, field.name)
+    # every note and both T >= 0 outcomes of a maximally disordered state occur
+    notes = " ".join(note for rep in reports for note in rep.notes)
+    for text in ("maximally disordered", "pure state", "isotropic state", "unequal local"):
+        assert text in notes
+    assert {rep.t_psd for rep in reports if rep.max_disordered} == {True, False}
 
 
 @pytest.mark.parametrize("d", [2, 3])
