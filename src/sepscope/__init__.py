@@ -28,11 +28,7 @@ from .criteria import (
 from .hsbasis import (
     PAULI,
     HSDecomposition,
-    SpinBasis,
     decompose,
-    realigned_from_decomposition,
-    realigned_operator_basis,
-    reconstruct,
     spin_basis,
     spin_matrix,
     t_trace_norm,
@@ -44,7 +40,6 @@ from .linalg import (
     NumericError,
     TraceClassOperator,
     frobenius_norm,
-    hs_inner,
     partial_trace,
     partial_transpose,
     permute_subsystems,

@@ -169,10 +169,18 @@ def _analyze_relaxed(op: TraceClassOperator, args) -> int:
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"range must be lo:hi:steps, got {text!r}")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        raise ValueError(f"--range must be lo:hi:steps, got {text!r}")
+    try:
+        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(
+            f"--range needs numeric lo and hi and an integer step count, got {text!r}"
+        ) from None
+    # a finite span keeps np.linspace from overflowing
+    if not np.isfinite([lo, hi, hi - lo]).all():
+        raise ValueError(f"--range bounds must be finite with a finite span, got {text!r}")
     if steps < 1:
-        raise ValueError(f"range needs at least one step, got {steps}")
+        raise ValueError(f"--range needs at least one step, got {steps}")
     return lo, hi, steps
 
 

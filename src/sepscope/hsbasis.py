@@ -40,7 +40,7 @@ from .linalg import (
     _mat_and_dims,
     trace_norm,
 )
-from .realign import RealignedMatrix, _reshuffle, _singular_values
+from .realign import _reshuffle
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -60,25 +60,12 @@ def spin_matrix(d: int, j: int, k: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SpinBasis:
-    """All d^2 shift-and-phase matrices, identity first."""
-
-    dim: int
-    matrices: np.ndarray  # shape (d^2, d, d); matrices[0] is the identity
-
-    @property
-    def traceless(self) -> np.ndarray:
-        """The d^2 - 1 traceless members, in flattening order."""
-        return self.matrices[1:]
-
-
 @lru_cache(maxsize=None)
-def spin_basis(d: int) -> SpinBasis:
-    """Cached spin basis for local dimension d."""
+def spin_basis(d: int) -> np.ndarray:
+    """The cached, read-only (d^2, d, d) stack of shift-and-phase matrices:
+    the identity first, then the traceless members in flattening order."""
     order = [(0, 0)] + [(j, k) for j in range(d) for k in range(d) if (j, k) != (0, 0)]
-    stack = np.stack([spin_matrix(d, j, k) for j, k in order])
-    return SpinBasis(d, _frozen_copy(stack))
+    return _frozen_copy(np.stack([spin_matrix(d, j, k) for j, k in order]))
 
 
 def _local_frames(d: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +80,7 @@ def _local_frames(d: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"pauli basis requires d = 2, got d = {d}")
         alice = bob = np.concatenate([np.eye(2, dtype=np.complex128)[None], np.stack(PAULI)])
     elif basis == "spin":
-        alice = spin_basis(d).matrices
+        alice = spin_basis(d)
         bob = alice.conj()
     else:
         raise ValueError(f"basis must be 'pauli' or 'spin', got {basis!r}")
@@ -154,49 +141,7 @@ def _coefficients(mats: np.ndarray, d: int, basis: str) -> np.ndarray:
     return d * (w_a.conj().T @ _reshuffle(mats, d, d) @ w_b.conj())
 
 
-def _realigned(dec: HSDecomposition) -> np.ndarray:
-    """The realigned matrix W_a @ C @ W_b^T assembled from (r, s, T).
-
-    The realignment of a basis product is an outer product of vectorised
-    basis elements, which gives this form with C the coefficient matrix.
-    """
-    d = dec.dim
-    k = d * d - 1
-    coeff = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    coeff[0, 0] = 1.0
-    coeff[1:, 0] = dec.r_vec
-    coeff[0, 1:] = dec.s_vec
-    coeff[1:, 1:] = dec.t_mat.T  # row = Alice index n, column = Bob index m
-    coeff /= d
-    w_a, w_b = _local_frames(d, dec.basis)
-    return w_a @ coeff @ w_b.T
-
-
-def reconstruct(dec: HSDecomposition) -> np.ndarray:
-    """Rebuild the (dim^2, dim^2) matrix from a decomposition."""
-    return _reshuffle(_realigned(dec), dec.dim, dec.dim)
-
-
 def t_trace_norm(dec: HSDecomposition) -> float:
     """Trace norm of the correlation matrix T."""
     return trace_norm(dec.t_mat)
 
-
-def realigned_from_decomposition(dec: HSDecomposition) -> RealignedMatrix:
-    """Realigned matrix built from (r, s, T) instead of from the state.
-
-    Agrees entrywise with realigning the reconstructed state.
-    """
-    aligned = _realigned(dec)
-    return RealignedMatrix(dec.dim, dec.dim, aligned, _singular_values(aligned, dec.dim, dec.dim))
-
-
-def realigned_operator_basis(dec: HSDecomposition) -> np.ndarray:
-    """Matrix of the realigned operator in the orthonormal local operator bases.
-
-    Entry (a, b) is <e_a| A |e_b> with e_0 = |identity>/sqrt(d) followed by
-    the traceless basis; unitarily equivalent to the canonical realigned
-    matrix, hence with identical singular values.
-    """
-    w_a, w_b = _local_frames(dec.dim, dec.basis)
-    return w_a.conj().T @ _realigned(dec) @ w_b

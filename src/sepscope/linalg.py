@@ -56,15 +56,6 @@ def _max_abs(mats: np.ndarray) -> np.ndarray:
     return np.max(np.abs(mats), axis=(-2, -1))
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b); conjugate-linear in a."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def frobenius_norm(m) -> float:
     """Hilbert-Schmidt norm sqrt(tr(m^dag m))."""
     return float(_frobenius_norms(as_matrix(m)))
@@ -232,15 +223,14 @@ def _permute_subsystems(mats: np.ndarray, dims: list[int], perm: list[int]) -> n
     return mats.reshape(lead + tuple(dims + dims)).transpose(axes).reshape(lead + (side, side))
 
 
-def _check_states(mats: np.ndarray, eigs: np.ndarray | None = None) -> np.ndarray:
+def _check_states(mats: np.ndarray) -> np.ndarray:
     """Check the DensityMatrix invariants on a (N, side, side) stack.
 
     Each matrix must be Hermitian within TOL_HERM, have unit trace within
-    TOL_TRACE and no eigenvalue below -TOL_PSD.  ``eigs`` are the ascending
-    eigenvalues (N, side) when the caller already has them; otherwise they
-    are computed for the matrices that pass the first two checks.  The first
-    failing matrix raises the InvariantError that DensityMatrix raises for
-    it.  Returns the eigenvalues.
+    TOL_TRACE and no eigenvalue below -TOL_PSD.  The eigenvalues are solved
+    only for the matrices before the first one that fails the first two
+    checks.  The first failing matrix raises the InvariantError that
+    DensityMatrix raises for it.  Returns the ascending eigenvalues (N, side).
     """
     # |rho^H - rho| = |rho - rho^H| entry by entry, so the difference can go
     # in place into the conjugate-transposed copy
@@ -250,9 +240,8 @@ def _check_states(mats: np.ndarray, eigs: np.ndarray | None = None) -> np.ndarra
     traces = np.trace(mats, axis1=-2, axis2=-1)
     bad = (defects > TOL_HERM) | (np.abs(traces - 1.0) > TOL_TRACE)
     first_bad = int(np.argmax(bad)) if bad.any() else len(mats)
-    if eigs is None:
-        eigs = np.linalg.eigvalsh(mats[:first_bad])
-    negative = eigs[:first_bad, 0] < -TOL_PSD
+    eigs = np.linalg.eigvalsh(mats[:first_bad])
+    negative = eigs[:, 0] < -TOL_PSD
     if negative.any():
         min_eig = eigs[np.argmax(negative), 0]
         raise InvariantError(

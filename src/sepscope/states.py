@@ -129,7 +129,7 @@ def random_max_disordered(d: int, rng: np.random.Generator) -> DensityMatrix:
     """
     weights = rng.dirichlet(np.ones(d * d))
     mat = np.zeros((d * d, d * d), dtype=np.complex128)
-    for w, op in zip(weights, spin_basis(d).matrices):
+    for w, op in zip(weights, spin_basis(d)):
         vec = op.T.reshape(-1) / np.sqrt(d)  # (I (x) op) acting on |psi+>
         mat += w * np.outer(vec, vec.conj())
     local = tensor(random_unitary(d, rng), random_unitary(d, rng))

@@ -201,6 +201,16 @@ def test_scan_argument_errors(capsys):
     code, _, err = run(capsys, "scan", "werner:d=2,p=0", "--param", "p",
                        "--range", "0:1")
     assert code == 2 and "lo:hi:steps" in err
+    for family, param, text, message in (
+        ("werner:d=2,p=0", "p", "0:inf:3", "finite"),
+        ("werner:d=2,p=0", "p", "-1e308:1e308:3", "finite span"),
+        ("random:da=2,db=2,seed=3", "seed", "nan:3:3", "finite"),
+        ("werner:d=2,p=0", "p", "a:1:3", "integer step count"),
+        ("werner:d=2,p=0", "p", "0:1:1e3", "integer step count"),
+        ("werner:d=2,p=0", "p", "0:1:2.5", "integer step count"),
+    ):
+        code, out, err = run(capsys, "scan", family, "--param", param, f"--range={text}")
+        assert code == 2 and out == "" and "--range" in err and message in err, err
 
 
 def test_scan_integer_parameter_across_flag_change(capsys):

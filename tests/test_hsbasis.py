@@ -8,19 +8,17 @@ from sepscope.hsbasis import (
     SIGMA_X,
     SIGMA_Z,
     decompose,
-    realigned_from_decomposition,
-    realigned_operator_basis,
-    reconstruct,
     spin_basis,
     spin_matrix,
     t_trace_norm,
 )
 from sepscope.linalg import (
+    DensityMatrix,
     DimensionError,
     InvariantError,
-    hs_inner,
     partial_trace,
     tensor,
+    trace_norm,
 )
 from sepscope.realign import ccn_value, realign
 from sepscope.states import (
@@ -67,23 +65,31 @@ def test_spin_matrix_range_errors():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_spin_basis_orthogonality_and_trace(d):
     basis = spin_basis(d)
-    assert basis.matrices.shape == (d * d, d, d)
-    for a in range(d * d):
-        for b in range(d * d):
-            expected = d if a == b else 0.0
-            assert hs_inner(basis.matrices[a], basis.matrices[b]) == pytest.approx(
-                expected, abs=1e-12
-            )
-    for m in basis.traceless:
-        assert abs(np.trace(m)) < 1e-12
+    assert basis.shape == (d * d, d, d)
+    # Hilbert-Schmidt Gram matrix tr(S_a^dag S_b)
+    gram = np.einsum("aij,bij->ab", basis.conj(), basis)
+    np.testing.assert_allclose(gram, d * np.eye(d * d), rtol=0, atol=1e-12)
+    assert np.max(np.abs(np.trace(basis[1:], axis1=1, axis2=2))) < 1e-12
 
 
 def test_spin_basis_ordering():
     basis = spin_basis(3)
-    np.testing.assert_allclose(basis.matrices[1], spin_matrix(3, 0, 1), atol=0)
-    np.testing.assert_allclose(basis.matrices[2], spin_matrix(3, 0, 2), atol=0)
-    np.testing.assert_allclose(basis.matrices[3], spin_matrix(3, 1, 0), atol=0)
-    np.testing.assert_allclose(basis.matrices[8], spin_matrix(3, 2, 2), atol=0)
+    np.testing.assert_allclose(basis[1], spin_matrix(3, 0, 1), atol=0)
+    np.testing.assert_allclose(basis[2], spin_matrix(3, 0, 2), atol=0)
+    np.testing.assert_allclose(basis[3], spin_matrix(3, 1, 0), atol=0)
+    np.testing.assert_allclose(basis[8], spin_matrix(3, 2, 2), atol=0)
+
+
+def test_shared_arrays_are_read_only(rng):
+    # spin_basis hands out its cached stack, so a write would reach every
+    # later decomposition
+    dec = decompose(random_density_matrix(3, 3, rng=rng))
+    shared = (spin_basis(3), DensityMatrix(2, 2, np.eye(4) / 4).mat, dec.t_mat)
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2
 
 
 @pytest.mark.parametrize("d,basis", [(2, "pauli"), (2, "spin"), (3, "spin")])
@@ -118,26 +124,17 @@ def test_decompose_pauli_coefficients_real(rng):
         assert np.max(np.abs(dec.t_mat.imag)) < 1e-12
 
 
-def test_reconstruct_zero_coefficients_gives_maximally_mixed():
-    dec = decompose(np.eye(9) / 9, basis="spin")
-    np.testing.assert_allclose(reconstruct(dec), np.eye(9) / 9, atol=1e-14)
-
-
-@pytest.mark.parametrize("d,basis", [(2, "pauli"), (2, "spin"), (3, "spin")])
-def test_reconstruct_round_trip(rng, d, basis):
-    for _ in range(34):
-        rho = random_density_matrix(d, d, rng=rng)
-        dec = decompose(rho, basis=basis)
-        assert np.max(np.abs(reconstruct(dec) - rho.mat)) < 1e-12
-
-
 def test_reconstruct_diagonal_t_normal_form():
-    t1, t2, t3 = 0.3, -0.5, 0.4
-    dec = decompose(make_state(MaxDisordered((t1, t2, t3))))
+    t = (0.3, -0.5, 0.4)
+    rho = make_state(MaxDisordered(t))
     expected = np.eye(4, dtype=complex)
-    for tm, sigma in zip((t1, t2, t3), PAULI):
+    for tm, sigma in zip(t, PAULI):
         expected += tm * tensor(sigma, sigma)
-    np.testing.assert_allclose(reconstruct(dec), expected / 4, atol=1e-13)
+    np.testing.assert_allclose(rho.mat, expected / 4, atol=1e-13)
+    dec = decompose(rho)
+    np.testing.assert_allclose(dec.r_vec, np.zeros(3), atol=1e-13)
+    np.testing.assert_allclose(dec.s_vec, np.zeros(3), atol=1e-13)
+    np.testing.assert_allclose(dec.t_mat, np.diag(t), atol=1e-13)
 
 
 def test_t_trace_norm_examples():
@@ -159,47 +156,47 @@ def test_max_disordered_tau_identity(rng, d):
         )
 
 
-@pytest.mark.parametrize("d,basis", [(2, "pauli"), (2, "spin"), (3, "spin")])
+def _scaled_coefficients(dec):
+    """C/d assembled from decompose's (r, s, T): the realigned matrix written
+    in the orthonormal local operator frames."""
+    return np.block([[np.ones((1, 1)), dec.s_vec[None]],
+                     [dec.r_vec[:, None], dec.t_mat.T]]) / dec.dim
+
+
+@pytest.mark.parametrize("d,basis", [(2, "pauli"), (2, "spin"), (3, "spin"), (4, "spin")])
 def test_realigned_from_decomposition_matches_realign(rng, d, basis):
+    # C/d is realign(rho) in unitary frames, so it has the same singular values
     for _ in range(10):
         rho = random_density_matrix(d, d, rng=rng)
-        dec = decompose(rho, basis=basis)
-        direct = realign(rho)
-        rebuilt = realigned_from_decomposition(dec)
-        assert np.max(np.abs(rebuilt.mat - direct.mat)) < 1e-10
-        np.testing.assert_allclose(
-            rebuilt.singular_values, direct.singular_values, atol=1e-10
-        )
+        sv = np.linalg.svd(_scaled_coefficients(decompose(rho, basis=basis)), compute_uv=False)
+        np.testing.assert_allclose(sv, realign(rho).singular_values, rtol=0, atol=1e-12)
 
 
 def test_realigned_block_structure_for_disordered_states():
     t1, t2, t3 = 0.5, -0.4, 0.3
-    dec = decompose(make_state(MaxDisordered((t1, t2, t3))))
-    got = np.sort(realigned_from_decomposition(dec).singular_values)
+    got = np.sort(realign(make_state(MaxDisordered((t1, t2, t3)))).singular_values)
     expected = np.sort([0.5, abs(t1) / 2, abs(t2) / 2, abs(t3) / 2])
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_realigned_maximally_mixed_single_singular_value():
-    dec = decompose(np.eye(9) / 9, basis="spin")
-    sv = realigned_from_decomposition(dec).singular_values
+    sv = realign(np.eye(9) / 9).singular_values
     assert sv[0] == pytest.approx(1 / 3, abs=1e-12)
     assert np.all(sv[1:] < 1e-13)
 
 
 def test_realigned_operator_basis_counterexample_matrix():
     s, r, t = 0.5, 0.25, 0.0625
-    dec = decompose(make_state(Counterexample(s, r, t)))
-    got = realigned_operator_basis(dec)
+    rho = make_state(Counterexample(s, r, t))
+    got = _scaled_coefficients(decompose(rho))
+    # [2, 2] is -t, where W_a^dag realign(rho) W_b has +t: conj(sigma_y) is
+    # -sigma_y, so the Pauli frame has W_b^T W_b != I
     expected = 0.5 * np.array(
-        [[1, 0, 0, s], [0, t, 0, 0], [0, 0, t, 0], [r, 0, 0, 1 + r - s]]
+        [[1, 0, 0, s], [0, t, 0, 0], [0, 0, -t, 0], [r, 0, 0, 1 + r - s]]
     )
     np.testing.assert_allclose(got, expected, atol=1e-13)
-    # same singular values as the canonical realigned matrix
     np.testing.assert_allclose(
-        np.linalg.svd(got, compute_uv=False),
-        realign(make_state(Counterexample(s, r, t))).singular_values,
-        atol=1e-12,
+        np.linalg.svd(got, compute_uv=False), realign(rho).singular_values, atol=1e-12
     )
 
 
@@ -210,7 +207,7 @@ def _stacks(d, basis):
     if basis == "pauli":
         stack = np.stack([np.eye(2), *PAULI])
         return stack, stack, stack, stack
-    kets = spin_basis(d).matrices
+    kets = spin_basis(d)
     return kets.conj().transpose(0, 2, 1), kets.transpose(0, 2, 1), kets, kets.conj()
 
 
@@ -230,7 +227,6 @@ def test_decompose_matches_explicit_coefficients(rng, d, basis):
         np.testing.assert_allclose(dec.r_vec, coeff[1:, 0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(dec.s_vec, coeff[0, 1:], rtol=0, atol=1e-12)
         np.testing.assert_allclose(dec.t_mat, coeff[1:, 1:].T, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(reconstruct(dec), rebuilt, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rebuilt, rho.mat, rtol=0, atol=1e-12)
 
 
@@ -248,8 +244,8 @@ def test_bloch_vectors_are_reduction_data(rng, d, basis):
 
 def test_pauli_and_spin_paths_agree_at_d2(rng):
     rho = random_density_matrix(2, 2, rng=rng)
-    tau_pauli = realigned_from_decomposition(decompose(rho, basis="pauli")).trace_norm
-    tau_spin = realigned_from_decomposition(decompose(rho, basis="spin")).trace_norm
+    tau_pauli = trace_norm(_scaled_coefficients(decompose(rho, basis="pauli")))
+    tau_spin = trace_norm(_scaled_coefficients(decompose(rho, basis="spin")))
     assert tau_pauli == pytest.approx(tau_spin, abs=1e-12)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sepscope.hsbasis import SIGMA_X, SIGMA_Y, SIGMA_Z
+from sepscope.hsbasis import SIGMA_X, SIGMA_Z
 from sepscope.linalg import (
     DensityMatrix,
     DimensionError,
@@ -11,7 +11,6 @@ from sepscope.linalg import (
     NumericError,
     TraceClassOperator,
     frobenius_norm,
-    hs_inner,
     partial_trace,
     partial_transpose,
     permute_subsystems,
@@ -37,31 +36,6 @@ E = [[np.zeros((2, 2), dtype=complex) for _ in range(2)] for _ in range(2)]
 for _i in range(2):
     for _j in range(2):
         E[_i][_j][_i, _j] = 1.0
-
-
-def test_hs_inner_identity():
-    assert hs_inner(I2, I2) == pytest.approx(2.0)
-
-
-def test_hs_inner_pauli_orthogonality():
-    assert hs_inner(SIGMA_X, SIGMA_Y) == pytest.approx(0.0)
-    assert hs_inner(SIGMA_Y, SIGMA_Z) == pytest.approx(0.0)
-
-
-def test_hs_inner_matrix_unit():
-    assert hs_inner(E[0][1], E[0][1]) == pytest.approx(1.0)
-
-
-def test_hs_inner_conjugate_linear_first_argument(rng):
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    alpha = 0.7 - 1.3j
-    assert hs_inner(alpha * a, b) == pytest.approx(np.conj(alpha) * hs_inner(a, b))
-
-
-def test_hs_inner_shape_mismatch():
-    with pytest.raises(DimensionError):
-        hs_inner(np.eye(2), np.eye(3))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
