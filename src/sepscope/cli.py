@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from .criteria import CriterionReport, fidelity_optimize, full_report, full_reports, realigned_trace
-from .linalg import DensityMatrix, TraceClassOperator
+from .linalg import TOL_BISECT, DensityMatrix, TraceClassOperator
 from .realign import ccn_value
 from .states import FamilySpec, make_state, param_kind, parse_family, replace_param
 from .verify import SUITES
@@ -192,10 +192,6 @@ def _csv_cell(value) -> str:
     return repr(float(value))
 
 
-# bisection stops once the bracket is this narrow
-_THRESHOLD_XTOL = 1e-9
-
-
 def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float) -> float | None:
     """Bisect tau(parameter) = 1 inside [lo, hi]; None without a sign change."""
 
@@ -211,7 +207,7 @@ def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float) -> float | N
         return None
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if hi - lo <= _THRESHOLD_XTOL:
+        if hi - lo <= TOL_BISECT:
             break
         if np.sign(excess(mid)) == np.sign(f_lo):
             lo = mid

@@ -22,6 +22,13 @@ import numpy as np
 
 from .hsbasis import PAULI, HSDecomposition, _coefficients, t_trace_norm
 from .linalg import (
+    TOL_ASCENT,
+    TOL_CLOSED_FORM,
+    TOL_DISORDERED,
+    TOL_FLAG,
+    TOL_FLAT,
+    TOL_SKEW,
+    TOL_STRUCTURE,
     DensityMatrix,
     DimensionError,
     TraceClassOperator,
@@ -35,10 +42,8 @@ from .linalg import (
     _permute_subsystems,
     _trace_norms,
 )
-from .realign import TOL_FLAG, _ccn_values, _reshuffle, ccn_value
+from .realign import _ccn_values, _reshuffle, ccn_value
 from .states import _ginibre, _haar_unitaries, psi_plus
-
-TOL_DISORDERED = 1e-10  # max allowed Bloch-vector norm for "maximally disordered"
 
 
 class PptResult(NamedTuple):
@@ -89,7 +94,6 @@ class FidelityResult(NamedTuple):
     converged: bool
 
 
-_ASCENT_TOL = 1e-10
 _ASCENT_MAX_ITER = 2000
 
 # At most this many states share one ascent in full_reports.  Batching them
@@ -136,7 +140,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     reshape(rho x)^T/d, so one batched product y = x rho^T gives both.  Each
     step replaces U by the polar factor of the gradient, which cannot
     decrease the objective.  Each (problem, restart) pair stops on its own:
-    converged when the gradient's largest entry modulus is below 1e-300 (no
+    converged when the gradient's largest entry modulus is below TOL_FLAT (no
     squares, so no overflow or underflow at any scale), when the next value
     is lower (only reachable through rounding noise; the previous U is kept)
     or when the gain is at most tol; unconverged after max_iter steps.  A
@@ -163,7 +167,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
             break
         pi = live[li]
         grad = y[pi, ri].reshape(-1, d, d).swapaxes(-1, -2) / d
-        flat = np.abs(grad).max(axis=(-2, -1)) < 1e-300
+        flat = np.abs(grad).max(axis=(-2, -1)) < TOL_FLAT
         x_next = _vec_t(_polar(grad))
         # the product runs over the live problems; their finished pairs are discarded
         trial = x[live]
@@ -225,7 +229,7 @@ def _optimize_psd(mats: np.ndarray, starts: np.ndarray | None) -> list[FidelityR
         return _two_qubit_optimum(mats)
     shift = np.maximum(np.linalg.eigvalsh(mats)[:, 0], 0.0)
     shifted = mats - shift[:, None, None] * np.eye(side)
-    _, us, converged = _ascend(shifted, starts, _ASCENT_TOL, _ASCENT_MAX_ITER)
+    _, us, converged = _ascend(shifted, starts, TOL_ASCENT, _ASCENT_MAX_ITER)
     x = _vec_t(us)
     values = np.sum(x.conj() * (x @ mats.swapaxes(-1, -2)), axis=-1).real / us.shape[-1]
     best = np.argmax(values, axis=1)  # the first restart wins ties
@@ -272,12 +276,12 @@ def _optimize_trace_class(mat, d, restarts, rng) -> FidelityResult:
     """
     herm = (mat + mat.conj().T) / 2.0
     skew = (mat - mat.conj().T) / 2.0j
-    hermitian_input = np.linalg.norm(skew) <= 1e-13 * max(1.0, np.linalg.norm(herm))
+    hermitian_input = np.linalg.norm(skew) <= TOL_SKEW * max(1.0, np.linalg.norm(herm))
     phases = (0.0, np.pi) if hermitian_input else tuple(2 * np.pi * k / 24 for k in range(24))
     combos = [np.cos(theta) * herm + np.sin(theta) * skew for theta in phases]
     mats = np.stack([c - np.linalg.eigvalsh(c)[0] * np.eye(d * d) for c in combos])
     starts = np.stack([_haar_starts(d, restarts, rng) for _ in phases])  # phase-major draws
-    _, us, converged = _ascend(mats, starts, _ASCENT_TOL, _ASCENT_MAX_ITER)
+    _, us, converged = _ascend(mats, starts, TOL_ASCENT, _ASCENT_MAX_ITER)
     x = _vec_t(us).reshape(-1, d * d)
     overlaps = np.abs(np.sum(x.conj() * (x @ mat.T), axis=-1)) / d
     best = int(np.argmax(overlaps))  # phase-major, the first restart wins ties
@@ -321,9 +325,9 @@ def fidelity_two_qubit_max_disordered(dec: HSDecomposition, entangled_hint: bool
         raise ValueError("state is not maximally disordered (nonzero Bloch vector)")
     t = dec.t_mat
     off = t - np.diag(np.diagonal(t))
-    if np.max(np.abs(off)) > 1e-12:
+    if np.max(np.abs(off)) > TOL_CLOSED_FORM:
         raise ValueError("correlation matrix is not diagonal; rotate the state first")
-    if np.max(np.abs(np.diagonal(t).imag)) > 1e-12:
+    if np.max(np.abs(np.diagonal(t).imag)) > TOL_CLOSED_FORM:
         raise ValueError("correlation matrix has non-real diagonal")
     if not entangled_hint:
         raise ValueError("closed form is only valid for entangled states")
@@ -548,7 +552,7 @@ def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> lis
     for k, value in zip(dis, (1.0 + _trace_norms(t_mats[dis])) / d):
         notes[k].append(f"maximally disordered subsystems: tau = (1 + ||T||_1)/d = {value:.12g}")
     purity = np.trace(mats @ mats, axis1=-2, axis2=-1).real
-    for k in np.nonzero(purity >= 1.0 - 1e-10)[0]:
+    for k in np.nonzero(purity >= 1.0 - TOL_STRUCTURE)[0]:
         notes[k].append(f"pure state: tau = (sum sqrt Schmidt)^2 = {_schmidt_tau(chunk[k]):.12g}")
     if d > 1:  # the isotropic family needs d >= 2
         psi = psi_plus(d)
@@ -561,7 +565,7 @@ def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> lis
         iso /= d * d - 1
         iso += ov * proj
         iso -= mats
-        for k in np.nonzero(_max_abs(iso) <= 1e-10)[0]:
+        for k in np.nonzero(_max_abs(iso) <= TOL_STRUCTURE)[0]:
             notes[k].append(f"isotropic state with fidelity F = {overlaps[k]:.12g}")
 
     reports = []
@@ -584,8 +588,8 @@ def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> lis
 
 def _psd_correlations(t_mats: np.ndarray) -> np.ndarray:
     """Whether each correlation matrix in a (P, k, k) stack is Hermitian and
-    PSD, both within 1e-10; True for the empty T of d = 1."""
+    PSD, both within TOL_STRUCTURE; True for the empty T of d = 1."""
     t_herm = t_mats.conj().swapaxes(-1, -2)
     defects = np.abs(t_mats - t_herm).max(axis=(-2, -1), initial=0.0)
     t_eigs = np.linalg.eigvalsh((t_mats + t_herm) / 2)
-    return (defects <= 1e-10) & np.all(t_eigs >= -1e-10, axis=-1)
+    return (defects <= TOL_STRUCTURE) & np.all(t_eigs >= -TOL_STRUCTURE, axis=-1)

@@ -19,9 +19,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-TOL_HERM = 1e-12   # max-abs deviation from Hermiticity
-TOL_TRACE = 1e-12  # |tr(rho) - 1|
-TOL_PSD = 1e-10    # admissible negativity of the smallest eigenvalue
+# Every margin the package compares against; other modules import it by name.
+# verify keeps its per-check acceptance tables beside the checks it prints.
+TOL_HERM = 1e-12         # max-abs deviation of a state from Hermiticity
+TOL_TRACE = 1e-12        # |tr(rho) - 1| of a state
+TOL_PSD = 1e-10          # admissible negativity of a state's smallest eigenvalue
+TOL_FLAG = 1e-9          # a criterion flag trips only this far above its threshold
+TOL_PARAM = 1e-12        # slack of a family parameter, weight or eigenvalue at its bound
+TOL_SIMPLEX = 1e-9       # |sum - 1| of a probability or Schmidt-coefficient vector
+TOL_DISORDERED = 1e-10   # largest Bloch-vector entry of a "maximally disordered" state
+TOL_STRUCTURE = 1e-10    # purity and isotropic notes; T Hermitian and PSD in t_psd
+TOL_CLOSED_FORM = 1e-12  # off-diagonal and imaginary parts of T the two-qubit closed form ignores
+TOL_UNITARY = 1e-10      # max-abs entry of U^H U - I of a local unitary
+TOL_PROJECTOR = 1e-12    # projector Hermiticity, idempotence, orthogonality, completeness
+TOL_DIRECTION = 1e-10    # tau change a monotonicity probe still calls invariant
+TOL_ASCENT = 1e-10       # per-step gain at which a fidelity ascent stops
+TOL_FLAT = 1e-300        # largest gradient entry below which an ascent stops as flat
+TOL_SKEW = 1e-13         # relative skew-Hermitian part below which an operator is Hermitian
+TOL_BISECT = 1e-9        # bracket width at which the CCN threshold bisection stops
 
 
 class DimensionError(ValueError):
@@ -44,11 +59,6 @@ def as_matrix(m) -> np.ndarray:
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise InvariantError("matrix contains NaN or Inf entries")
     return a
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-abs deviation of m from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 def _max_abs(mats: np.ndarray) -> np.ndarray:
@@ -78,8 +88,13 @@ def trace_norm(m) -> float:
 
 def _trace_norms(mats: np.ndarray) -> np.ndarray:
     """trace_norm of each matrix in a (..., r, c) stack."""
+    return _singular_values(mats).sum(axis=-1)
+
+
+def _singular_values(mats: np.ndarray) -> np.ndarray:
+    """Nonincreasing singular values of each matrix in a (..., r, c) stack."""
     try:
-        return np.linalg.svd(mats, compute_uv=False).sum(axis=-1)
+        return np.linalg.svd(mats, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         rows, cols = mats.shape[-2:]
         if mats.ndim == 2:

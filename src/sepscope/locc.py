@@ -17,6 +17,9 @@ import numpy as np
 
 from .criteria import FactorizedState
 from .linalg import (
+    TOL_DIRECTION,
+    TOL_PROJECTOR,
+    TOL_UNITARY,
     DensityMatrix,
     DimensionError,
     InvariantError,
@@ -29,9 +32,6 @@ from .linalg import (
 from .realign import ccn_value
 
 _SIDES = ("alice", "bob")
-TOL_UNITARY = 1e-10
-TOL_PROJECTOR = 1e-12
-TOL_DIRECTION = 1e-10
 
 
 def _check_side(side: str) -> str:

@@ -27,9 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericError, _frozen_copy, _mat_and_dims
-
-TOL_FLAG = 1e-9  # criterion flags trip only this far above 1
+from .linalg import _frozen_copy, _mat_and_dims, _singular_values, _trace_norms
 
 
 @dataclass(frozen=True)
@@ -63,26 +61,16 @@ def _reshuffle(mat: np.ndarray, da: int, db: int) -> np.ndarray:
     return four.swapaxes(-3, -2).reshape(lead + (da * da, db * db))
 
 
-def _singular_values(aligned: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Singular values of a realigned (..., da^2, db^2) stack, matrix by matrix."""
-    try:
-        return np.linalg.svd(aligned, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"SVD did not converge while realigning a {da}x{db} bipartite operator"
-        ) from exc
-
-
 def _ccn_values(mats: np.ndarray, da: int, db: int) -> np.ndarray:
     """The CCN value tau of each operator in a (..., da*db, da*db) stack."""
-    return _singular_values(_reshuffle(mats, da, db), da, db).sum(axis=-1)
+    return _trace_norms(_reshuffle(mats, da, db))
 
 
 def realign(rho, dims: tuple[int, int] | None = None) -> RealignedMatrix:
     """Realign a bipartite operator; accepts wrapped or raw matrices."""
     mat, da, db = _mat_and_dims(rho, dims)
     aligned = _reshuffle(mat, da, db)
-    return RealignedMatrix(da, db, aligned, _singular_values(aligned, da, db))
+    return RealignedMatrix(da, db, aligned, _singular_values(aligned))
 
 
 def ccn_value(rho, dims: tuple[int, int] | None = None) -> float:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .hsbasis import PAULI, spin_basis
-from .linalg import DensityMatrix, tensor
+from .linalg import TOL_PARAM, TOL_SIMPLEX, DensityMatrix, tensor
 
 __all__ = [
     "Werner",
@@ -141,6 +141,14 @@ def random_max_disordered(d: int, rng: np.random.Generator) -> DensityMatrix:
 # --- state families ---------------------------------------------------------
 
 
+def _check_size(what: str, *dims) -> None:
+    """Reject a family whose complex matrix on the product of dims (16 bytes an
+    entry, in Python ints) is above numpy's maximum array size of intp-max
+    bytes, before numpy sees it."""
+    if 16 * math.prod(int(d) for d in dims) ** 2 > np.iinfo(np.intp).max:
+        raise ValueError(f"{what} is too large: the state's matrix exceeds numpy's maximum size")
+
+
 @dataclass(frozen=True)
 class Werner:
     """p times the normalised antisymmetric projector plus white noise.
@@ -154,8 +162,9 @@ class Werner:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"werner d = {self.d} violates d >= 2")
+        _check_size(f"werner d = {self.d}", self.d, self.d)
         lo = -(self.d - 1) / (self.d + 1)
-        if not lo - 1e-12 <= self.p <= 1 + 1e-12:
+        if not lo - TOL_PARAM <= self.p <= 1 + TOL_PARAM:
             raise ValueError(f"werner p = {self.p} outside [{lo:.6g}, 1]")
 
 
@@ -169,7 +178,8 @@ class Isotropic:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"isotropic d = {self.d} violates d >= 2")
-        if not -1e-12 <= self.fidelity <= 1 + 1e-12:
+        _check_size(f"isotropic d = {self.d}", self.d, self.d)
+        if not -TOL_PARAM <= self.fidelity <= 1 + TOL_PARAM:
             raise ValueError(f"isotropic F = {self.fidelity} outside [0, 1]")
 
 
@@ -184,9 +194,9 @@ class BellDiagonal:
         object.__setattr__(self, "probs", probs)
         if len(probs) != 4:
             raise ValueError(f"belldiag needs 4 probabilities, got {len(probs)}")
-        if min(probs) < -1e-12:
+        if min(probs) < -TOL_PARAM:
             raise ValueError(f"belldiag probabilities must be >= 0, got {min(probs)}")
-        if abs(sum(probs) - 1.0) > 1e-9:
+        if abs(sum(probs) - 1.0) > TOL_SIMPLEX:
             raise ValueError(f"belldiag probabilities sum to {sum(probs)}, not 1")
 
 
@@ -201,9 +211,9 @@ class PureSchmidt:
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 1:
             raise ValueError("pure state needs at least one Schmidt coefficient")
-        if min(coeffs) < -1e-12:
+        if min(coeffs) < -TOL_PARAM:
             raise ValueError(f"Schmidt coefficients must be >= 0, got {min(coeffs)}")
-        if abs(sum(coeffs) - 1.0) > 1e-9:
+        if abs(sum(coeffs) - 1.0) > TOL_SIMPLEX:
             raise ValueError(f"Schmidt coefficients sum to {sum(coeffs)}, not 1")
 
 
@@ -219,7 +229,7 @@ class RhoP:
         if len(self.coeffs) != 2:
             raise ValueError(f"rhop needs exactly 2 Schmidt coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
-        if not -1.0 / 3.0 - 1e-12 <= self.p <= 1 + 1e-12:
+        if not -1.0 / 3.0 - TOL_PARAM <= self.p <= 1 + TOL_PARAM:
             raise ValueError(f"rhop p = {self.p} outside [-1/3, 1]")
 
 
@@ -266,7 +276,7 @@ class MaxDisordered:
             (1 + t1 + t2 - t3) / 4,
             (1 - t1 - t2 - t3) / 4,
         ]
-        if min(eigs) < -1e-12:
+        if min(eigs) < -TOL_PARAM:
             raise ValueError(
                 f"maxdis t = {t} is not a state: min eigenvalue {min(eigs):.3e}"
             )
@@ -285,6 +295,7 @@ class RandomState:
         if self.dim_a < 1 or self.dim_b < 1:
             raise ValueError("random state dimensions must be positive")
         side = self.dim_a * self.dim_b
+        _check_size(f"random da = {self.dim_a}, db = {self.dim_b}", self.dim_a, self.dim_b)
         rank = side if self.rank is None else self.rank
         if not 1 <= rank <= side:
             raise ValueError(f"random rank = {self.rank} outside [1, {side}]")
@@ -345,12 +356,12 @@ def _counterexample_rules(s, r, t):
     """The validity rules of Counterexample, elementwise on scalars or arrays.
 
     Returns the masks (s > r, |s| <= 1 and |r| <= 1, closed-form spectrum
-    above -1e-12) and the minimal closed-form eigenvalue; a point is valid
+    above -TOL_PARAM) and the minimal closed-form eigenvalue; a point is valid
     where all three masks hold.
     """
     min_eig = np.minimum.reduce(_rho_eigs(s, r, t))
     bounded = (np.abs(s) <= 1) & (np.abs(r) <= 1)
-    return np.greater(s, r), bounded, ~(min_eig < -1e-12), min_eig
+    return np.greater(s, r), bounded, ~(min_eig < -TOL_PARAM), min_eig
 
 
 def _counterexample_closed_forms(s, r, t) -> CounterexampleSpectra:
@@ -388,7 +399,7 @@ def rho_p_threshold(schmidt: tuple[float, float]) -> float:
     """Largest noise-mixing weight p at which the CCN value stays at most 1:
     1 / (4 sqrt(a1 a2) + 1)."""
     a1, a2 = float(schmidt[0]), float(schmidt[1])
-    if a1 < -1e-12 or a2 < -1e-12 or abs(a1 + a2 - 1.0) > 1e-9:
+    if a1 < -TOL_PARAM or a2 < -TOL_PARAM or abs(a1 + a2 - 1.0) > TOL_SIMPLEX:
         raise ValueError(f"({a1}, {a2}) is not a point of the probability simplex")
     return 1.0 / (4.0 * np.sqrt(max(a1 * a2, 0.0)) + 1.0)
 

@@ -89,6 +89,12 @@ _MONOTONICITY_TOLS = {
     "local ancillas never increase tau": 1e-10,
     "pinching never increases frobenius norm": 1e-12,
 }
+_SPECTRA_TOLS = {
+    "closed-form state eigenvalues": 1e-12,
+    "closed-form partial-transpose eigenvalues": 1e-12,
+    "closed-form ccn value g + |t|": 1e-12,
+    "ppt violation exactly when t != 0": 0.0,
+}
 
 
 class CheckResult(NamedTuple):
@@ -332,12 +338,8 @@ def suite_spectra(seed: int, n: int, per_axis: int = 20) -> list[CheckResult]:
         ppt_mismatches += int(np.count_nonzero(violated != (t != 0.0)))
     if checked == 0:
         raise RuntimeError("spectra grid produced no valid parameter triples")
-    return [
-        CheckResult("closed-form state eigenvalues", float(worst_rho), 1e-12),
-        CheckResult("closed-form partial-transpose eigenvalues", float(worst_pt), 1e-12),
-        CheckResult("closed-form ccn value g + |t|", float(worst_tau), 1e-12),
-        CheckResult("ppt violation exactly when t != 0", float(ppt_mismatches), 0.0),
-    ]
+    worst = (worst_rho, worst_pt, worst_tau, ppt_mismatches)
+    return [CheckResult(name, float(w), tol) for (name, tol), w in zip(_SPECTRA_TOLS.items(), worst)]
 
 
 SUITES: dict[str, Callable[[int, int], list[CheckResult]]] = {

@@ -21,9 +21,9 @@ from sepscope.criteria import (
     tensor_pair,
 )
 from sepscope.hsbasis import decompose, t_trace_norm
-from sepscope.linalg import partial_transpose
+from sepscope.linalg import TOL_FLAG, partial_transpose
 from sepscope.locc import LocalUnitary, LvnMeasurement, TraceOutFactor, apply, monotonicity_probe
-from sepscope.realign import TOL_FLAG, ccn_value
+from sepscope.realign import ccn_value
 from sepscope.states import (
     BellDiagonal,
     Counterexample,

@@ -211,6 +211,21 @@ def test_scan_argument_errors(capsys):
     ):
         code, out, err = run(capsys, "scan", family, "--param", param, f"--range={text}")
         assert code == 2 and out == "" and "--range" in err and message in err, err
+    # a huge dimension is refused by the family before any numerics run
+    for family, param, text, message in (
+        ("werner:d=2,p=0", "d", "2:1e18:2", "werner d = 1000000000000000000"),
+        ("isotropic:d=2,F=0.5", "d", "1e18:2:2", "isotropic d = 1000000000000000000"),
+        ("random:da=2,db=2", "db", "2:1e12:2", "random da = 2, db = 1000000000000"),
+    ):
+        code, out, err = run(capsys, "scan", family, "--param", param, f"--range={text}")
+        assert code == 2 and out == "" and message in err and "too large" in err, err
+    for family, message in (
+        ("werner:d=1000000000000000000,p=0", "werner d = 1000000000000000000"),
+        ("isotropic:d=1000000000000000000,F=0.5", "isotropic d = 1000000000000000000"),
+        ("random:da=1000000000000,db=1", "random da = 1000000000000, db = 1"),
+    ):
+        code, out, err = run(capsys, "analyze", family)
+        assert code == 2 and out == "" and message in err and "too large" in err, err
 
 
 def test_scan_integer_parameter_across_flag_change(capsys):

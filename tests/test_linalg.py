@@ -1,5 +1,9 @@
 """Core linear algebra: norms, partial trace/transpose, tensor structure."""
 
+import re
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,6 +82,12 @@ def test_svd_failure_names_the_matrix_or_the_stack(monkeypatch):
     with pytest.raises(NumericError, match=r"^SVD did not converge for a stack of 3 2x2 "
                                            r"matrices \(largest frobenius norm 4\.243e\+00\)$"):
         _trace_norms(stack)
+    # realignment SVDs go through the same wrapper; the realigned matrix of a
+    # 2x2 operator is 4x4 with the operator's frobenius norm
+    for call in (ccn_value, realign):
+        with pytest.raises(NumericError, match=r"^SVD did not converge for 4x4 matrix "
+                                               r"\(frobenius norm 5\.000e-01\)$"):
+            call(np.eye(4) / 4)
 
 
 def test_trace_norm_invariant_under_isometries(rng):
@@ -332,3 +342,26 @@ def test_numpy_integer_dims_accepted():
     assert (type(rho.dim_a), type(rho.dim_b)) == (int, int)
     assert ccn_value(_EYE4, dims=(np.int64(2), 2)) == ccn_value(rho)
     assert trace_out(_EYE4, [np.int64(2), 2], [0]).shape == (2, 2)
+
+
+def test_every_tolerance_lives_in_one_table():
+    # a float literal with a negative exponent is a margin: only linalg's
+    # TOL_* table and verify's per-check _*_TOLS tables may hold one
+    # (docstrings and comments are tokens of their own and do not count)
+    allowed = {"linalg.py": r"TOL_[A-Z_]+", "verify.py": r"_[A-Z]+_TOLS"}
+    stray = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "sepscope").glob("*.py")):
+        owner = ""  # the name a top-level statement starts with
+        new_statement = True
+        with tokenize.open(path) as f:
+            for tok in tokenize.generate_tokens(f.readline):
+                if tok.type in (tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT):
+                    continue
+                if new_statement:
+                    owner = tok.string if tok.start[1] == 0 else ""
+                new_statement = tok.type == tokenize.NEWLINE
+                if tok.type == tokenize.NUMBER and re.search(r"[eE]-", tok.string):
+                    table = allowed.get(path.name)
+                    if table is None or not re.fullmatch(table, owner):
+                        stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not stray, stray

@@ -5,6 +5,7 @@ import pytest
 
 from sepscope.criteria import extended_ccn, single_factor, tensor_pair
 from sepscope.linalg import (
+    TOL_FLAG,
     DimensionError,
     InvariantError,
     frobenius_norm,
@@ -19,7 +20,7 @@ from sepscope.locc import (
     monotonicity_probe,
     pinching,
 )
-from sepscope.realign import TOL_FLAG, ccn_value
+from sepscope.realign import ccn_value
 from sepscope.states import (
     PureSchmidt,
     Werner,

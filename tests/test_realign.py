@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sepscope.criteria import tensor_pair
-from sepscope.linalg import DimensionError, frobenius_norm, tensor, trace_norm
-from sepscope.realign import TOL_FLAG, ccn_value, realign
+from sepscope.linalg import TOL_FLAG, DimensionError, frobenius_norm, tensor, trace_norm
+from sepscope.realign import ccn_value, realign
 from sepscope.states import (
     Counterexample,
     Isotropic,

@@ -1,5 +1,7 @@
 """State family constructors, closed-form spectra, and the textual grammar."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,23 @@ def test_family_range_errors():
         MaxDisordered((1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="rank"):
         RandomState(2, 2, rank=5)
+    # a dimension whose complex matrix is above numpy's maximum array size is
+    # refused by the family, with the field named
+    for spec, field in (
+        (lambda: Werner(10**18, 0.0), "werner d = 1000000000000000000"),
+        (lambda: Isotropic(10**18, 0.5), "isotropic d = 1000000000000000000"),
+        (lambda: Werner(10**5, 0.0), "werner d = 100000 "),
+        (lambda: RandomState(10**12, 1), "random da = 1000000000000, db = 1"),
+        (lambda: RandomState(1, 10**10), "random da = 1, db = 10000000000"),
+        (lambda: Werner(np.int64(10**10), 0.0), "werner d = 10000000000"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field}.*too large"):
+            spec()
+    # the largest accepted d is exact; the spec is only validated, never built
+    d_max = math.isqrt(math.isqrt(np.iinfo(np.intp).max // 16))
+    assert Werner(d_max, 0.0).d == d_max
+    with pytest.raises(ValueError, match="too large"):
+        Werner(d_max + 1, 0.0)
 
 
 def test_random_state_reproducible():
