@@ -12,13 +12,16 @@ import json
 import os
 import sys
 from dataclasses import fields
+from itertools import groupby, islice
 
 import numpy as np
 
-from .criteria import CriterionReport, fidelity_optimize, full_report, full_reports, realigned_trace
-from .linalg import TOL_BISECT, DensityMatrix, TraceClassOperator
+from .criteria import (_CHUNK_POINTS, CriterionReport, fidelity_optimize, full_report,
+                       full_reports, realigned_trace)
+from .linalg import TOL_BISECT, DensityMatrix, TraceClassOperator, _density_matrices
 from .realign import ccn_value
-from .states import FamilySpec, make_state, param_kind, parse_family, replace_param
+from .states import (FamilySpec, _family_matrix, make_state, param_kind, parse_family,
+                     replace_param)
 from .verify import SUITES
 
 
@@ -216,13 +219,22 @@ def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float) -> float | N
     return (lo + hi) / 2.0
 
 
+def _scan_states(specs):
+    """The state of each spec, in order; consecutive states of one shape are
+    built and checked together, at most _CHUNK_POINTS at a time."""
+    built = (_family_matrix(spec) for spec in specs)
+    for (da, db), group in groupby(built, key=lambda item: item[:2]):
+        while chunk := list(islice(group, _CHUNK_POINTS)):
+            yield from _density_matrices(da, db, np.stack([mat for _, _, mat in chunk]))
+
+
 def cmd_scan(args) -> int:
     spec = parse_family(args.family)
     lo, hi, steps = _parse_range(args.range)
     values = np.linspace(lo, hi, steps)
     specs = [replace_param(spec, args.param, float(v)) for v in values]
 
-    reports = full_reports((make_state(s) for s in specs), restarts=args.restarts, seed=0)
+    reports = full_reports(_scan_states(specs), restarts=args.restarts, seed=0)
 
     lines = ["param,tau,ppt_min_eig,fid_lower,fid_best,fid_upper,ccn_flag,ppt_flag,distill_flag"]
     for value, rep in zip(values, reports):
@@ -308,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("scan", help="sweep one family parameter, emit CSV")
     p_sc.add_argument("family", help="family template, e.g. werner:d=2,p=0")
     p_sc.add_argument("--param", required=True, help="scalar parameter to sweep")
-    p_sc.add_argument("--range", required=True, help="lo:hi:steps")
+    p_sc.add_argument("--range", required=True,
+                      help="--range=lo:hi:steps (the = keeps a negative lo from reading as an option)")
     p_sc.add_argument("--out", help="CSV output path (default stdout)")
     p_sc.add_argument("--restarts", type=int, default=16,
                       help="fidelity optimizer restarts per point (default 16)")

@@ -213,10 +213,13 @@ def _two_qubit_optimum(mats: np.ndarray) -> list[FidelityResult]:
     return [FidelityResult(float(v), u, True) for v, u in zip(vals[:, -1], us)]
 
 
-def _optimize_psd(mats: np.ndarray, starts: np.ndarray | None) -> list[FidelityResult]:
-    """Best fidelity of each PSD matrix in the stack (P, d^2, d^2).
+def _optimize_psd(mats: np.ndarray, lam_min: np.ndarray,
+                  starts: np.ndarray | None) -> list[FidelityResult]:
+    """Best fidelity of each PSD matrix in the stack (P, d^2, d^2), whose
+    smallest eigenvalues are ``lam_min`` (P,).
 
-    At d = 2 it is exact (_two_qubit_optimum) and ``starts`` is unused.
+    At d = 2 it is exact (_two_qubit_optimum); ``lam_min`` and ``starts``
+    are unused.
     Above, each matrix ascends from ``starts``, (R, d, d) shared by every
     matrix or (P, R, d, d) one set per matrix, and the best restart wins.
     The ascent runs on rho - s I with s = max(lambda_min, 0): that moves
@@ -227,7 +230,7 @@ def _optimize_psd(mats: np.ndarray, starts: np.ndarray | None) -> list[FidelityR
     side = mats.shape[-1]
     if side == 4:
         return _two_qubit_optimum(mats)
-    shift = np.maximum(np.linalg.eigvalsh(mats)[:, 0], 0.0)
+    shift = np.maximum(lam_min, 0.0)
     shifted = mats - shift[:, None, None] * np.eye(side)
     _, us, converged = _ascend(shifted, starts, TOL_ASCENT, _ASCENT_MAX_ITER)
     x = _vec_t(us)
@@ -260,7 +263,7 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     d, rng = rho.dim, np.random.default_rng(seed)
     if isinstance(rho, DensityMatrix):
         starts = None if d == 2 else _haar_starts(d, restarts, rng)
-        return _optimize_psd(rho.mat[None], starts)[0]
+        return _optimize_psd(rho.mat[None], rho._eigs[:1], starts)[0]
     return _optimize_trace_class(rho.mat, d, restarts, rng)
 
 
@@ -538,7 +541,7 @@ def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> lis
         )
         return [CriterionReport(**common, **undefined) for common in fixed]
     d = da
-    opts = _optimize_psd(mats, starts)
+    opts = _optimize_psd(mats, np.array([rho._eigs[0] for rho in chunk]), starts)
     overlaps = np.array([fidelity_lower(rho) for rho in chunk])
     notes: list[list[str]] = [[] for _ in chunk]
     # positivity of the correlation matrix is meaningful in the conjugated

@@ -315,8 +315,29 @@ class TraceClassOperator:
 
 @dataclass(frozen=True)
 class DensityMatrix(TraceClassOperator):
-    """Unit-trace Hermitian PSD operator: a TraceClassOperator that is a state."""
+    """Unit-trace Hermitian PSD operator: a TraceClassOperator that is a state.
+    Its check's ascending eigenvalues stay read-only in ``_eigs``, not a field."""
 
     def __post_init__(self):
         super().__post_init__()
-        _check_states(self.mat[None])
+        eigs = _check_states(self.mat[None])
+        eigs.flags.writeable = False
+        object.__setattr__(self, "_eigs", eigs[0])
+
+
+def _density_matrices(dim_a: int, dim_b: int, mats) -> list[DensityMatrix]:
+    """DensityMatrix(dim_a, dim_b, mat) of each matrix in a (N, side, side)
+    stack, checked by one _check_states call.  The first matrix that fails a
+    check raises the error DensityMatrix raises for it alone."""
+    dim_a, dim_b = _check_dims((dim_a, dim_b))
+    mats = _frozen_copy(mats)
+    ok = np.isfinite(mats).all(axis=(-2, -1)) & (mats.shape[1:] == (dim_a * dim_b,) * 2)
+    first_bad = len(mats) if ok.all() else int(np.argmin(ok))
+    eigs = _check_states(mats[:first_bad])
+    if first_bad < len(mats):
+        DensityMatrix(dim_a, dim_b, mats[first_bad])  # raises that matrix's error
+    eigs.flags.writeable = False
+    states = [object.__new__(DensityMatrix) for _ in mats]
+    for rho, mat, spectrum in zip(states, mats, eigs):
+        rho.__dict__.update(dim_a=dim_a, dim_b=dim_b, mat=mat, _eigs=spectrum)
+    return states

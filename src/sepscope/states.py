@@ -299,6 +299,8 @@ class RandomState:
         rank = side if self.rank is None else self.rank
         if not 1 <= rank <= side:
             raise ValueError(f"random rank = {self.rank} outside [1, {side}]")
+        if self.seed < 0:
+            raise ValueError(f"random seed = {self.seed} violates seed >= 0")
 
 
 FamilySpec = Union[
@@ -413,40 +415,44 @@ def _pure_schmidt_vector(coeffs: tuple[float, ...]) -> np.ndarray:
 
 def make_state(spec: FamilySpec) -> DensityMatrix:
     """Construct the density matrix described by a family spec."""
+    return DensityMatrix(*_family_matrix(spec))
+
+
+def _family_matrix(spec: FamilySpec) -> tuple[int, int, np.ndarray]:
+    """(dim_a, dim_b, matrix) of a family spec, the matrix not yet checked."""
     if isinstance(spec, Werner):
         d = spec.d
         eye = np.eye(d * d, dtype=np.complex128)
         anti = (eye - swap_operator(d)) / (d * d - d)
-        mat = spec.p * anti + (1 - spec.p) / (d * d) * eye
-        return DensityMatrix(d, d, mat)
+        return d, d, spec.p * anti + (1 - spec.p) / (d * d) * eye
     if isinstance(spec, Isotropic):
         d = spec.d
         proj = np.outer(psi_plus(d), psi_plus(d).conj())
         rest = (np.eye(d * d, dtype=np.complex128) - proj) / (d * d - 1)
-        return DensityMatrix(d, d, spec.fidelity * proj + (1 - spec.fidelity) * rest)
+        return d, d, spec.fidelity * proj + (1 - spec.fidelity) * rest
     if isinstance(spec, BellDiagonal):
         mat = np.zeros((4, 4), dtype=np.complex128)
         for p, vec in zip(spec.probs, bell_vectors()):
             mat += p * np.outer(vec, vec.conj())
-        return DensityMatrix(2, 2, mat)
+        return 2, 2, mat
     if isinstance(spec, PureSchmidt):
         vec = _pure_schmidt_vector(spec.coeffs)
         d = len(spec.coeffs)
-        return DensityMatrix(d, d, np.outer(vec, vec.conj()))
+        return d, d, np.outer(vec, vec.conj())
     if isinstance(spec, RhoP):
         vec = _pure_schmidt_vector(spec.coeffs)
-        mat = spec.p * np.outer(vec, vec.conj()) + (1 - spec.p) / 4.0 * np.eye(4)
-        return DensityMatrix(2, 2, mat)
+        return 2, 2, spec.p * np.outer(vec, vec.conj()) + (1 - spec.p) / 4.0 * np.eye(4)
     if isinstance(spec, Counterexample):
-        return DensityMatrix(2, 2, counterexample_matrix(spec.s, spec.r, spec.t))
+        return 2, 2, counterexample_matrix(spec.s, spec.r, spec.t)
     if isinstance(spec, MaxDisordered):
         mat = np.eye(4, dtype=np.complex128)
         for t_m, sigma in zip(spec.t_diag, PAULI):
             mat += t_m * tensor(sigma, sigma)
-        return DensityMatrix(2, 2, mat / 4.0)
+        return 2, 2, mat / 4.0
     if isinstance(spec, RandomState):
-        rng = np.random.default_rng(spec.seed)
-        return random_density_matrix(spec.dim_a, spec.dim_b, spec.rank, rng)
+        side = spec.dim_a * spec.dim_b
+        g = _ginibre(np.random.default_rng(spec.seed), side, spec.rank or side)
+        return spec.dim_a, spec.dim_b, _gram_states(g)
     raise TypeError(f"unknown family spec {spec!r}")
 
 

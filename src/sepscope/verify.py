@@ -241,7 +241,8 @@ def _sandwich_slacks(d: int, seeds, states) -> np.ndarray:
     starts = None if d == 2 else np.stack([
         _haar_starts(d, _SANDWICH_RESTARTS, np.random.default_rng(s)) for s in seeds
     ])
-    best = np.array([opt.value for opt in _optimize_psd(mats, starts)])
+    lam_min = np.array([rho._eigs[0] for rho in states])
+    best = np.array([opt.value for opt in _optimize_psd(mats, lam_min, starts)])
     tau = _ccn_values(mats, d, d)
     trace = np.trace(_reshuffle(mats, d, d), axis1=-2, axis2=-1).real
     lower = np.array([fidelity_lower(rho) for rho in states])

@@ -5,13 +5,18 @@ import json
 import numpy as np
 import pytest
 
+from sepscope import cli
 from sepscope.cli import _csv_cell, ccn_threshold, load_state_file, main, save_state_file
+from sepscope.criteria import _CHUNK_POINTS, full_report
+from sepscope.linalg import _density_matrices
 from sepscope.states import (
+    RandomState,
     Werner,
     counterexample_spectra,
     Counterexample,
     make_state,
     parse_family,
+    replace_param,
     rho_p_threshold,
 )
 
@@ -226,6 +231,13 @@ def test_scan_argument_errors(capsys):
     ):
         code, out, err = run(capsys, "analyze", family)
         assert code == 2 and out == "" and message in err and "too large" in err, err
+    # a negative random seed is refused by the family, with the field named
+    for argv in (
+        ("analyze", "random:da=2,db=2,seed=-1"),
+        ("scan", "random:da=2,db=2,seed=0", "--param", "seed", "--range=-3:-1:3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "random seed = -" in err, err
 
 
 def test_scan_integer_parameter_across_flag_change(capsys):
@@ -265,6 +277,76 @@ def test_scan_rows_match_analyze(capsys):
         for column, key in columns.items():
             assert cells[column] == _csv_cell(data[key]), (cells["param"], column)
         assert float(cells["fid_best"]) == pytest.approx(data["fidelity_best"], abs=1e-12)
+
+
+@pytest.mark.parametrize("family, param, text", [
+    ("isotropic:d=3,F=0", "F", "0:1:19"),  # d = 3 across a chunk boundary
+    ("werner:d=2,p=0.5", "d", "2:5:4"),
+    ("random:da=2,db=3,seed=0", "da", "1:3:3"),  # shape changes, with a d = 1 side
+])
+def test_scan_rows_match_full_report(capsys, family, param, text):
+    code, out, err = run(capsys, "scan", family, "--param", param, f"--range={text}",
+                         "--restarts", "4")
+    assert code == 0, err
+    header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    lo, hi, steps = (float(x) for x in text.split(":"))
+    assert len(rows) == steps
+    columns = {"tau": "tau", "ppt_min_eig": "ppt_min_eig", "fid_lower": "fidelity_lower",
+               "fid_upper": "fidelity_upper", "ccn_flag": "ccn_flag",
+               "ppt_flag": "ppt_flag", "distill_flag": "distillable_flag"}
+    spec = parse_family(family)
+    for value, row in zip(np.linspace(lo, hi, int(steps)), rows):
+        cells = dict(zip(header, row))
+        assert cells["param"] == _csv_cell(value)
+        report = full_report(make_state(replace_param(spec, param, float(value))), restarts=4)
+        for column, key in columns.items():
+            assert cells[column] == _csv_cell(getattr(report, key)), (value, column)
+        if report.fidelity_best is None:
+            assert cells["fid_best"] == "nan"
+        else:
+            assert float(cells["fid_best"]) == pytest.approx(report.fidelity_best, abs=1e-12)
+
+
+def test_scan_checks_each_chunk_in_one_stack(monkeypatch):
+    # consecutive states of one shape are checked together, at most
+    # _CHUNK_POINTS at a time, and each equals make_state of its spec bit for bit
+    sizes = []
+
+    def spy(da, db, mats):
+        sizes.append((da, db, len(mats)))
+        return _density_matrices(da, db, mats)
+
+    monkeypatch.setattr(cli, "_density_matrices", spy)
+    cases = [
+        ("werner:d=2,p=0", "p", np.linspace(-1 / 3, 1, 20)),
+        ("werner:d=2,p=0.5", "d", [2, 3, 3, 2]),
+        ("isotropic:d=3,F=0", "F", np.linspace(0, 1, 17)),
+        ("rhop:a=0.7,0.3;p=0", "p", np.linspace(-1 / 3, 1, 5)),
+        ("counterexample:s=0.5,r=0.25,t=0", "t", np.linspace(-0.2, 0.2, 5)),
+        ("counterexample:s=0.5,r=0.25,t=0.01", "s", [0.4, 0.5]),
+        ("counterexample:s=0.5,r=0.25,t=0.01", "r", [0.2, 0.3]),
+        ("random:da=2,db=2,seed=0", "seed", range(35)),
+        ("random:da=3,db=3,seed=4", "rank", range(1, 10)),
+        ("random:da=2,db=3,seed=1", "da", [1, 2, 3, 3]),
+        ("random:da=2,db=3,seed=1", "db", [1, 1, 2, 4]),
+    ]
+    for family, param, values in cases:
+        specs = [replace_param(parse_family(family), param, float(v)) for v in values]
+        sizes.clear()
+        states = list(cli._scan_states(specs))
+        assert len(states) == len(specs)
+        assert sizes and all(n <= _CHUNK_POINTS for _, _, n in sizes)
+        for spec, rho in zip(specs, states):
+            want = make_state(spec)
+            assert (rho.dim_a, rho.dim_b) == (want.dim_a, want.dim_b)
+            assert rho.mat.tobytes() == want.mat.tobytes() and not rho.mat.flags.writeable
+            assert rho._eigs.tobytes() == np.linalg.eigvalsh(rho.mat).tobytes()
+            assert rho._eigs.tobytes() == want._eigs.tobytes()
+    # 35 seeds at one shape make chunks of 16, 16 and 3
+    specs = [RandomState(2, 2, seed=k) for k in range(35)]
+    sizes.clear()
+    list(cli._scan_states(specs))
+    assert sizes == [(2, 2, 16), (2, 2, 16), (2, 2, 3)]
 
 
 def test_zero_restarts_rejected(capsys):

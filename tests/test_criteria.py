@@ -550,6 +550,25 @@ def test_shifted_ascent_leaves_the_flat_isotropic_point_fast(monkeypatch):
         assert steps[-1] < 100, steps
 
 
+def test_report_shifts_by_the_kept_spectrum(monkeypatch, rng):
+    # the ascent's shift comes from the spectrum the state's check solved, so
+    # no report eigensolve sees the state's own matrix
+    rho = random_density_matrix(3, 3, rng=rng)
+    want = full_report(rho)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a, copy=True))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert full_report(rho) == want
+    fidelity_optimize(rho)
+    assert seen and not any(a.shape[-2:] == rho.mat.shape and np.any(
+        np.all(a.reshape(-1, 9, 9) == rho.mat, axis=(-2, -1))) for a in seen)
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_shifted_ascent_reports_the_unshifted_value(d):
     rng = np.random.default_rng(72 + d)

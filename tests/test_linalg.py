@@ -1,5 +1,6 @@
 """Core linear algebra: norms, partial trace/transpose, tensor structure."""
 
+import dataclasses
 import re
 import tokenize
 from pathlib import Path
@@ -21,6 +22,7 @@ from sepscope.linalg import (
     tensor,
     trace_norm,
     trace_out,
+    _density_matrices,
     _partial_transpose,
     _trace_norms,
 )
@@ -255,6 +257,56 @@ def test_density_matrix_validation(rng):
         DensityMatrix(2, 2, np.eye(2) / 2)
     with pytest.raises(InvariantError, match="NaN"):
         DensityMatrix(2, 1, np.array([[np.nan, 0], [0, 1.0]]))
+
+
+def _error_of(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_stacked_states_reject_like_density_matrix(rng):
+    # the first failing matrix of a stack raises what DensityMatrix raises for it alone
+    good = [random_density_matrix(2, 3, rng=rng).mat for _ in range(5)]
+    skew = good[0].copy()
+    skew[0, 1] += 1e-9
+    heavy = good[1] * (1 + 1e-9)
+    negative = np.diag([1.2, 0.0, 0.0, 0.0, 0.0, -0.2]).astype(complex)
+    nan, inf = good[2].copy(), good[3].copy()
+    nan[1, 1] = np.nan
+    inf[2, 0] = np.inf
+    for bad in (skew, heavy, negative, nan, inf):
+        for k in (0, 2, 5):
+            mats = np.stack(good[:k] + [bad] + good[k:])
+            want = _error_of(lambda: DensityMatrix(2, 3, mats[k]))
+            assert want[0] is InvariantError
+            assert _error_of(lambda: _density_matrices(2, 3, mats)) == want
+    # an earlier failure wins over a later NaN, whichever check it fails
+    for bad in (skew, heavy, negative):
+        mats = np.stack([good[0], bad, nan, good[1]])
+        assert _error_of(lambda: _density_matrices(2, 3, mats)) == _error_of(
+            lambda: DensityMatrix(2, 3, bad))
+    # dims and shape errors read as for a single matrix
+    for dims, mats in (((2, 2), np.stack(good)), ((0, 3), np.stack(good)),
+                       ((2, 2), np.stack([nan] + good))):
+        assert _error_of(lambda: _density_matrices(*dims, mats)) == _error_of(
+            lambda: DensityMatrix(*dims, mats[0]))
+    states = _density_matrices(2, 3, np.stack(good))
+    for rho, mat in zip(states, good):
+        assert (rho.dim_a, rho.dim_b) == (2, 3) and rho.mat.tobytes() == mat.tobytes()
+        assert not rho.mat.flags.writeable and not rho._eigs.flags.writeable
+        assert rho._eigs.tobytes() == np.linalg.eigvalsh(mat).tobytes()
+        assert repr(rho) == repr(DensityMatrix(2, 3, mat))
+
+
+def test_density_matrix_keeps_its_spectrum(rng):
+    rho = random_density_matrix(3, 2, rng=rng)
+    assert rho._eigs.tobytes() == np.linalg.eigvalsh(rho.mat).tobytes()
+    assert not rho._eigs.flags.writeable
+    with pytest.raises(AttributeError):
+        rho._eigs = np.zeros(6)
+    assert "_eigs" not in repr(rho)
+    assert [f.name for f in dataclasses.fields(rho)] == ["dim_a", "dim_b", "mat"]
 
 
 def test_trace_class_operator_relaxed():

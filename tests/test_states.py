@@ -210,6 +210,9 @@ def test_family_range_errors():
         MaxDisordered((1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="rank"):
         RandomState(2, 2, rank=5)
+    # a negative seed is refused with the field named, before numpy sees it
+    with pytest.raises(ValueError, match="^random seed = -1 violates seed >= 0$"):
+        RandomState(2, 2, seed=-1)
     # a dimension whose complex matrix is above numpy's maximum array size is
     # refused by the family, with the field named
     for spec, field in (
