@@ -119,7 +119,13 @@ def _print_report(report: CriterionReport) -> None:
         print(f"note: {note}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def cmd_analyze(args) -> int:
+    _check_seed(args.seed)
     if _looks_like_path(args.input):
         op = load_state_file(args.input, relax=args.relax)
     else:
@@ -273,6 +279,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_seed(args.seed)
     if args.n < 1:
         raise ValueError(f"-n must be at least 1, got {args.n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("family", help="family template, e.g. werner:d=2,p=0")
     p_sc.add_argument("--param", required=True, help="scalar parameter to sweep")
     p_sc.add_argument("--range", required=True,
-                      help="--range=lo:hi:steps (the = keeps a negative lo from reading as an option)")
+                      help="lo:hi:steps, e.g. --range 0:1:101 or --range -0.2:0.2:41")
     p_sc.add_argument("--out", help="CSV output path (default stdout)")
     p_sc.add_argument("--restarts", type=int, default=16,
                       help="fidelity optimizer restarts per point (default 16)")
@@ -336,9 +343,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_range(argv: list[str]) -> list[str]:
+    """scan's argv with '--range -lo:hi:steps' read as '--range=-lo:hi:steps':
+    argparse takes a token that starts with '-' for an option unless it is a
+    plain negative number, and no option contains ':'."""
+    if argv[:1] != ["scan"]:
+        return argv
+    joined: list[str] = []
+    for token in argv:
+        if joined[-1:] == ["--range"] and token.startswith("-") and ":" in token:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_range(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -43,7 +43,7 @@ from .linalg import (
     _trace_norms,
 )
 from .realign import _ccn_values, _reshuffle, ccn_value
-from .states import _ginibre, _haar_unitaries, psi_plus
+from .states import _haar_unitaries, psi_plus
 
 
 class PptResult(NamedTuple):
@@ -110,12 +110,10 @@ def _check_restarts(restarts: int) -> None:
 def _haar_starts(d: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
     """(restarts, d, d) starts: the identity, then Haar-random draws in order,
     bit-identical to drawing random_unitary restarts - 1 times."""
-    starts = np.empty((restarts, d, d), dtype=np.complex128)
-    starts[0] = np.eye(d)
-    for k in range(1, restarts):
-        starts[k] = _ginibre(rng, d, d)
-    starts[1:] = _haar_unitaries(starts[1:])
-    return starts
+    # one draw of every Ginibre matrix, each real part before its imaginary part
+    gauss = rng.standard_normal((restarts - 1, 2, d, d))
+    haar = _haar_unitaries(gauss[:, 0] + 1j * gauss[:, 1])
+    return np.concatenate([np.eye(d, dtype=np.complex128)[None], haar])
 
 
 def _vec_t(us: np.ndarray) -> np.ndarray:
@@ -143,8 +141,13 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     converged when the gradient's largest entry modulus is below TOL_FLAT (no
     squares, so no overflow or underflow at any scale), when the next value
     is lower (only reachable through rounding noise; the previous U is kept)
-    or when the gain is at most tol; unconverged after max_iter steps.  A
-    problem leaves the product once all its restarts have stopped.
+    or when the gain is at most tol; unconverged after max_iter steps.
+
+    Only the unfinished pairs are carried, problem-major, each with its
+    iterate, product and value; a pair is written to the results on the step
+    it stops.  Each live problem multiplies just its unfinished restarts,
+    packed to the front, padded to at least min(2, R) rows: numpy sends a
+    one-row product down its matrix-vector path, which rounds differently.
 
     Returns the values (P, R), the unitaries (P, R, d, d) and the converged
     flags (P, R).
@@ -157,38 +160,42 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     y = x @ mats.swapaxes(-1, -2)
     values = np.sum(x.conj() * y, axis=-1).real / d
     converged = np.zeros(values.shape, dtype=bool)
-    active = np.ones(values.shape, dtype=bool)
-    live = np.arange(p)  # the problems with a restart still ascending
-    live_t = mats.swapaxes(-1, -2)
-    act = active  # active[live]
+    act = ~converged  # act[i, r]: restart r of live problem i is unfinished
+    li, ri = np.nonzero(act)  # the unfinished pairs, problem-major
+    pi, row, xs, ys, vs = li, ri, x.reshape(-1, d * d), y.reshape(-1, d * d), values.ravel()
+    live, live_t = np.arange(p), mats.swapaxes(-1, -2)
+    # pair k is row row[k] of live problem li[k] in the product, which takes
+    # the first `rows` rows of each live problem's block of ``trial``
+    trial, rows, min_rows = np.zeros_like(x), x.shape[1], min(2, x.shape[1])
     for _ in range(max_iter):
-        li, ri = np.nonzero(act)
-        if li.size == 0:
+        if pi.size == 0:
             break
-        pi = live[li]
-        grad = y[pi, ri].reshape(-1, d, d).swapaxes(-1, -2) / d
+        grad = ys.reshape(-1, d, d).swapaxes(-1, -2) / d
         flat = np.abs(grad).max(axis=(-2, -1)) < TOL_FLAT
         x_next = _vec_t(_polar(grad))
-        # the product runs over the live problems; their finished pairs are discarded
-        trial = x[live]
-        trial[li, ri] = x_next
-        y_next = (trial @ live_t)[li, ri]
+        trial[li, row] = x_next
+        y_next = (trial[:live.size, :rows] @ live_t)[li, row]
         nxt = np.sum(x_next.conj() * y_next, axis=-1).real / d
-        gain = nxt - values[pi, ri]
-        stop = flat | (nxt < values[pi, ri])
-        step = ~stop
-        x[pi[step], ri[step]] = x_next[step]
-        y[pi[step], ri[step]] = y_next[step]
-        values[pi[step], ri[step]] = nxt[step]
-        done = stop | (gain <= tol)
-        converged[pi[done], ri[done]] = True
-        active[pi[done], ri[done]] = False
+        stop = flat | (nxt < vs)
+        done = stop | (nxt - vs <= tol)
         if done.any():
-            act = active[live]
+            x_next[stop], nxt[stop] = xs[stop], vs[stop]  # stopped pairs keep their U
+            x[pi[done], ri[done]], values[pi[done], ri[done]] = x_next[done], nxt[done]
+            converged[pi[done], ri[done]] = True
+            go = ~done
+            x_next, y_next, nxt = x_next[go], y_next[go], nxt[go]
+            act[li[done], ri[done]] = False
             keep = act.any(axis=1)
             if not keep.all():
                 live, act = live[keep], act[keep]
                 live_t = mats[live].swapaxes(-1, -2)
+            li, ri = np.nonzero(act)
+            pi = live[li]
+            # each live problem's unfinished pairs, packed from row 0
+            _, row = np.nonzero(np.sort(act, axis=1)[:, ::-1])
+            rows = max(row.max(initial=0) + 1, min_rows)
+        xs, ys, vs = x_next, y_next, nxt
+    x[pi, ri], values[pi, ri] = xs, vs  # the pairs still unfinished after max_iter
     us = x.reshape(values.shape + (d, d)).swapaxes(-1, -2)
     return values, us, converged
 

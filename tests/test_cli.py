@@ -240,6 +240,18 @@ def test_scan_argument_errors(capsys):
         assert code == 2 and out == "" and "random seed = -" in err, err
 
 
+def test_scan_range_accepts_a_spaced_negative_lo(capsys):
+    base = ("scan", "werner:d=2,p=0", "--param", "p")
+    spaced = run(capsys, *base, "--range", "-0.2:0.2:5")
+    assert spaced == run(capsys, *base, "--range=-0.2:0.2:5")
+    assert spaced[0] == 0 and spaced[1].startswith("param,") and spaced[1].count("\n") == 6
+    # a bad spaced grid gets the message and exit code of the = form
+    for text in ("-0.2:0.2", "-inf:0:3", "-0.2:0.2:0", "-a:1:3"):
+        spaced = run(capsys, *base, "--range", text)
+        assert spaced == run(capsys, *base, f"--range={text}")
+        assert spaced[0] == 2 and spaced[1] == "" and "--range" in spaced[2], spaced
+
+
 def test_scan_integer_parameter_across_flag_change(capsys):
     # werner p = 0.5 is CCN-entangled at d = 2 only; no value lies between two
     # integers, so the flag change is not bisected.  The points mix local
@@ -403,6 +415,19 @@ def test_verify_rejects_empty_instance_count(capsys):
     code, out, err = run(capsys, "verify", "norms", "-n", "0")
     assert code == 2 and out == ""
     assert "-n must be at least 1" in err
+
+
+def test_negative_seed_rejected_before_any_state(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a state was built for a negative --seed")
+
+    monkeypatch.setattr(cli, "parse_family", refuse)
+    monkeypatch.setattr(cli, "SUITES", {name: refuse for name in cli.SUITES})
+    # d = 2 and the spectra suite draw nothing from the seed, the others do
+    for argv in (("analyze", "werner:d=3,p=0.5"), ("analyze", "werner:d=2,p=0.5"),
+                 ("verify", "norms"), ("verify", "spectra", "-n", "2")):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == "" and "--seed must be a non-negative integer" in err, err
 
 
 def test_verify_reports_worst_slack(capsys):

@@ -465,6 +465,96 @@ def test_ascent_problems_leaving_the_product_match_solo_runs(d, monkeypatch):
         np.testing.assert_array_equal(converged[k], c[0])
 
 
+def _full_batch_ascend(mats, starts, tol, max_iter):
+    """The ascent loop that multiplied every restart of each live problem at
+    every step and scattered the stepping pairs back into (P, R, d^2) arrays;
+    kept as the bit-for-bit reference for criteria._ascend."""
+    p, d = mats.shape[0], starts.shape[-1]
+    mats = np.ascontiguousarray(mats)
+    x = criteria._vec_t(np.broadcast_to(starts, (p,) + starts.shape[-3:])).copy()
+    y = x @ mats.swapaxes(-1, -2)
+    values = np.sum(x.conj() * y, axis=-1).real / d
+    converged = np.zeros(values.shape, dtype=bool)
+    active = np.ones(values.shape, dtype=bool)
+    live = np.arange(p)
+    live_t = mats.swapaxes(-1, -2)
+    act = active
+    for _ in range(max_iter):
+        li, ri = np.nonzero(act)
+        if li.size == 0:
+            break
+        pi = live[li]
+        grad = y[pi, ri].reshape(-1, d, d).swapaxes(-1, -2) / d
+        flat = np.abs(grad).max(axis=(-2, -1)) < criteria.TOL_FLAT
+        x_next = criteria._vec_t(criteria._polar(grad))
+        trial = x[live]
+        trial[li, ri] = x_next
+        y_next = (trial @ live_t)[li, ri]
+        nxt = np.sum(x_next.conj() * y_next, axis=-1).real / d
+        gain = nxt - values[pi, ri]
+        stop = flat | (nxt < values[pi, ri])
+        step = ~stop
+        x[pi[step], ri[step]] = x_next[step]
+        y[pi[step], ri[step]] = y_next[step]
+        values[pi[step], ri[step]] = nxt[step]
+        done = stop | (gain <= tol)
+        converged[pi[done], ri[done]] = True
+        active[pi[done], ri[done]] = False
+        if done.any():
+            act = active[live]
+            keep = act.any(axis=1)
+            if not keep.all():
+                live, act = live[keep], act[keep]
+                live_t = mats[live].swapaxes(-1, -2)
+    us = x.reshape(values.shape + (d, d)).swapaxes(-1, -2)
+    return values, us, converged
+
+
+def _mixed_problems(d, rng):
+    """Ascent problems that stop at different steps: random full rank and
+    rank 1, isotropic F = 0 (the identity restart's gradient is zero) and
+    F = 0.11, and two shifted phase combinations of a random operator."""
+    isotropic = [make_state(Isotropic(d, f)).mat for f in (0.0, 0.11)] if d > 1 else []
+    op = _complex_gaussian(rng, (d * d, d * d)) / 4
+    mats = [random_density_matrix(d, d, rng=rng).mat, *isotropic[:1],
+            random_density_matrix(d, d, rank=1, rng=rng).mat, *isotropic[1:],
+            *_phase_matrices(op, [0.0, 2 * np.pi * 7 / 24]),
+            random_density_matrix(d, d, rng=rng).mat]
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("max_iter", [1, 8, 2000])
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_ascent_matches_the_full_batch_loop_bit_for_bit(d, max_iter):
+    # only the unfinished pairs are multiplied, each problem's packed to the
+    # front; every value, unitary and flag stays what the full batch gives,
+    # also where a problem has one unfinished restart left
+    rng = np.random.default_rng(70 + d)
+    pool = _mixed_problems(d, rng)
+    for p in (1, 3, 7):
+        mats = pool[np.arange(p) % len(pool)]
+        for r in (1, 2, 5, 16):
+            shared = criteria._haar_starts(d, r, rng)
+            own = np.stack([criteria._haar_starts(d, r, rng) for _ in range(p)])
+            for starts in (shared, own):
+                got = criteria._ascend(mats, starts, criteria.TOL_ASCENT, max_iter)
+                want = _full_batch_ascend(mats, starts, criteria.TOL_ASCENT, max_iter)
+                for got_a, want_a in zip(got, want):
+                    np.testing.assert_array_equal(got_a, want_a)
+
+
+@pytest.mark.parametrize("d, restarts", [(1, 4), (3, 6), (12, 16), (3, 1)])
+def test_haar_starts_match_one_draw_per_restart(d, restarts):
+    # one stacked draw gives the starts that drawing each Ginibre matrix in
+    # turn gave, and leaves the generator where that loop left it
+    rng, ref = np.random.default_rng(80), np.random.default_rng(80)
+    starts = criteria._haar_starts(d, restarts, rng)
+    want = [np.eye(d, dtype=complex)]
+    want += [random_unitary(d, ref) for _ in range(restarts - 1)]
+    np.testing.assert_array_equal(starts, np.stack(want))
+    np.testing.assert_array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+
 # --- exact two-qubit fidelity and the shifted ascent ----------------------------------
 
 
