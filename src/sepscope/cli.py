@@ -12,13 +12,12 @@ import json
 import os
 import sys
 from dataclasses import fields
-from itertools import groupby, islice
 
 import numpy as np
 
-from .criteria import (_CHUNK_POINTS, CriterionReport, fidelity_optimize, full_report,
-                       full_reports, realigned_trace)
-from .linalg import TOL_BISECT, DensityMatrix, TraceClassOperator, _density_matrices
+from .criteria import (CriterionReport, _chunks, _stacked_reports, fidelity_optimize,
+                       full_report, realigned_trace)
+from .linalg import TOL_BISECT, DensityMatrix, TraceClassOperator, _check_states
 from .realign import ccn_value
 from .states import (FamilySpec, _family_matrix, make_state, param_kind, parse_family,
                      replace_param)
@@ -72,7 +71,10 @@ def load_state_file(path: str, relax: bool = False):
                 raise ValueError(
                     f"matrix entry ({i}, {j}) must be a two-element [re, im] array"
                 )
-            mat[i, j] = complex(cell[0], cell[1])
+            try:
+                mat[i, j] = complex(cell[0], cell[1])
+            except OverflowError:
+                raise ValueError(f"matrix entry ({i}, {j}) is too large for a float") from None
     cls = TraceClassOperator if relax else DensityMatrix
     return cls(dims[0], dims[1], mat)
 
@@ -225,13 +227,13 @@ def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float) -> float | N
     return (lo + hi) / 2.0
 
 
-def _scan_states(specs):
-    """The state of each spec, in order; consecutive states of one shape are
-    built and checked together, at most _CHUNK_POINTS at a time."""
+def _scan_chunks(specs):
+    """The specs' states as checked stacks (da, db, mats, eigs), in order: each
+    chunk of _chunks is built and checked whole, with no per-point state object."""
     built = (_family_matrix(spec) for spec in specs)
-    for (da, db), group in groupby(built, key=lambda item: item[:2]):
-        while chunk := list(islice(group, _CHUNK_POINTS)):
-            yield from _density_matrices(da, db, np.stack([mat for _, _, mat in chunk]))
+    for (da, db), chunk in _chunks(built, key=lambda item: item[:2]):
+        mats = np.stack([mat for _, _, mat in chunk])
+        yield da, db, mats, _check_states(mats)
 
 
 def cmd_scan(args) -> int:
@@ -240,7 +242,7 @@ def cmd_scan(args) -> int:
     values = np.linspace(lo, hi, steps)
     specs = [replace_param(spec, args.param, float(v)) for v in values]
 
-    reports = full_reports(_scan_states(specs), restarts=args.restarts, seed=0)
+    reports = _stacked_reports(_scan_chunks(specs), args.restarts, seed=0)
 
     lines = ["param,tau,ppt_min_eig,fid_lower,fid_best,fid_upper,ccn_flag,ppt_flag,distill_flag"]
     for value, rep in zip(values, reports):

@@ -84,8 +84,14 @@ def fidelity_lower(rho: DensityMatrix) -> float:
     Returns the overlap; ``verify sandwich`` checks it against the realigned
     trace.
     """
-    psi = psi_plus(rho.dim)
-    return float((psi.conj() @ rho.mat @ psi).real)
+    return float(_overlaps(rho.mat[None], rho.dim)[0])
+
+
+def _overlaps(mats: np.ndarray, d: int) -> np.ndarray:
+    """<psi+|rho|psi+> of each matrix in a stack, one product per matrix:
+    a stacked product changes the last bit of some."""
+    psi = psi_plus(d)
+    return np.array([(psi.conj() @ mat @ psi).real for mat in mats])
 
 
 class FidelityResult(NamedTuple):
@@ -96,10 +102,18 @@ class FidelityResult(NamedTuple):
 
 _ASCENT_MAX_ITER = 2000
 
-# At most this many states share one ascent in full_reports.  Batching them
+# At most this many states share one report chunk and its ascent.  Batching them
 # removes the per-state Python dispatch; larger batches gain little more,
 # while their stacked d^2 x d^2 matrices and iterates grow with every state.
 _CHUNK_POINTS = 16
+
+
+def _chunks(items, key):
+    """(key, chunk) for each run of consecutive items of one key, cut into
+    chunks of at most _CHUNK_POINTS; ``items`` is consumed a chunk at a time."""
+    for k, run in groupby(items, key=key):
+        while chunk := list(islice(run, _CHUNK_POINTS)):
+            yield k, chunk
 
 
 def _check_restarts(restarts: int) -> None:
@@ -490,29 +504,34 @@ def _distillable(d, tau, realigned_trace, fidelity_best, max_disordered, t_psd) 
     return bool(max_disordered and t_psd and tau > 1.0 + TOL_FLAG)
 
 
-def _schmidt_tau(rho: DensityMatrix) -> float:
+def _schmidt_tau(mat: np.ndarray, da: int, db: int) -> float:
     """tau of a pure state from its Schmidt spectrum, (sum_i sqrt(a_i))^2."""
-    _, vecs = np.linalg.eigh(rho.mat)
-    amp = vecs[:, -1].reshape(rho.dim_a, rho.dim_b)
+    _, vecs = np.linalg.eigh(mat)
+    amp = vecs[:, -1].reshape(da, db)
     sv = np.linalg.svd(amp, compute_uv=False)
     return float(sv.sum() ** 2)
 
 
 def full_reports(states, restarts: int = 16, seed: int = 0) -> list[CriterionReport]:
-    """full_report of every state, in order, with the work stacked.
+    """full_report of every state, in order: each chunk of one shape from
+    _chunks goes to _stacked_reports as its stacked matrices and spectra."""
+    chunks = ((*key, np.stack([rho.mat for rho in c]), np.stack([rho._eigs for rho in c]))
+              for key, c in _chunks(states, lambda rho: (rho.dim_a, rho.dim_b)))
+    return _stacked_reports(chunks, restarts, seed)
 
-    Consecutive states of one shape form a group, handled at most
-    _CHUNK_POINTS at a time.  A square group above d = 2 draws its Haar
-    starts once, as full_report would draw them for each state, and its
-    states ascend together; at d = 2 the fidelity is exact and needs none.
-    ``states`` may be a generator; it is consumed one chunk at a time.
-    """
+
+def _stacked_reports(chunks, restarts: int, seed: int) -> list[CriterionReport]:
+    """The reports of the checked state stacks (da, db, mats, eigs) of a
+    chunk iterable, in order, consumed a chunk at a time.  Above d = 2 the
+    Haar starts of each local dimension are drawn once, as full_report would
+    draw them for each state; at d = 2 the fidelity is exact and needs none."""
     _check_restarts(restarts)
+    starts: dict[int, np.ndarray] = {}
     reports: list[CriterionReport] = []
-    for (da, db), group in groupby(states, key=lambda rho: (rho.dim_a, rho.dim_b)):
-        starts = _haar_starts(da, restarts, np.random.default_rng(seed)) if da == db != 2 else None
-        while chunk := list(islice(group, _CHUNK_POINTS)):
-            reports += _chunk_reports(chunk, starts)
+    for da, db, mats, eigs in chunks:
+        if da == db != 2 and da not in starts:
+            starts[da] = _haar_starts(da, restarts, np.random.default_rng(seed))
+        reports += _chunk_reports(da, db, mats, eigs, starts.get(da))
     return reports
 
 
@@ -521,18 +540,16 @@ def full_report(rho: DensityMatrix, restarts: int = 16, seed: int = 0) -> Criter
     return full_reports([rho], restarts, seed)[0]
 
 
-def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> list[CriterionReport]:
-    """The reports of states of one shape, with their ascent starts when
-    square above d = 2.
+def _chunk_reports(da, db, mats, eigs, starts) -> list[CriterionReport]:
+    """The reports of a checked (N, da*db, da*db) state stack with its
+    ascending spectra ``eigs``; ``starts`` is used only when square above d = 2.
 
     tau comes from one stacked SVD and the PPT fields from one stacked
-    eigensolve of the partial transposes.  A square chunk also stacks its
-    Bloch coefficients, the T >= 0 test and the purity and isotropic tests;
-    the overlap <psi+|rho|psi+> and the Schmidt value of a pure state stay
-    per state.
+    eigensolve of the partial transposes.  A square chunk shifts its ascents
+    by the smallest of ``eigs`` and also stacks its Bloch coefficients, the
+    T >= 0 test and the purity and isotropic tests; the overlap
+    <psi+|rho|psi+> and the Schmidt value of a pure state stay per state.
     """
-    da, db = chunk[0].dim_a, chunk[0].dim_b
-    mats = np.stack([rho.mat for rho in chunk])
     taus = _ccn_values(mats, da, db)
     ppts = _ppt_from_eigs(np.linalg.eigvalsh(_partial_transpose(mats, da, db)))
     fixed = [
@@ -548,9 +565,9 @@ def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> lis
         )
         return [CriterionReport(**common, **undefined) for common in fixed]
     d = da
-    opts = _optimize_psd(mats, np.array([rho._eigs[0] for rho in chunk]), starts)
-    overlaps = np.array([fidelity_lower(rho) for rho in chunk])
-    notes: list[list[str]] = [[] for _ in chunk]
+    opts = _optimize_psd(mats, eigs[:, 0], starts)
+    overlaps = _overlaps(mats, d)
+    notes: list[list[str]] = [[] for _ in mats]
     # positivity of the correlation matrix is meaningful in the conjugated
     # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD;
     # the other checks do not depend on the basis
@@ -563,7 +580,7 @@ def _chunk_reports(chunk: list[DensityMatrix], starts: np.ndarray | None) -> lis
         notes[k].append(f"maximally disordered subsystems: tau = (1 + ||T||_1)/d = {value:.12g}")
     purity = np.trace(mats @ mats, axis1=-2, axis2=-1).real
     for k in np.nonzero(purity >= 1.0 - TOL_STRUCTURE)[0]:
-        notes[k].append(f"pure state: tau = (sum sqrt Schmidt)^2 = {_schmidt_tau(chunk[k]):.12g}")
+        notes[k].append(f"pure state: tau = (sum sqrt Schmidt)^2 = {_schmidt_tau(mats[k], d, d):.12g}")
     if d > 1:  # the isotropic family needs d >= 2
         psi = psi_plus(d)
         proj = np.outer(psi, psi.conj())

@@ -241,19 +241,21 @@ def _permute_subsystems(mats: np.ndarray, dims: list[int], perm: list[int]) -> n
 def _check_states(mats: np.ndarray) -> np.ndarray:
     """Check the DensityMatrix invariants on a (N, side, side) stack.
 
-    Each matrix must be Hermitian within TOL_HERM, have unit trace within
-    TOL_TRACE and no eigenvalue below -TOL_PSD.  The eigenvalues are solved
-    only for the matrices before the first one that fails the first two
-    checks.  The first failing matrix raises the InvariantError that
-    DensityMatrix raises for it.  Returns the ascending eigenvalues (N, side).
+    Each matrix must have finite entries, be Hermitian within TOL_HERM,
+    have unit trace within TOL_TRACE and no eigenvalue below -TOL_PSD.  The
+    eigenvalues are solved only for the matrices before the first one that
+    fails the first three checks.  The first failing matrix raises the
+    InvariantError that DensityMatrix raises for it.  Returns the ascending
+    eigenvalues (N, side).
     """
+    finite = np.isfinite(mats).all(axis=(-2, -1))
     # |rho^H - rho| = |rho - rho^H| entry by entry, so the difference can go
     # in place into the conjugate-transposed copy
     herm = mats.conj().swapaxes(-1, -2)
     herm -= mats
     defects = _max_abs(herm)
     traces = np.trace(mats, axis1=-2, axis2=-1)
-    bad = (defects > TOL_HERM) | (np.abs(traces - 1.0) > TOL_TRACE)
+    bad = ~finite | (defects > TOL_HERM) | (np.abs(traces - 1.0) > TOL_TRACE)
     first_bad = int(np.argmax(bad)) if bad.any() else len(mats)
     eigs = np.linalg.eigvalsh(mats[:first_bad])
     negative = eigs[:, 0] < -TOL_PSD
@@ -263,6 +265,8 @@ def _check_states(mats: np.ndarray) -> np.ndarray:
             f"not positive semidefinite: min eigenvalue {min_eig:.3e} < -{TOL_PSD}"
         )
     if first_bad < len(mats):
+        if not finite[first_bad]:
+            raise InvariantError("matrix contains NaN or Inf entries")
         if defects[first_bad] > TOL_HERM:
             raise InvariantError(
                 f"not Hermitian: max deviation {defects[first_bad]:.3e} > {TOL_HERM}"
@@ -324,20 +328,3 @@ class DensityMatrix(TraceClassOperator):
         eigs.flags.writeable = False
         object.__setattr__(self, "_eigs", eigs[0])
 
-
-def _density_matrices(dim_a: int, dim_b: int, mats) -> list[DensityMatrix]:
-    """DensityMatrix(dim_a, dim_b, mat) of each matrix in a (N, side, side)
-    stack, checked by one _check_states call.  The first matrix that fails a
-    check raises the error DensityMatrix raises for it alone."""
-    dim_a, dim_b = _check_dims((dim_a, dim_b))
-    mats = _frozen_copy(mats)
-    ok = np.isfinite(mats).all(axis=(-2, -1)) & (mats.shape[1:] == (dim_a * dim_b,) * 2)
-    first_bad = len(mats) if ok.all() else int(np.argmin(ok))
-    eigs = _check_states(mats[:first_bad])
-    if first_bad < len(mats):
-        DensityMatrix(dim_a, dim_b, mats[first_bad])  # raises that matrix's error
-    eigs.flags.writeable = False
-    states = [object.__new__(DensityMatrix) for _ in mats]
-    for rho, mat, spectrum in zip(states, mats, eigs):
-        rho.__dict__.update(dim_a=dim_a, dim_b=dim_b, mat=mat, _eigs=spectrum)
-    return states

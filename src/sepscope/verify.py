@@ -17,13 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .criteria import (
-    _haar_starts,
-    _optimize_psd,
-    _ppt_from_eigs,
-    _tensor_pairs,
-    fidelity_lower,
-)
+from .criteria import _haar_starts, _optimize_psd, _overlaps, _ppt_from_eigs, _tensor_pairs
 from .linalg import (
     _check_states,
     _frobenius_norms,
@@ -50,7 +44,6 @@ from .states import (
     _gram_states,
     _haar_unitaries,
     counterexample_matrix,
-    random_density_matrix,
 )
 
 # states of one local dimension per batched ascent in suite_sandwich: enough
@@ -221,12 +214,12 @@ def suite_sandwich(seed: int, n: int) -> list[CheckResult]:
     Instance k is a random d x d state, d = 2 for even k and 3 for odd k.
     At d = 2 the fidelity is exact; at d = 3 the instance's
     _SANDWICH_RESTARTS ascent starts are drawn from seed + k.  The states of
-    each dimension are handled together, _SANDWICH_CHUNK at a time.
+    each dimension are built and checked together, _SANDWICH_CHUNK at a time.
     """
 
     def draw(rng: np.random.Generator, k: int):
         d = 2 if k % 2 == 0 else 3
-        return d, (seed + k, random_density_matrix(d, d, rng=rng))
+        return d, (seed + k, _ginibre(rng, d * d, d * d))
 
     slacks = _stacked_slacks(
         seed, n, draw, _sandwich_slacks, len(_SANDWICH_TOLS), _SANDWICH_CHUNK
@@ -234,18 +227,18 @@ def suite_sandwich(seed: int, n: int) -> list[CheckResult]:
     return _results(slacks, _SANDWICH_TOLS)
 
 
-def _sandwich_slacks(d: int, seeds, states) -> np.ndarray:
-    """The sandwich slacks of d x d states, each with its ascent seed, in
-    the order of _SANDWICH_TOLS."""
-    mats = np.stack([rho.mat for rho in states])
+def _sandwich_slacks(d: int, seeds, g) -> np.ndarray:
+    """The sandwich slacks of the d x d states of Gaussian matrices g, each
+    with its ascent seed, in the order of _SANDWICH_TOLS."""
+    mats = _gram_states(np.stack(g))
+    eigs = _check_states(mats)
     starts = None if d == 2 else np.stack([
         _haar_starts(d, _SANDWICH_RESTARTS, np.random.default_rng(s)) for s in seeds
     ])
-    lam_min = np.array([rho._eigs[0] for rho in states])
-    best = np.array([opt.value for opt in _optimize_psd(mats, lam_min, starts)])
+    best = np.array([opt.value for opt in _optimize_psd(mats, eigs[:, 0], starts)])
     tau = _ccn_values(mats, d, d)
     trace = np.trace(_reshuffle(mats, d, d), axis1=-2, axis2=-1).real
-    lower = np.array([fidelity_lower(rho) for rho in states])
+    lower = _overlaps(mats, d)
     return np.array([lower - best, best - tau / d, -trace, np.abs(trace / d - lower)])
 
 

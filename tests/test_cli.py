@@ -8,7 +8,7 @@ import pytest
 from sepscope import cli
 from sepscope.cli import _csv_cell, ccn_threshold, load_state_file, main, save_state_file
 from sepscope.criteria import _CHUNK_POINTS, full_report
-from sepscope.linalg import _density_matrices
+from sepscope.linalg import _check_states
 from sepscope.states import (
     RandomState,
     Werner,
@@ -122,10 +122,14 @@ def test_state_file_validation_messages(tmp_path, capsys):
     ('{"dims": [true, 1], "matrix": [[[1, 0]]]}', "'dims' must be two positive integers"),
     ('{"dims": [1, 1], "matrix": [[[true, 0]]]}', "matrix entry (0, 0) must be a two-element"),
     ('{"dims": [1, 1], "matrix": [[[1, false]]]}', "matrix entry (0, 0) must be a two-element"),
+    # an integer too large for a float
+    pytest.param('{"dims": [1, 1], "matrix": [[[1' + '0' * 400 + ', 0]]]}',
+                 "matrix entry (0, 0)", id="int-overflow"),
 ])
 @pytest.mark.parametrize("relax", [False, True])
 def test_state_file_rejects_booleans(tmp_path, capsys, text, message, relax):
-    # JSON true and false are Python bools, which isinstance counts as ints
+    # JSON true and false are Python bools, which isinstance counts as ints;
+    # a JSON integer may also be beyond any float
     path = tmp_path / "bools.json"
     path.write_text(text)
     code, _, err = run(capsys, "analyze", str(path), *(["--relax"] if relax else []))
@@ -324,11 +328,11 @@ def test_scan_checks_each_chunk_in_one_stack(monkeypatch):
     # _CHUNK_POINTS at a time, and each equals make_state of its spec bit for bit
     sizes = []
 
-    def spy(da, db, mats):
-        sizes.append((da, db, len(mats)))
-        return _density_matrices(da, db, mats)
+    def spy(mats):
+        sizes.append(len(mats))
+        return _check_states(mats)
 
-    monkeypatch.setattr(cli, "_density_matrices", spy)
+    monkeypatch.setattr(cli, "_check_states", spy)
     cases = [
         ("werner:d=2,p=0", "p", np.linspace(-1 / 3, 1, 20)),
         ("werner:d=2,p=0.5", "d", [2, 3, 3, 2]),
@@ -345,20 +349,23 @@ def test_scan_checks_each_chunk_in_one_stack(monkeypatch):
     for family, param, values in cases:
         specs = [replace_param(parse_family(family), param, float(v)) for v in values]
         sizes.clear()
-        states = list(cli._scan_states(specs))
-        assert len(states) == len(specs)
-        assert sizes and all(n <= _CHUNK_POINTS for _, _, n in sizes)
-        for spec, rho in zip(specs, states):
+        chunks = list(cli._scan_chunks(specs))
+        assert sizes == [len(mats) for _, _, mats, _ in chunks]
+        assert sizes and all(n <= _CHUNK_POINTS for n in sizes)
+        points = [(da, db, mat, eig) for da, db, mats, eigs in chunks
+                  for mat, eig in zip(mats, eigs)]
+        assert len(points) == len(specs)
+        for spec, (da, db, mat, eig) in zip(specs, points):
             want = make_state(spec)
-            assert (rho.dim_a, rho.dim_b) == (want.dim_a, want.dim_b)
-            assert rho.mat.tobytes() == want.mat.tobytes() and not rho.mat.flags.writeable
-            assert rho._eigs.tobytes() == np.linalg.eigvalsh(rho.mat).tobytes()
-            assert rho._eigs.tobytes() == want._eigs.tobytes()
+            assert (da, db) == (want.dim_a, want.dim_b)
+            assert mat.tobytes() == want.mat.tobytes()
+            assert eig.tobytes() == np.linalg.eigvalsh(mat).tobytes()
+            assert eig.tobytes() == want._eigs.tobytes()
     # 35 seeds at one shape make chunks of 16, 16 and 3
     specs = [RandomState(2, 2, seed=k) for k in range(35)]
     sizes.clear()
-    list(cli._scan_states(specs))
-    assert sizes == [(2, 2, 16), (2, 2, 16), (2, 2, 3)]
+    assert [(da, db) for da, db, _, _ in cli._scan_chunks(specs)] == [(2, 2)] * 3
+    assert sizes == [16, 16, 3]
 
 
 def test_zero_restarts_rejected(capsys):

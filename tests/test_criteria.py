@@ -327,7 +327,7 @@ def _reference_report(rho, fidelity_best, fidelity_converged) -> CriterionReport
             max_dis = True
             notes.append(f"maximally disordered subsystems: tau = (1 + ||T||_1)/d = {value:.12g}")
         if float(np.trace(rho.mat @ rho.mat).real) >= 1.0 - 1e-10:
-            notes.append(f"pure state: tau = (sum sqrt Schmidt)^2 = {criteria._schmidt_tau(rho):.12g}")
+            notes.append(f"pure state: tau = (sum sqrt Schmidt)^2 = {criteria._schmidt_tau(rho.mat, da, db):.12g}")
         if d > 1:
             proj = np.outer(psi_plus(d), psi_plus(d).conj())
             iso = overlap * proj + (1 - overlap) * (np.eye(d * d) - proj) / (d * d - 1)
@@ -898,6 +898,31 @@ def test_isotropic_fidelity_equality(rng, d):
         rho = make_state(Isotropic(d, float(fid)))
         res = fidelity_optimize(rho, restarts=16)
         assert d * res.value == pytest.approx(ccn_value(rho), abs=1e-7)
+
+
+def _exact_fidelity_cases(d, rng):
+    """(state, closed-form fidelity) of isotropic, Werner and pure states at d."""
+    for fid in (0.05, 0.3, 0.9):
+        yield make_state(Isotropic(d, fid)), max(fid, (1 - fid) / (d * d - 1))
+    # m_d = min_U tr(U conj(U))/d, replaced by its maximum 1 for p < 0
+    m_d = -1.0 if d % 2 == 0 else -(d - 2) / d
+    for p in (-(d - 1) / (d + 1), -0.1, 0.3, 1.0):
+        m = 1.0 if p < 0 else m_d
+        yield make_state(Werner(d, p)), p * (1 - m) / (d * (d - 1)) + (1 - p) / (d * d)
+    alpha = rng.dirichlet(np.ones(d))
+    yield make_state(PureSchmidt(tuple(alpha))), np.sqrt(alpha).sum() ** 2 / d
+
+
+def test_full_reports_reach_the_exact_fidelities(rng):
+    # each state as given and under a seeded U_A (x) U_B, which keeps f
+    cases = []
+    for d in (3, 4, 5, 6):
+        for rho, exact in _exact_fidelity_cases(d, rng):
+            u = tensor(random_unitary(d, rng), random_unitary(d, rng))
+            cases += [(rho, exact), (DensityMatrix(d, d, u @ rho.mat @ u.conj().T), exact)]
+    reports = full_reports([rho for rho, _ in cases])
+    for (rho, exact), report in zip(cases, reports):
+        assert -1e-12 <= exact - report.fidelity_best <= 1e-10, (rho.dim, exact)
 
 
 # --- trace-class fidelity (relaxed inputs) ---------------------------------------------

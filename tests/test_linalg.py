@@ -22,7 +22,7 @@ from sepscope.linalg import (
     tensor,
     trace_norm,
     trace_out,
-    _density_matrices,
+    _check_states,
     _partial_transpose,
     _trace_norms,
 )
@@ -280,23 +280,15 @@ def test_stacked_states_reject_like_density_matrix(rng):
             mats = np.stack(good[:k] + [bad] + good[k:])
             want = _error_of(lambda: DensityMatrix(2, 3, mats[k]))
             assert want[0] is InvariantError
-            assert _error_of(lambda: _density_matrices(2, 3, mats)) == want
+            assert _error_of(lambda: _check_states(mats)) == want
     # an earlier failure wins over a later NaN, whichever check it fails
     for bad in (skew, heavy, negative):
         mats = np.stack([good[0], bad, nan, good[1]])
-        assert _error_of(lambda: _density_matrices(2, 3, mats)) == _error_of(
+        assert _error_of(lambda: _check_states(mats)) == _error_of(
             lambda: DensityMatrix(2, 3, bad))
-    # dims and shape errors read as for a single matrix
-    for dims, mats in (((2, 2), np.stack(good)), ((0, 3), np.stack(good)),
-                       ((2, 2), np.stack([nan] + good))):
-        assert _error_of(lambda: _density_matrices(*dims, mats)) == _error_of(
-            lambda: DensityMatrix(*dims, mats[0]))
-    states = _density_matrices(2, 3, np.stack(good))
-    for rho, mat in zip(states, good):
-        assert (rho.dim_a, rho.dim_b) == (2, 3) and rho.mat.tobytes() == mat.tobytes()
-        assert not rho.mat.flags.writeable and not rho._eigs.flags.writeable
-        assert rho._eigs.tobytes() == np.linalg.eigvalsh(mat).tobytes()
-        assert repr(rho) == repr(DensityMatrix(2, 3, mat))
+    eigs = _check_states(np.stack(good))
+    for eig, mat in zip(eigs, good):
+        assert eig.tobytes() == DensityMatrix(2, 3, mat)._eigs.tobytes()
 
 
 def test_density_matrix_keeps_its_spectrum(rng):
