@@ -15,9 +15,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from .criteria import (CriterionReport, _chunks, _stacked_reports, fidelity_optimize,
-                       full_report, realigned_trace)
-from .linalg import TOL_BISECT, DensityMatrix, TraceClassOperator, _check_states
+from .criteria import (CriterionReport, _check_restarts, _chunks, _stacked_reports,
+                       fidelity_optimize, full_report, realigned_trace)
+from .linalg import TOL_BISECT, TOL_FLAG, DensityMatrix, TraceClassOperator, _check_states
 from .realign import ccn_value
 from .states import (FamilySpec, _family_matrix, make_state, param_kind, parse_family,
                      replace_param)
@@ -195,6 +195,14 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
+# each scan CSV column after "param", with the CriterionReport field it holds
+_CSV_FIELDS = {
+    "tau": "tau", "ppt_min_eig": "ppt_min_eig", "fid_lower": "fidelity_lower",
+    "fid_best": "fidelity_best", "fid_upper": "fidelity_upper", "ccn_flag": "ccn_flag",
+    "ppt_flag": "ppt_flag", "distill_flag": "distillable_flag",
+}
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return "nan"
@@ -204,15 +212,16 @@ def _csv_cell(value) -> str:
 
 
 def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float) -> float | None:
-    """Bisect tau(parameter) = 1 inside [lo, hi]; None without a sign change."""
+    """Bisect tau(parameter) = 1 inside [lo, hi]; None without a sign change.
+    An end within the flag margin TOL_FLAG of tau = 1 is itself the crossing."""
 
     def excess(value: float) -> float:
         return ccn_value(make_state(replace_param(spec, key, value))) - 1.0
 
     f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo == 0.0:
+    if abs(f_lo) <= TOL_FLAG:
         return lo
-    if f_hi == 0.0:
+    if abs(f_hi) <= TOL_FLAG:
         return hi
     if np.sign(f_lo) == np.sign(f_hi):
         return None
@@ -241,26 +250,18 @@ def cmd_scan(args) -> int:
     lo, hi, steps = _parse_range(args.range)
     values = np.linspace(lo, hi, steps)
     specs = [replace_param(spec, args.param, float(v)) for v in values]
+    _check_restarts(args.restarts)
+    if args.out:
+        # a bad path fails here, before any numerics; "a" keeps an existing
+        # file as it is until the scan has succeeded
+        open(args.out, "a", encoding="utf-8").close()
 
     reports = _stacked_reports(_scan_chunks(specs), args.restarts, seed=0)
 
-    lines = ["param,tau,ppt_min_eig,fid_lower,fid_best,fid_upper,ccn_flag,ppt_flag,distill_flag"]
+    lines = [",".join(["param", *_CSV_FIELDS])]
     for value, rep in zip(values, reports):
-        lines.append(
-            ",".join(
-                [
-                    _csv_cell(float(value)),
-                    _csv_cell(rep.tau),
-                    _csv_cell(rep.ppt_min_eig),
-                    _csv_cell(rep.fidelity_lower),
-                    _csv_cell(rep.fidelity_best),
-                    _csv_cell(rep.fidelity_upper),
-                    _csv_cell(rep.ccn_flag),
-                    _csv_cell(rep.ppt_flag),
-                    _csv_cell(rep.distillable_flag),
-                ]
-            )
-        )
+        cells = [float(value)] + [getattr(rep, name) for name in _CSV_FIELDS.values()]
+        lines.append(",".join(map(_csv_cell, cells)))
     # no value lies between two consecutive integers, so there is nothing to bisect
     bisect = param_kind(spec, args.param) is not int
     for i in range(steps - 1):

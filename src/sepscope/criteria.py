@@ -219,8 +219,9 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
 _MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]) / np.sqrt(2.0)
 
 
-def _two_qubit_optimum(mats: np.ndarray) -> list[FidelityResult]:
-    """The exact fidelity of each PSD matrix in a (P, 4, 4) stack.
+def _two_qubit_optimum(mats: np.ndarray):
+    """The exact fidelity of each PSD matrix in a (P, 4, 4) stack, as the
+    values (P,), unitaries (P, 2, 2) and converged flags (P,), all True.
 
     Every maximally entangled two-qubit state is M v for a real unit v, up to
     a phase, with M the magic basis.  So f = max_v v^T Re(M^H rho M) v, the
@@ -231,13 +232,13 @@ def _two_qubit_optimum(mats: np.ndarray) -> list[FidelityResult]:
     vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ mats @ _MAGIC).real)
     psi = vecs[..., -1] @ _MAGIC.T
     us = np.sqrt(2.0) * psi.reshape(-1, 2, 2).swapaxes(-1, -2)
-    return [FidelityResult(float(v), u, True) for v, u in zip(vals[:, -1], us)]
+    return vals[:, -1], us, np.ones(len(us), dtype=bool)
 
 
-def _optimize_psd(mats: np.ndarray, lam_min: np.ndarray,
-                  starts: np.ndarray | None) -> list[FidelityResult]:
+def _optimize_psd(mats: np.ndarray, lam_min: np.ndarray, starts: np.ndarray | None):
     """Best fidelity of each PSD matrix in the stack (P, d^2, d^2), whose
-    smallest eigenvalues are ``lam_min`` (P,).
+    smallest eigenvalues are ``lam_min`` (P,), as the values (P,), unitaries
+    (P, d, d) and converged flags (P,).
 
     At d = 2 it is exact (_two_qubit_optimum); ``lam_min`` and ``starts``
     are unused.
@@ -256,11 +257,8 @@ def _optimize_psd(mats: np.ndarray, lam_min: np.ndarray,
     _, us, converged = _ascend(shifted, starts, TOL_ASCENT, _ASCENT_MAX_ITER)
     x = _vec_t(us)
     values = np.sum(x.conj() * (x @ mats.swapaxes(-1, -2)), axis=-1).real / us.shape[-1]
-    best = np.argmax(values, axis=1)  # the first restart wins ties
-    return [
-        FidelityResult(float(values[k, b]), us[k, b], bool(converged[k, b]))
-        for k, b in enumerate(best)
-    ]
+    best = np.arange(len(values)), np.argmax(values, axis=1)  # the first restart wins ties
+    return values[best], us[best], converged[best]
 
 
 def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
@@ -284,11 +282,15 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     d, rng = rho.dim, np.random.default_rng(seed)
     if isinstance(rho, DensityMatrix):
         starts = None if d == 2 else _haar_starts(d, restarts, rng)
-        return _optimize_psd(rho.mat[None], rho._eigs[:1], starts)[0]
-    return _optimize_trace_class(rho.mat, d, restarts, rng)
+        values, unitaries, converged = _optimize_psd(rho.mat[None], rho._eigs[:1], starts)
+        best = values[0], unitaries[0], converged[0]
+    else:
+        best = _optimize_trace_class(rho.mat, d, restarts, rng)
+    value, unitary, converged = best
+    return FidelityResult(float(value), unitary, bool(converged))
 
 
-def _optimize_trace_class(mat, d, restarts, rng) -> FidelityResult:
+def _optimize_trace_class(mat, d, restarts, rng):
     """Best found max |<psi_U|mat|psi_U>| over a grid of phases theta.
 
     Each combination c = cos(theta) H + sin(theta) K of the Hermitian and
@@ -296,7 +298,8 @@ def _optimize_trace_class(mat, d, restarts, rng) -> FidelityResult:
     from its own Haar starts on c - lambda_min(c) I: PSD, so the ascent is
     monotone, and every value moves by the same amount, so the maximisers
     stay.  Every (phase, restart) pair is then scored by its overlap modulus
-    on ``mat`` itself; the first in phase-major order wins ties.
+    on ``mat`` itself; the first in phase-major order wins ties.  Returns
+    the winner's value, unitary and converged flag.
     """
     herm = (mat + mat.conj().T) / 2.0
     skew = (mat - mat.conj().T) / 2.0j
@@ -309,8 +312,7 @@ def _optimize_trace_class(mat, d, restarts, rng) -> FidelityResult:
     x = _vec_t(us).reshape(-1, d * d)
     overlaps = np.abs(np.sum(x.conj() * (x @ mat.T), axis=-1)) / d
     best = int(np.argmax(overlaps))  # phase-major, the first restart wins ties
-    unitary = us.reshape(-1, d, d)[best]
-    return FidelityResult(float(overlaps[best]), unitary, bool(converged.flat[best]))
+    return overlaps[best], us.reshape(-1, d, d)[best], converged.flat[best]
 
 
 # the maximally entangled state compensating a given diagonal-correlation
@@ -565,7 +567,7 @@ def _chunk_reports(da, db, mats, eigs, starts) -> list[CriterionReport]:
         )
         return [CriterionReport(**common, **undefined) for common in fixed]
     d = da
-    opts = _optimize_psd(mats, eigs[:, 0], starts)
+    best, _, converged = _optimize_psd(mats, eigs[:, 0], starts)
     overlaps = _overlaps(mats, d)
     notes: list[list[str]] = [[] for _ in mats]
     # positivity of the correlation matrix is meaningful in the conjugated
@@ -596,17 +598,17 @@ def _chunk_reports(da, db, mats, eigs, starts) -> list[CriterionReport]:
             notes[k].append(f"isotropic state with fidelity F = {overlaps[k]:.12g}")
 
     reports = []
-    for common, overlap, opt, dis_k, psd_k, note in zip(
-        fixed, overlaps.tolist(), opts, max_dis.tolist(), t_psd.tolist(), notes
+    for common, overlap, value, conv, dis_k, psd_k, note in zip(
+        fixed, *(a.tolist() for a in (overlaps, best, converged, max_dis, t_psd)), notes
     ):
         tau = common["tau"]
         tr_a, fid_up = d * overlap, tau / d
         # rounding can lift a lower bound just past tau/d at a pure endpoint;
         # a reported lower bound never exceeds its upper bound
-        fid_best = min(opt.value, fid_up)
+        fid_best = min(value, fid_up)
         reports.append(CriterionReport(
             **common, realigned_trace=tr_a, fidelity_lower=min(overlap, fid_up),
-            fidelity_best=fid_best, fidelity_upper=fid_up, fidelity_converged=opt.converged,
+            fidelity_best=fid_best, fidelity_upper=fid_up, fidelity_converged=conv,
             distillable_flag=_distillable(d, tau, tr_a, fid_best, dis_k, psd_k),
             max_disordered=dis_k, t_psd=psd_k, notes=tuple(note),
         ))

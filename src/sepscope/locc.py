@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .criteria import FactorizedState
+from .criteria import FactorizedState, _tensor_pairs
 from .linalg import (
     TOL_DIRECTION,
     TOL_PROJECTOR,
@@ -27,7 +28,6 @@ from .linalg import (
     trace_out,
     _kron,
     _max_abs,
-    _permute_subsystems,
 )
 from .realign import ccn_value
 
@@ -163,57 +163,35 @@ def _measured(mats: np.ndarray, projs, side: str, dim_a: int, dim_b: int) -> np.
     return _pinching(mats, lifted)
 
 
-def _with_ancilla(mats: np.ndarray, ancillas: np.ndarray, side: str, dim_a: int, dim_b: int) -> np.ndarray:
-    """The AddAncilla branch of apply on (..., side, side) stacks of states
-    and ancillas: the ancilla factor goes last on its side."""
-    mats = _kron(mats, ancillas)  # factors (A, B, anc)
-    if side == "alice":
-        mats = _permute_subsystems(mats, [dim_a, dim_b, ancillas.shape[-1]], [0, 2, 1])
-    return mats
-
-
 def apply(op: LocalOperation, fs: FactorizedState) -> FactorizedState:
     """Apply one elementary local operation, keeping the canonical
     (Alice factors)(Bob factors) layout."""
     state = fs.state
+    sides = {"alice": fs.alice_factors, "bob": fs.bob_factors}
     if isinstance(op, AddAncilla):
+        # the ancilla is a d x 1 pair on Alice's side or 1 x d on Bob's, so it
+        # goes last on its side
         d_anc = op.ancilla.shape[0]
-        mat = _with_ancilla(state.mat, op.ancilla, op.side, state.dim_a, state.dim_b)
-        if op.side == "alice":
-            new = DensityMatrix(state.dim_a * d_anc, state.dim_b, mat)
-            return FactorizedState(new, fs.alice_factors + (d_anc,), fs.bob_factors)
-        new = DensityMatrix(state.dim_a, state.dim_b * d_anc, mat)
-        return FactorizedState(new, fs.alice_factors, fs.bob_factors + (d_anc,))
-
-    if isinstance(op, TraceOutFactor):
-        factors = fs.alice_factors if op.side == "alice" else fs.bob_factors
+        anc_dims = [d_anc, 1] if op.side == "alice" else [1, d_anc]
+        mat = _tensor_pairs(state.mat, op.ancilla, [state.dim_a, state.dim_b] + anc_dims)
+        sides[op.side] += (d_anc,)
+    elif isinstance(op, TraceOutFactor):
+        factors = sides[op.side]
         if len(factors) < 2:
-            raise DimensionError(
-                f"cannot trace out the only factor on the {op.side} side"
-            )
+            raise DimensionError(f"cannot trace out the only factor on the {op.side} side")
         if not 0 <= op.index < len(factors):
-            raise DimensionError(
-                f"factor index {op.index} out of range for {len(factors)} factors"
-            )
+            raise DimensionError(f"factor index {op.index} out of range for {len(factors)} factors")
         offset = 0 if op.side == "alice" else len(fs.alice_factors)
         mat = trace_out(state.mat, fs.factor_dims, [offset + op.index])
-        kept = tuple(d for i, d in enumerate(factors) if i != op.index)
-        if op.side == "alice":
-            new = DensityMatrix(int(np.prod(kept)), state.dim_b, mat)
-            return FactorizedState(new, kept, fs.bob_factors)
-        new = DensityMatrix(state.dim_a, int(np.prod(kept)), mat)
-        return FactorizedState(new, fs.alice_factors, kept)
-
-    if isinstance(op, LocalUnitary):
+        sides[op.side] = tuple(d for i, d in enumerate(factors) if i != op.index)
+    elif isinstance(op, LocalUnitary):
         if op.u_a.shape[0] != state.dim_a or op.u_b.shape[0] != state.dim_b:
             raise DimensionError(
                 f"unitary dims ({op.u_a.shape[0]}, {op.u_b.shape[0]}) do not match "
                 f"state dims ({state.dim_a}, {state.dim_b})"
             )
-        new = DensityMatrix(state.dim_a, state.dim_b, _local_unitary(state.mat, op.u_a, op.u_b))
-        return FactorizedState(new, fs.alice_factors, fs.bob_factors)
-
-    if isinstance(op, LvnMeasurement):
+        mat = _local_unitary(state.mat, op.u_a, op.u_b)
+    elif isinstance(op, LvnMeasurement):
         local_dim = state.dim_a if op.side == "alice" else state.dim_b
         if op.projectors[0].shape[0] != local_dim:
             raise DimensionError(
@@ -221,10 +199,10 @@ def apply(op: LocalOperation, fs: FactorizedState) -> FactorizedState:
                 f"{op.side} dimension {local_dim}"
             )
         mat = _measured(state.mat, op.projectors, op.side, state.dim_a, state.dim_b)
-        new = DensityMatrix(state.dim_a, state.dim_b, mat)
-        return FactorizedState(new, fs.alice_factors, fs.bob_factors)
-
-    raise TypeError(f"unknown local operation {op!r}")
+    else:
+        raise TypeError(f"unknown local operation {op!r}")
+    alice, bob = sides.values()
+    return FactorizedState(DensityMatrix(prod(alice), prod(bob), mat), alice, bob)
 
 
 class ProbeResult(NamedTuple):

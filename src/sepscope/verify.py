@@ -28,14 +28,7 @@ from .linalg import (
     _trace_norms,
     _trace_out,
 )
-from .locc import (
-    _check_projectors,
-    _check_unitaries,
-    _local_unitary,
-    _measured,
-    _pinching,
-    _with_ancilla,
-)
+from .locc import _check_projectors, _check_unitaries, _local_unitary, _measured, _pinching
 from .realign import _ccn_values, _reshuffle, realign
 from .states import (
     _counterexample_closed_forms,
@@ -235,7 +228,7 @@ def _sandwich_slacks(d: int, seeds, g) -> np.ndarray:
     starts = None if d == 2 else np.stack([
         _haar_starts(d, _SANDWICH_RESTARTS, np.random.default_rng(s)) for s in seeds
     ])
-    best = np.array([opt.value for opt in _optimize_psd(mats, eigs[:, 0], starts)])
+    best = _optimize_psd(mats, eigs[:, 0], starts)[0]
     tau = _ccn_values(mats, d, d)
     trace = np.trace(_reshuffle(mats, d, d), axis1=-2, axis2=-1).real
     lower = _overlaps(mats, d)
@@ -285,7 +278,7 @@ def _monotonicity_slacks(key, *draws) -> np.ndarray:
     tau = _ccn_values(rho, da, db)
     rotated = _local_unitary(rho, ua, ub)
     measured = _measured(rho, projs, side, da, db)
-    extended = _with_ancilla(rho, anc, "alice", da, db)
+    extended = _tensor_pairs(rho, anc, [da, db, 2, 1])  # the ancilla joins alice
     for after in (rotated, measured, extended):
         _check_states(after)
     return np.array([

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sepscope import cli
+from sepscope import cli, criteria
 from sepscope.cli import _csv_cell, ccn_threshold, load_state_file, main, save_state_file
 from sepscope.criteria import _CHUNK_POINTS, full_report
 from sepscope.linalg import _check_states
@@ -398,6 +398,43 @@ def test_ccn_threshold_bisection():
     value = ccn_threshold(spec, "p", 0.0, 1.0)
     assert value == pytest.approx(1 / 3, abs=1e-8)
     assert ccn_threshold(spec, "p", 0.0, 0.2) is None
+
+
+@pytest.mark.parametrize("family,param,steps,crossing", [
+    *((family, param, steps, "0.3333333333333333")
+      for family, param in (("werner:d=2,p=0", "p"), ("isotropic:d=3,F=0", "F"))
+      for steps in (4, 10, 13, 31, 61)),
+    ("werner:d=3,p=0", "p", 41, "0.5"),
+])
+def test_scan_reports_a_crossing_on_a_grid_point(capsys, family, param, steps, crossing):
+    # tau at the grid point reads 1 +- 2^-52 or so: inside the flag margin, so
+    # the point is the crossing itself, though tau - 1 has no sign change there
+    code, out, err = run(capsys, "scan", family, "--param", param, f"--range=0:1:{steps}",
+                         "--restarts", "2")
+    assert code == 0 and err == ""
+    lines = [ln for ln in out.splitlines() if ln.startswith("# ccn-threshold")]
+    assert lines == [f"# ccn-threshold {param} = {crossing}"]
+
+
+def test_scan_checks_out_path_before_any_numerics(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return chunk_reports(*args)
+
+    chunk_reports = criteria._chunk_reports
+    monkeypatch.setattr(criteria, "_chunk_reports", spy)
+    argv = ["scan", "isotropic:d=3,F=0", "--param", "F", "--range=0:1:101"]
+    bad = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *argv, "--out", str(bad))
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: [Errno 2] No such file or directory: '{bad}'\n"
+    # invalid restarts are refused before the path is opened, so no file appears
+    fresh = tmp_path / "fresh.csv"
+    code, _, err = run(capsys, *argv, "--restarts", "0", "--out", str(fresh))
+    assert code == 2 and "restarts must be >= 1" in err
+    assert not fresh.exists() and calls == []
 
 
 def test_verify_norms_and_spectra(capsys):

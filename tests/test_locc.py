@@ -55,7 +55,8 @@ def test_add_ancilla_then_trace_out_round_trip(rng):
 
 
 def test_add_ancilla_layout(rng):
-    # appending on alice regroups so the ancilla sits inside alice's block
+    # appending on alice regroups so the ancilla sits inside alice's block;
+    # on bob it is already last, so the product needs no regrouping
     from sepscope.linalg import permute_subsystems
 
     fs = single_factor(random_density_matrix(2, 2, rng=rng))
@@ -63,7 +64,10 @@ def test_add_ancilla_layout(rng):
     grown = apply(AddAncilla("alice", sigma), fs)
     assert grown.alice_factors == (2, 3) and grown.bob_factors == (2,)
     expected = permute_subsystems(tensor(fs.state.mat, sigma), [2, 2, 3], (0, 2, 1))
-    np.testing.assert_allclose(grown.state.mat, expected, atol=1e-14)
+    assert grown.state.mat.tobytes() == expected.tobytes()
+    grown = apply(AddAncilla("bob", sigma), fs)
+    assert grown.alice_factors == (2,) and grown.bob_factors == (2, 3)
+    assert grown.state.mat.tobytes() == tensor(fs.state.mat, sigma).tobytes()
 
 
 def test_lvn_measurement_on_psi_plus():
