@@ -18,7 +18,7 @@ import numpy as np
 from .criteria import (CriterionReport, _check_restarts, _chunks, _stacked_reports,
                        fidelity_optimize, full_report, realigned_trace)
 from .linalg import TOL_BISECT, TOL_FLAG, DensityMatrix, TraceClassOperator, _check_states
-from .realign import ccn_value
+from .realign import _ccn_values, ccn_value
 from .states import (FamilySpec, _family_matrix, make_state, param_kind, parse_family,
                      replace_param)
 from .verify import SUITES
@@ -211,14 +211,23 @@ def _csv_cell(value) -> str:
     return repr(float(value))
 
 
-def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float) -> float | None:
+def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float,
+                  tau_lo: float | None = None, tau_hi: float | None = None) -> float | None:
     """Bisect tau(parameter) = 1 inside [lo, hi]; None without a sign change.
-    An end within the flag margin TOL_FLAG of tau = 1 is itself the crossing."""
+    An end within the flag margin TOL_FLAG of tau = 1 is itself the crossing.
+    ``tau_lo`` and ``tau_hi`` are tau at the ends when already known, as in a
+    scan's rows; an end without one is built like every midpoint."""
 
     def excess(value: float) -> float:
-        return ccn_value(make_state(replace_param(spec, key, value))) - 1.0
+        # make_state and ccn_value on a one-state stack: the same checks,
+        # messages and tau, without a DensityMatrix
+        da, db, mat = _family_matrix(replace_param(spec, key, value))
+        mats = mat[None]
+        _check_states(mats)
+        return float(_ccn_values(mats, da, db)[0]) - 1.0
 
-    f_lo, f_hi = excess(lo), excess(hi)
+    f_lo = excess(lo) if tau_lo is None else tau_lo - 1.0
+    f_hi = excess(hi) if tau_hi is None else tau_hi - 1.0
     if abs(f_lo) <= TOL_FLAG:
         return lo
     if abs(f_hi) <= TOL_FLAG:
@@ -240,7 +249,7 @@ def _scan_chunks(specs):
     """The specs' states as checked stacks (da, db, mats, eigs), in order: each
     chunk of _chunks is built and checked whole, with no per-point state object."""
     built = (_family_matrix(spec) for spec in specs)
-    for (da, db), chunk in _chunks(built, key=lambda item: item[:2]):
+    for (da, db), chunk in _chunks(built, lambda item: item[:2]):
         mats = np.stack([mat for _, _, mat in chunk])
         yield da, db, mats, _check_states(mats)
 
@@ -266,7 +275,8 @@ def cmd_scan(args) -> int:
     bisect = param_kind(spec, args.param) is not int
     for i in range(steps - 1):
         if bisect and reports[i].ccn_flag != reports[i + 1].ccn_flag:
-            crossing = ccn_threshold(spec, args.param, float(values[i]), float(values[i + 1]))
+            crossing = ccn_threshold(spec, args.param, float(values[i]), float(values[i + 1]),
+                                     reports[i].tau, reports[i + 1].tau)
             if crossing is not None:
                 lines.append(f"# ccn-threshold {args.param} = {crossing!r}")
     text = "\n".join(lines) + "\n"

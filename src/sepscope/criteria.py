@@ -102,17 +102,29 @@ class FidelityResult(NamedTuple):
 
 _ASCENT_MAX_ITER = 2000
 
-# At most this many states share one report chunk and its ascent.  Batching them
-# removes the per-state Python dispatch; larger batches gain little more,
-# while their stacked d^2 x d^2 matrices and iterates grow with every state.
+# At most this many states share one ascent chunk.  Batching them removes the
+# per-state Python dispatch; larger batches gain little more, while the
+# ascent's per-(state, restart) iterates grow with every state.
 _CHUNK_POINTS = 16
+# A chunk that runs no ascent (d = 2, or unequal local dimensions) holds only
+# its stacked matrices, so it may hold as many entries as 16 states at d = 8.
+_CHUNK_ENTRIES = 16 * 64**2
 
 
-def _chunks(items, key):
-    """(key, chunk) for each run of consecutive items of one key, cut into
-    chunks of at most _CHUNK_POINTS; ``items`` is consumed a chunk at a time."""
-    for k, run in groupby(items, key=key):
-        while chunk := list(islice(run, _CHUNK_POINTS)):
+def _chunk_points(da: int, db: int) -> int:
+    """The most states of local dimensions (da, db) in one chunk."""
+    if da == db != 2:
+        return _CHUNK_POINTS
+    return max(_CHUNK_POINTS, _CHUNK_ENTRIES // (da * db) ** 2)
+
+
+def _chunks(items, dims):
+    """((da, db), chunk) for each run of consecutive items of one
+    ``dims(item)``, cut into chunks of at most _chunk_points(da, db);
+    ``items`` is consumed a chunk at a time."""
+    for k, run in groupby(items, key=dims):
+        size = _chunk_points(*k)
+        while chunk := list(islice(run, size)):
             yield k, chunk
 
 

@@ -570,7 +570,8 @@ def param_kind(spec: FamilySpec, key: str) -> type:
     params = scannable_params(spec)
     if key not in params:
         name = _CLASS_TO_NAME[type(spec)]
-        raise ValueError(f"{name}: no scalar parameter '{key}' (have: {', '.join(params)})")
+        have = f"have: {', '.join(params)}" if params else "the family has none"
+        raise ValueError(f"{name}: no scalar parameter '{key}' ({have})")
     _, keys = _REGISTRY[_CLASS_TO_NAME[type(spec)]]
     return keys[key][1]
 

@@ -7,8 +7,9 @@ import pytest
 
 from sepscope import cli, criteria
 from sepscope.cli import _csv_cell, ccn_threshold, load_state_file, main, save_state_file
-from sepscope.criteria import _CHUNK_POINTS, full_report
-from sepscope.linalg import _check_states
+from sepscope.criteria import _CHUNK_POINTS, _chunk_points, full_report
+from sepscope.linalg import TOL_FLAG, _check_states
+from sepscope.realign import ccn_value
 from sepscope.states import (
     RandomState,
     Werner,
@@ -200,6 +201,15 @@ def test_scan_deterministic_and_parallel(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("family", ["pure:a=0.5,0.5", "maxdis:t=0.5,-0.5,0.5",
+                                    "belldiag:p=0.6,0.2,0.1,0.1"])
+def test_scan_family_without_scalar_parameter(capsys, family):
+    code, out, err = run(capsys, "scan", family, "--param", "x", "--range", "0:1:5")
+    name = family.split(":")[0]
+    assert (code, out) == (2, "")
+    assert err == f"error: {name}: no scalar parameter 'x' (the family has none)\n"
+
+
 def test_scan_argument_errors(capsys):
     code, _, err = run(capsys, "scan", "werner:d=2,p=0", "--param", "q",
                        "--range", "0:1:5")
@@ -325,7 +335,8 @@ def test_scan_rows_match_full_report(capsys, family, param, text):
 
 def test_scan_checks_each_chunk_in_one_stack(monkeypatch):
     # consecutive states of one shape are checked together, at most
-    # _CHUNK_POINTS at a time, and each equals make_state of its spec bit for bit
+    # _chunk_points(da, db) at a time, and each equals make_state of its spec
+    # bit for bit
     sizes = []
 
     def spy(mats):
@@ -351,7 +362,7 @@ def test_scan_checks_each_chunk_in_one_stack(monkeypatch):
         sizes.clear()
         chunks = list(cli._scan_chunks(specs))
         assert sizes == [len(mats) for _, _, mats, _ in chunks]
-        assert sizes and all(n <= _CHUNK_POINTS for n in sizes)
+        assert sizes and all(len(mats) <= _chunk_points(da, db) for da, db, mats, _ in chunks)
         points = [(da, db, mat, eig) for da, db, mats, eigs in chunks
                   for mat, eig in zip(mats, eigs)]
         assert len(points) == len(specs)
@@ -361,11 +372,80 @@ def test_scan_checks_each_chunk_in_one_stack(monkeypatch):
             assert mat.tobytes() == want.mat.tobytes()
             assert eig.tobytes() == np.linalg.eigvalsh(mat).tobytes()
             assert eig.tobytes() == want._eigs.tobytes()
-    # 35 seeds at one shape make chunks of 16, 16 and 3
-    specs = [RandomState(2, 2, seed=k) for k in range(35)]
-    sizes.clear()
-    assert [(da, db) for da, db, _, _ in cli._scan_chunks(specs)] == [(2, 2)] * 3
-    assert sizes == [16, 16, 3]
+    # 35 seeds at d = 3, which runs the ascent, make chunks of 16, 16 and 3;
+    # at d = 2, and at 2 x 3, they make one chunk
+    for shape, want in (((3, 3), [16, 16, 3]), ((2, 2), [35]), ((2, 3), [35])):
+        specs = [RandomState(*shape, seed=k) for k in range(35)]
+        sizes.clear()
+        assert [(da, db) for da, db, _, _ in cli._scan_chunks(specs)] == [shape] * len(want)
+        assert sizes == want
+    # a chunk without an ascent holds as many entries as 16 states at d = 8,
+    # and never fewer than 16 states
+    assert _chunk_points(3, 3) == _chunk_points(8, 8) == _CHUNK_POINTS == 16
+    assert [_chunk_points(*dims) for dims in ((2, 2), (2, 3), (2, 8), (4, 16), (8, 16))] == [
+        4096, 1820, 256, 16, 16]
+
+
+def _scan_taus(capsys, family, param, text):
+    """(grid values, tau column) of a one-restart scan."""
+    code, out, err = run(capsys, "scan", family, "--param", param, f"--range={text}",
+                         "--restarts", "1")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+    return [float(row[0]) for row in rows], [float(row[1]) for row in rows]
+
+
+_THRESHOLD_GRIDS = [
+    ("werner:d=2,p=0", "p", "0:1:101"),
+    ("counterexample:s=0.5,r=0.25,t=0", "t", "-0.2:0.2:101"),
+    *((family, param, f"0:1:{steps}")
+      for family, param in (("werner:d=2,p=0", "p"), ("isotropic:d=3,F=0", "F"))
+      for steps in (4, 10, 13, 31, 61)),
+    ("werner:d=3,p=0", "p", "0:1:41"),
+]
+
+
+@pytest.mark.parametrize("family,param,text", _THRESHOLD_GRIDS)
+def test_scan_taus_equal_ccn_value_of_make_state(capsys, family, param, text):
+    # the bisection takes its ends' tau from the scan's rows, which is sound
+    # only because each row's tau is ccn_value(make_state(spec)) bit for bit
+    spec = parse_family(family)
+    values, taus = _scan_taus(capsys, family, param, text)
+    for value, tau in zip(values, taus):
+        assert tau == ccn_value(make_state(replace_param(spec, param, value))), value
+    crossings = 0
+    for i in range(len(values) - 1):
+        lo, hi = values[i], values[i + 1]
+        if (taus[i] > 1.0 + TOL_FLAG) != (taus[i + 1] > 1.0 + TOL_FLAG):
+            crossings += 1
+            want = ccn_threshold(spec, param, lo, hi)
+            assert ccn_threshold(spec, param, lo, hi, taus[i], taus[i + 1]) == want
+    assert crossings
+
+
+def test_scan_builds_each_state_once(capsys, monkeypatch):
+    # the bisection builds only its midpoints, through the scan's own path
+    built, made = [], []
+
+    def build(spec):
+        built.append(spec)
+        return family_matrix(spec)
+
+    family_matrix = cli._family_matrix
+    monkeypatch.setattr(cli, "_family_matrix", build)
+    monkeypatch.setattr(cli, "make_state", lambda spec: made.append(spec))
+    for argv, count, lines in (
+        (["werner:d=2,p=0", "--param", "p", "--range=0:1:101"], 125,
+         ["# ccn-threshold p = 0.3333333334326744"]),
+        (["counterexample:s=0.5,r=0.25,t=0", "--param", "t", "--range=-0.2:0.2:101"], 145,
+         ["# ccn-threshold t = -0.11611652326583863",
+          "# ccn-threshold t = 0.1161165232658386"]),
+    ):
+        built.clear()
+        code, out, err = run(capsys, "scan", *argv, "--restarts", "1")
+        assert code == 0, err
+        assert [line for line in out.splitlines() if line.startswith("#")] == lines
+        assert len(built) == count and made == []
 
 
 def test_zero_restarts_rejected(capsys):

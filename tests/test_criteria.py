@@ -914,9 +914,10 @@ def _exact_fidelity_cases(d, rng):
 
 
 def test_full_reports_reach_the_exact_fidelities(rng):
-    # each state as given and under a seeded U_A (x) U_B, which keeps f
+    # each state as given and under a seeded U_A (x) U_B, which keeps f; odd
+    # and even d up to 12 (d = 16 would add over a second to the suite)
     cases = []
-    for d in (3, 4, 5, 6):
+    for d in range(3, 13):
         for rho, exact in _exact_fidelity_cases(d, rng):
             u = tensor(random_unitary(d, rng), random_unitary(d, rng))
             cases += [(rho, exact), (DensityMatrix(d, d, u @ rho.mat @ u.conj().T), exact)]
