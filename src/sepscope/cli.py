@@ -213,7 +213,8 @@ def _csv_cell(value) -> str:
 
 def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float,
                   tau_lo: float | None = None, tau_hi: float | None = None) -> float | None:
-    """Bisect tau(parameter) = 1 inside [lo, hi]; None without a sign change.
+    """Bisect tau(parameter) = 1 between lo and hi, in either order; None
+    without a sign change.
     An end within the flag margin TOL_FLAG of tau = 1 is itself the crossing.
     ``tau_lo`` and ``tau_hi`` are tau at the ends when already known, as in a
     scan's rows; an end without one is built like every midpoint."""
@@ -236,7 +237,7 @@ def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float,
         return None
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if hi - lo <= TOL_BISECT:
+        if abs(hi - lo) <= TOL_BISECT:
             break
         if np.sign(excess(mid)) == np.sign(f_lo):
             lo = mid

@@ -23,6 +23,7 @@ import numpy as np
 from .hsbasis import PAULI, HSDecomposition, _coefficients, t_trace_norm
 from .linalg import (
     TOL_ASCENT,
+    TOL_CEILING,
     TOL_CLOSED_FORM,
     TOL_DISORDERED,
     TOL_FLAG,
@@ -155,7 +156,7 @@ def _polar(g: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
+def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter: int):
     """Monotone fixed-point ascent of <psi_U|rho|psi_U> for a stack of PSD rho.
 
     ``mats`` is (P, d^2, d^2) and ``starts`` (P, R, d, d), or broadcastable
@@ -169,11 +170,18 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     is lower (only reachable through rounding noise; the previous U is kept)
     or when the gain is at most tol; unconverged after max_iter steps.
 
+    ``ceiling`` (P,), or a scalar, bounds each problem's objective from
+    above; np.inf switches the bound off.  A pair whose value reaches
+    ceiling - TOL_CEILING, at its start or after any step, is optimal to
+    within TOL_CEILING and stops converged; its problem's other unfinished
+    pairs then stop where they are, unconverged.
+
     Only the unfinished pairs are carried, problem-major, each with its
-    iterate, product and value; a pair is written to the results on the step
-    it stops.  Each live problem multiplies just its unfinished restarts,
-    packed to the front, padded to at least min(2, R) rows: numpy sends a
-    one-row product down its matrix-vector path, which rounds differently.
+    iterate, product, value and ceiling; a pair is written to the results on
+    the step it stops.  Each live problem multiplies just its unfinished
+    restarts, packed to the front, padded to at least min(2, R) rows: numpy
+    sends a one-row product down its matrix-vector path, which rounds
+    differently.
 
     Returns the values (P, R), the unitaries (P, R, d, d) and the converged
     flags (P, R).
@@ -185,11 +193,15 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
     x = _vec_t(np.broadcast_to(starts, (p,) + starts.shape[-3:])).copy()
     y = x @ mats.swapaxes(-1, -2)
     values = np.sum(x.conj() * y, axis=-1).real / d
-    converged = np.zeros(values.shape, dtype=bool)
-    act = ~converged  # act[i, r]: restart r of live problem i is unfinished
+    reach = np.broadcast_to(ceiling, (p,)) - TOL_CEILING
+    converged = values >= reach[:, None]  # a problem that starts at its ceiling runs no step
+    live = np.flatnonzero(~converged.any(axis=1))
+    # act[i, r]: restart r of live problem i is unfinished
+    act = np.ones((live.size, x.shape[1]), dtype=bool)
     li, ri = np.nonzero(act)  # the unfinished pairs, problem-major
-    pi, row, xs, ys, vs = li, ri, x.reshape(-1, d * d), y.reshape(-1, d * d), values.ravel()
-    live, live_t = np.arange(p), mats.swapaxes(-1, -2)
+    pi, row = live[li], ri
+    xs, ys, vs, cs = x[pi, ri], y[pi, ri], values[pi, ri], reach[pi]
+    live_t = (mats if live.size == p else mats[live]).swapaxes(-1, -2)
     # pair k is row row[k] of live problem li[k] in the product, which takes
     # the first `rows` rows of each live problem's block of ``trial``
     trial, rows, min_rows = np.zeros_like(x), x.shape[1], min(2, x.shape[1])
@@ -203,14 +215,19 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
         y_next = (trial[:live.size, :rows] @ live_t)[li, row]
         nxt = np.sum(x_next.conj() * y_next, axis=-1).real / d
         stop = flat | (nxt < vs)
-        done = stop | (nxt - vs <= tol)
+        at_top = nxt >= cs
+        done = stop | at_top | (nxt - vs <= tol)
         if done.any():
             x_next[stop], nxt[stop] = xs[stop], vs[stop]  # stopped pairs keep their U
-            x[pi[done], ri[done]], values[pi[done], ri[done]] = x_next[done], nxt[done]
             converged[pi[done], ri[done]] = True
-            go = ~done
-            x_next, y_next, nxt = x_next[go], y_next[go], nxt[go]
             act[li[done], ri[done]] = False
+            # a pair at its ceiling ends its problem; a stopped pair kept its
+            # previous value, which lay below the ceiling
+            act[li[at_top & ~stop]] = False
+            out = ~act[li, ri]
+            x[pi[out], ri[out]], values[pi[out], ri[out]] = x_next[out], nxt[out]
+            go = ~out
+            x_next, y_next, nxt, cs = x_next[go], y_next[go], nxt[go], cs[go]
             keep = act.any(axis=1)
             if not keep.all():
                 live, act = live[keep], act[keep]
@@ -247,28 +264,32 @@ def _two_qubit_optimum(mats: np.ndarray):
     return vals[:, -1], us, np.ones(len(us), dtype=bool)
 
 
-def _optimize_psd(mats: np.ndarray, lam_min: np.ndarray, starts: np.ndarray | None):
+def _optimize_psd(mats: np.ndarray, eigs: np.ndarray, taus: np.ndarray,
+                  starts: np.ndarray | None):
     """Best fidelity of each PSD matrix in the stack (P, d^2, d^2), whose
-    smallest eigenvalues are ``lam_min`` (P,), as the values (P,), unitaries
-    (P, d, d) and converged flags (P,).
+    ascending spectra are ``eigs`` (P, d^2) and CCN values ``taus`` (P,), as
+    the values (P,), unitaries (P, d, d) and converged flags (P,).
 
-    At d = 2 it is exact (_two_qubit_optimum); ``lam_min`` and ``starts``
-    are unused.
+    At d = 2 it is exact (_two_qubit_optimum); ``eigs``, ``taus`` and
+    ``starts`` are unused.
     Above, each matrix ascends from ``starts``, (R, d, d) shared by every
     matrix or (P, R, d, d) one set per matrix, and the best restart wins.
     The ascent runs on rho - s I with s = max(lambda_min, 0): that moves
     every value by exactly s, so it keeps the maximisers, and it removes the
-    s U/d part of the gradient, which only damps each step.  The values are
-    evaluated on rho itself.
+    s U/d part of the gradient, which only damps each step.  Its ceiling is
+    min(tau/d, lambda_max) - s: the sandwich's upper bound, and the bound of
+    any unit vector's overlap.  The values are evaluated on rho itself.
     """
     side = mats.shape[-1]
     if side == 4:
         return _two_qubit_optimum(mats)
-    shift = np.maximum(lam_min, 0.0)
+    d = starts.shape[-1]
+    shift = np.maximum(eigs[:, 0], 0.0)
     shifted = mats - shift[:, None, None] * np.eye(side)
-    _, us, converged = _ascend(shifted, starts, TOL_ASCENT, _ASCENT_MAX_ITER)
+    ceiling = np.minimum(taus / d, eigs[:, -1]) - shift
+    _, us, converged = _ascend(shifted, starts, ceiling, TOL_ASCENT, _ASCENT_MAX_ITER)
     x = _vec_t(us)
-    values = np.sum(x.conj() * (x @ mats.swapaxes(-1, -2)), axis=-1).real / us.shape[-1]
+    values = np.sum(x.conj() * (x @ mats.swapaxes(-1, -2)), axis=-1).real / d
     best = np.arange(len(values)), np.argmax(values, axis=1)  # the first restart wins ties
     return values[best], us[best], converged[best]
 
@@ -294,7 +315,9 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     d, rng = rho.dim, np.random.default_rng(seed)
     if isinstance(rho, DensityMatrix):
         starts = None if d == 2 else _haar_starts(d, restarts, rng)
-        values, unitaries, converged = _optimize_psd(rho.mat[None], rho._eigs[:1], starts)
+        mats = rho.mat[None]
+        values, unitaries, converged = _optimize_psd(
+            mats, rho._eigs[None], _ccn_values(mats, d, d), starts)
         best = values[0], unitaries[0], converged[0]
     else:
         best = _optimize_trace_class(rho.mat, d, restarts, rng)
@@ -309,9 +332,11 @@ def _optimize_trace_class(mat, d, restarts, rng):
     skew-Hermitian parts (two phases for Hermitian input, else 24) ascends
     from its own Haar starts on c - lambda_min(c) I: PSD, so the ascent is
     monotone, and every value moves by the same amount, so the maximisers
-    stay.  Every (phase, restart) pair is then scored by its overlap modulus
-    on ``mat`` itself; the first in phase-major order wins ties.  Returns
-    the winner's value, unitary and converged flag.
+    stay.  It runs without a ceiling, as a restart stopped at its
+    combination's ceiling might still have scored highest on ``mat``.
+    Every (phase, restart) pair is then scored by its overlap modulus on
+    ``mat`` itself; the first in phase-major order wins ties.  Returns the
+    winner's value, unitary and converged flag.
     """
     herm = (mat + mat.conj().T) / 2.0
     skew = (mat - mat.conj().T) / 2.0j
@@ -320,7 +345,7 @@ def _optimize_trace_class(mat, d, restarts, rng):
     combos = [np.cos(theta) * herm + np.sin(theta) * skew for theta in phases]
     mats = np.stack([c - np.linalg.eigvalsh(c)[0] * np.eye(d * d) for c in combos])
     starts = np.stack([_haar_starts(d, restarts, rng) for _ in phases])  # phase-major draws
-    _, us, converged = _ascend(mats, starts, TOL_ASCENT, _ASCENT_MAX_ITER)
+    _, us, converged = _ascend(mats, starts, np.inf, TOL_ASCENT, _ASCENT_MAX_ITER)
     x = _vec_t(us).reshape(-1, d * d)
     overlaps = np.abs(np.sum(x.conj() * (x @ mat.T), axis=-1)) / d
     best = int(np.argmax(overlaps))  # phase-major, the first restart wins ties
@@ -579,7 +604,7 @@ def _chunk_reports(da, db, mats, eigs, starts) -> list[CriterionReport]:
         )
         return [CriterionReport(**common, **undefined) for common in fixed]
     d = da
-    best, _, converged = _optimize_psd(mats, eigs[:, 0], starts)
+    best, _, converged = _optimize_psd(mats, eigs, taus, starts)
     overlaps = _overlaps(mats, d)
     notes: list[list[str]] = [[] for _ in mats]
     # positivity of the correlation matrix is meaningful in the conjugated

@@ -228,7 +228,9 @@ def _sandwich_slacks(d: int, seeds, g) -> np.ndarray:
     starts = None if d == 2 else np.stack([
         _haar_starts(d, _SANDWICH_RESTARTS, np.random.default_rng(s)) for s in seeds
     ])
-    best = _optimize_psd(mats, eigs[:, 0], starts)[0]
+    # no tau in the ascent's ceiling, so the upper-bound slack checks tau
+    # against an ascent that never saw it
+    best = _optimize_psd(mats, eigs, np.full(len(mats), np.inf), starts)[0]
     tau = _ccn_values(mats, d, d)
     trace = np.trace(_reshuffle(mats, d, d), axis1=-2, axis2=-1).real
     lower = _overlaps(mats, d)

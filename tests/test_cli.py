@@ -8,7 +8,7 @@ import pytest
 from sepscope import cli, criteria
 from sepscope.cli import _csv_cell, ccn_threshold, load_state_file, main, save_state_file
 from sepscope.criteria import _CHUNK_POINTS, _chunk_points, full_report
-from sepscope.linalg import TOL_FLAG, _check_states
+from sepscope.linalg import TOL_BISECT, TOL_FLAG, _check_states
 from sepscope.realign import ccn_value
 from sepscope.states import (
     RandomState,
@@ -494,6 +494,26 @@ def test_scan_reports_a_crossing_on_a_grid_point(capsys, family, param, steps, c
     assert code == 0 and err == ""
     lines = [ln for ln in out.splitlines() if ln.startswith("# ccn-threshold")]
     assert lines == [f"# ccn-threshold {param} = {crossing}"]
+
+
+@pytest.mark.parametrize("family, param, descending, ascending, closed", [
+    ("isotropic:d=3,F=0", "F", "1:0:11", "0:1:11", [1 / 3]),
+    ("counterexample:s=0.5,r=0.25,t=0", "t", "0.2:-0.2:11", "-0.2:0.2:11",
+     [1 - counterexample_spectra(Counterexample(0.5, 0.25, 0.0)).g,
+      counterexample_spectra(Counterexample(0.5, 0.25, 0.0)).g - 1]),
+])
+def test_scan_bisects_a_descending_range(capsys, family, param, descending, ascending, closed):
+    # a descending grid brackets each crossing with lo > hi; the bisection
+    # must still narrow it to TOL_BISECT, as on the ascending grid
+    found = {}
+    for text in (descending, ascending):
+        code, out, err = run(capsys, "scan", family, "--param", param, f"--range={text}",
+                             "--restarts", "1")
+        assert code == 0, err
+        found[text] = [float(line.split("=")[-1]) for line in out.splitlines()
+                       if line.startswith("# ccn-threshold")]
+    np.testing.assert_allclose(found[descending], closed, rtol=0, atol=TOL_BISECT)
+    np.testing.assert_allclose(found[descending], found[ascending][::-1], rtol=0, atol=TOL_BISECT)
 
 
 def test_scan_checks_out_path_before_any_numerics(capsys, monkeypatch, tmp_path):

@@ -227,7 +227,7 @@ def _phase_matrices(mat, phases):
 
 
 def _assert_engine_matches_serial(mats, starts, d, max_iter=2000):
-    values, us, converged = criteria._ascend(np.stack(mats), starts, 1e-10, max_iter)
+    values, us, converged = criteria._ascend(np.stack(mats), starts, np.inf, 1e-10, max_iter)
     for k, mat in enumerate(mats):
         ref = [_serial_ascent(mat, d, u0, max_iter=max_iter)
                for u0 in np.broadcast_to(starts, us.shape)[k]]
@@ -385,7 +385,7 @@ def test_ascent_values_never_decrease_with_max_iter(d):
     starts = criteria._haar_starts(d, 16, np.random.default_rng(0))
     previous = None
     for max_iter in range(1, 13):
-        values, _, _ = criteria._ascend(mats, starts, criteria.TOL_ASCENT, max_iter)
+        values, _, _ = criteria._ascend(mats, starts, np.inf, criteria.TOL_ASCENT, max_iter)
         if previous is not None:
             assert np.all(values >= previous), f"a value fell at max_iter = {max_iter}"
         previous = values
@@ -424,10 +424,10 @@ def test_ascent_is_scale_equivariant():
         rng = np.random.default_rng(52)
         mats = np.stack([random_density_matrix(d, d, rng=rng).mat for _ in range(3)])
         starts = criteria._haar_starts(d, 4, rng)
-        values, us, converged = criteria._ascend(mats, starts, 1e-10, 2000)
+        values, us, converged = criteria._ascend(mats, starts, np.inf, 1e-10, 2000)
         for exponent in (-530, -570, 570):
             scale = 2.0**exponent
-            scaled = criteria._ascend(scale * mats, starts, scale * 1e-10, 2000)
+            scaled = criteria._ascend(scale * mats, starts, np.inf, scale * 1e-10, 2000)
             np.testing.assert_allclose(scaled[0] / scale, values, rtol=1e-14, atol=0)
             np.testing.assert_allclose(scaled[1], us, rtol=0, atol=1e-13)
             np.testing.assert_array_equal(scaled[2], converged)
@@ -455,9 +455,9 @@ def test_ascent_problems_leaving_the_product_match_solo_runs(d, monkeypatch):
     solo = []
     for mat in mats:
         steps.append(0)
-        solo.append(criteria._ascend(mat[None], starts, criteria.TOL_ASCENT, 2000))
+        solo.append(criteria._ascend(mat[None], starts, np.inf, criteria.TOL_ASCENT, 2000))
     assert max(steps) >= 5 * max(1, min(steps)), steps
-    values, us, converged = criteria._ascend(mats, starts, criteria.TOL_ASCENT, 2000)
+    values, us, converged = criteria._ascend(mats, starts, np.inf, criteria.TOL_ASCENT, 2000)
 
     for k, (v, u, c) in enumerate(solo):
         np.testing.assert_array_equal(values[k], v[0])
@@ -537,10 +537,44 @@ def test_ascent_matches_the_full_batch_loop_bit_for_bit(d, max_iter):
             shared = criteria._haar_starts(d, r, rng)
             own = np.stack([criteria._haar_starts(d, r, rng) for _ in range(p)])
             for starts in (shared, own):
-                got = criteria._ascend(mats, starts, criteria.TOL_ASCENT, max_iter)
+                got = criteria._ascend(mats, starts, np.inf, criteria.TOL_ASCENT, max_iter)
                 want = _full_batch_ascend(mats, starts, criteria.TOL_ASCENT, max_iter)
                 for got_a, want_a in zip(got, want):
                     np.testing.assert_array_equal(got_a, want_a)
+
+
+def test_ascent_stops_each_problem_at_its_ceiling():
+    rng = np.random.default_rng(90)
+    mats = _mixed_problems(3, rng)
+    starts = criteria._haar_starts(3, 6, rng)
+    tol = criteria.TOL_ASCENT
+    plain = criteria._ascend(mats, starts, np.inf, tol, 2000)
+    best = plain[0].max(axis=1)
+    # a ceiling out of reach changes no bit
+    far = criteria._ascend(mats, starts, best + 1e-6, tol, 2000)
+    for got, want in zip(far, plain):
+        np.testing.assert_array_equal(got, want)
+    # at each problem's best value: one pair reaches it and stops converged;
+    # every pair walks its plain path, so it ends at most where that path ends
+    values, us, converged = criteria._ascend(mats, starts, best, tol, 2000)
+    reached = values >= best[:, None] - criteria.TOL_CEILING
+    assert reached.any(axis=1).all()
+    assert converged[reached].all()
+    assert np.all(values <= plain[0])
+    assert not converged.all()
+    for u, mat, value in zip(us.reshape(-1, 3, 3), np.repeat(mats, 6, axis=0), values.ravel()):
+        assert _overlap(mat, u).real == pytest.approx(value, abs=1e-13)
+    # a problem whose identity start is at its ceiling runs no step: that
+    # restart converged, the others unconverged at their starts
+    start = criteria._ascend(mats, starts, np.inf, tol, 0)[0]
+    ceiling = np.full(len(mats), np.inf)
+    ceiling[0] = start[0, 0]
+    values, us, converged = criteria._ascend(mats, starts, ceiling, tol, 2000)
+    np.testing.assert_array_equal(values[0], start[0])
+    np.testing.assert_array_equal(us[0], starts)
+    np.testing.assert_array_equal(converged[0], start[0] >= start[0, 0] - criteria.TOL_CEILING)
+    for got, want in zip((values, us, converged), plain):
+        np.testing.assert_array_equal(got[1:], want[1:])
 
 
 @pytest.mark.parametrize("d, restarts", [(1, 4), (3, 6), (12, 16), (3, 1)])
@@ -572,7 +606,7 @@ def test_two_qubit_fidelity_is_exact():
     mats = np.stack([rho.mat for rho in states])
     # many restarts of the ascent, none of which may beat the exact value
     starts = criteria._haar_starts(2, 32, np.random.default_rng(71))
-    ascended, _, _ = criteria._ascend(mats, starts, criteria.TOL_ASCENT, 2000)
+    ascended, _, _ = criteria._ascend(mats, starts, np.inf, criteria.TOL_ASCENT, 2000)
     for rho, climbed in zip(states, ascended):
         res = fidelity_optimize(rho)
         assert res.converged
@@ -638,6 +672,44 @@ def test_shifted_ascent_leaves_the_flat_isotropic_point_fast(monkeypatch):
         assert value == pytest.approx(0.89 / 8, abs=1e-10)
         assert converged
         assert steps[-1] < 100, steps
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_reports_stop_at_the_certified_ceiling(d, monkeypatch):
+    # isotropic F >= 1/d^2 has f = lambda_max = F and a pure state in Schmidt
+    # form f = tau/d; the identity restart starts at both, so no polar step
+    # runs.  Even-d Werner p > 0 reaches f = lambda_max on its first step
+    steps = []
+    polar = criteria._polar
+
+    def counted(g):
+        steps[-1] += 1
+        return polar(g)
+
+    def run(func, *args):
+        steps.append(0)
+        return func(*args)
+
+    monkeypatch.setattr(criteria, "_polar", counted)
+    fids = np.linspace(1 / d**2, 1.0, 9)
+    alpha = np.random.default_rng(d).dirichlet(np.ones(d))
+    states = [make_state(Isotropic(d, float(f))) for f in fids]
+    states += [make_state(PureSchmidt(tuple(alpha)))]
+    exact = [*fids, np.sqrt(alpha).sum() ** 2 / d]
+    reports = run(full_reports, states)
+    assert steps == [0]
+    if d % 2 == 0:
+        werner = [make_state(Werner(d, p)) for p in (0.05, 0.3, 0.6, 1.0)]
+        reports += run(full_reports, werner)
+        assert steps[-1] == 1
+        states += werner
+        exact += [rho._eigs[-1] for rho in werner]
+    for rho, value, report in zip(states, exact, reports):
+        assert report.fidelity_converged
+        assert report.fidelity_best == pytest.approx(value, abs=1e-12)
+        res = run(fidelity_optimize, rho)
+        assert res.converged
+        assert min(res.value, report.fidelity_upper) == report.fidelity_best
 
 
 def test_report_shifts_by_the_kept_spectrum(monkeypatch, rng):
