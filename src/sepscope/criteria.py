@@ -10,6 +10,16 @@ At d = 2 the middle is exact: the top eigenvalue of the state in the magic
 basis.  Above, it is estimated by a monotone ascent over local unitaries on
 rho - lambda_min I, which has the same maximisers, and is reported as a
 certified lower bound, not as the global optimum.
+
+Each restart of the ascent takes polar steps, which converge linearly.  Once
+its last three ratios of successive gains are at least 0.8 and within 10% of
+each other, it takes trust-region Newton steps on U(d) instead, and keeps
+one only if its gain exceeds a tenth of the gain its quadratic model
+predicted; a rejected step sends it back to polar steps.  A report's
+fidelity_converged still means that the winning restart stopped on a kept
+step that gained at most TOL_ASCENT (a Newton step cut short by its trust
+radius does not count), at the certified ceiling, at a flat gradient, or
+where a polar step would have lowered its value.
 """
 
 from __future__ import annotations
@@ -156,19 +166,116 @@ def _polar(g: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a^H b) of each pair of matrices in two C-contiguous (k, d, d) stacks."""
+    k = len(a)
+    return (a.view(np.float64).reshape(k, 1, -1) @ b.view(np.float64).reshape(k, -1, 1))[:, 0, 0]
+
+
+def _skew(w: np.ndarray) -> np.ndarray:
+    """The skew-Hermitian part of each matrix in a (k, d, d) stack."""
+    s = w - w.conj().swapaxes(-1, -2)
+    s *= 0.5
+    return s
+
+
+# A pair switches to Newton steps once its last three gain ratios are at least
+# _SLOW and within a factor _SETTLED of each other, and keeps a Newton step
+# whose gain exceeds _ACCEPT times the model's.  The trust radius, in U-space,
+# starts at _RADIUS * sqrt(d) and never exceeds sqrt(d).  Truncated CG stops
+# once its residual is min(_CG_KAPPA, sqrt(||rgrad|| / ||egrad||)) times its
+# first, a superlinear rule (Absil, Mahony and Sepulchre, 2008, 7.3).
+_SLOW, _SETTLED, _ACCEPT = 0.8, 1.1, 0.1
+_RADIUS, _CG_KAPPA = 0.125, 0.1
+
+
+def _newton_step(us: np.ndarray, egrads: np.ndarray, product, unit: np.ndarray,
+                 radius: np.ndarray):
+    """Truncated-CG trust-region Newton steps (Steihaug-Toint) for k pairs.
+
+    ``us`` (k, d, d) are the iterates and ``egrads`` their Euclidean
+    gradients 2 G(U), each scaled by a power of two.  product(xs) returns
+    the rows xs (k, d^2) times the pairs' rho^T, and ``unit`` (k,) turns a
+    product y into the scaled 2 G = unit * reshape(y)^T.  With
+    S = sym(U^H egrad) and rgrad = egrad - U S, the Riemannian Hessian on
+    U(d) is Hess[xi] = P_U(2 G(xi) - xi S), P_U(Z) = Z - U sym(U^H Z)
+    (Absil, Mahony and Sepulchre, 2008, ch. 5-7).  A step is U Omega with
+    Omega skew-Hermitian, and CG minimises minus the model's gain inside
+    ||Omega|| <= radius.  The objective is blind to a global phase: Hess maps
+    iU to 0 and its range holds no iU part, nor does the gradient, as
+    tr(U^H egrad) is real, so Omega holds none either.
+    Returns Omega (k, d, d), the model's predicted gain (k,) in the scaled
+    units, and whether each step stopped on the trust boundary (k,).
+    """
+    d = us.shape[-1]
+    uh = us.conj().swapaxes(-1, -2)
+    a = uh @ egrads
+    s = a + a.conj().swapaxes(-1, -2)
+    s *= 0.5
+    grad = _skew(a)
+    # each pair's step e, residual r, direction p and squared residual rho; a
+    # pair that has stopped keeps e and r, as its alpha is 0 from then on
+    e, r, p = np.zeros_like(grad), -grad, grad.copy()
+    rho = _dot(r, r)
+    goal = rho * np.minimum(_CG_KAPPA**2, np.sqrt(rho / _dot(a, a)))  # squared residual goal
+    stopped, cut = rho <= goal, np.zeros(len(us), dtype=bool)
+    ut, uh = us.swapaxes(-1, -2), uh * unit[:, None, None]
+    rad2 = radius**2
+    for _ in range(0 if stopped.all() else d * d - 1):
+        y = product((p.swapaxes(-1, -2) @ ut).reshape(-1, d * d))  # vec((U p)^T) rho^T
+        hp = _skew(p @ s - uh @ y.reshape(-1, d, d).swapaxes(-1, -2))  # -Hess[p]
+        kap = _dot(p, hp)
+        alpha = np.where(stopped, 0.0, rho / np.where(kap > 0, kap, 1.0))
+        e_next = e + alpha[:, None, None] * p
+        out = ((kap <= 0) | (_dot(e_next, e_next) >= rad2)) & ~stopped
+        if out.any():  # to the boundary along p instead
+            eo, po = e[out], p[out]
+            e_p, p_p = _dot(eo, po), _dot(po, po)
+            alpha[out] = (np.sqrt(e_p**2 + p_p * (rad2[out] - _dot(eo, eo))) - e_p) / p_p
+            e_next[out] = eo + alpha[out, None, None] * po
+            cut |= out
+        e = e_next
+        r += alpha[:, None, None] * hp
+        rho_next = _dot(r, r)
+        stopped |= out | (rho_next <= goal)
+        if stopped.all():
+            break
+        p *= np.divide(rho_next, rho, out=np.zeros_like(rho), where=~stopped)[:, None, None]
+        p -= r
+        rho = rho_next
+    return e, _dot(e, grad - r) / 2, cut
+
+
 def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter: int):
-    """Monotone fixed-point ascent of <psi_U|rho|psi_U> for a stack of PSD rho.
+    """Monotone ascent of <psi_U|rho|psi_U> for a stack of PSD rho.
 
     ``mats`` is (P, d^2, d^2) and ``starts`` (P, R, d, d), or broadcastable
     to it: R restarts for each of P problems, all run as one batch.  With
     x = vec(U^T) the objective is <x|rho|x>/d and its gradient in U is
     reshape(rho x)^T/d, so one batched product y = x rho^T gives both.  Each
-    step replaces U by the polar factor of the gradient, which cannot
+    plain step replaces U by the polar factor of the gradient, which cannot
     decrease the objective.  Each (problem, restart) pair stops on its own:
     converged when the gradient's largest entry modulus is below TOL_FLAT (no
     squares, so no overflow or underflow at any scale), when the next value
     is lower (only reachable through rounding noise; the previous U is kept)
     or when the gain is at most tol; unconverged after max_iter steps.
+
+    Plain steps converge linearly.  Once a pair's last three ratios of
+    successive gains are at least _SLOW and within a factor _SETTLED of each
+    other, it takes trust-region Newton steps instead (_newton_step),
+    retracted by the polar factor of U + xi in the step's one batched SVD;
+    each Hessian-vector product is one more batched product with rho^T in the
+    step's packed layout.  A Newton step is kept only if its gain exceeds
+    _ACCEPT times the model's predicted gain, so the value still never falls.
+    The pair's trust radius, kept from one Newton phase to the next, shrinks
+    by 4 below a ratio of 1/4 and doubles, up to sqrt(d), above 3/4 on the
+    boundary.  A rejected step leaves U as it was and sends the pair back to
+    plain steps, and so does a kept step that stopped on the trust boundary
+    with a gain of at most tol: that gain only measures the radius.  So
+    converged still means a gain of at most tol on a kept plain or interior
+    Newton step.  Every threshold of the Newton phase is a ratio, and the
+    gradients are scaled by a power of two per pair, so the ascent stays
+    scale equivariant.
 
     ``ceiling`` (P,), or a scalar, bounds each problem's objective from
     above; np.inf switches the bound off.  A pair whose value reaches
@@ -205,18 +312,64 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     # pair k is row row[k] of live problem li[k] in the product, which takes
     # the first `rows` rows of each live problem's block of ``trial``
     trial, rows, min_rows = np.zeros_like(x), x.shape[1], min(2, x.shape[1])
+
+    # each pair's last four plain gains, oldest first, whether it takes
+    # Newton steps, and its trust radius
+    gains = np.full((pi.size, 4), np.nan)
+    newton, radius = np.zeros(pi.size, dtype=bool), np.full(pi.size, _RADIUS * np.sqrt(d))
     for _ in range(max_iter):
         if pi.size == 0:
             break
         grad = ys.reshape(-1, d, d).swapaxes(-1, -2) / d
-        flat = np.abs(grad).max(axis=(-2, -1)) < TOL_FLAT
+        big = np.abs(grad).max(axis=(-2, -1))
+        flat = big < TOL_FLAT
+        (nw,) = np.nonzero(newton)
+        if nw.size:
+            us_n = xs[nw].reshape(-1, d, d).swapaxes(-1, -2)
+            scale = np.ldexp(1.0, np.frexp(big[nw])[1])  # a power of two near |G|
+            # the Newton pairs' rows in the step's packed layout, cut down to
+            # the live problems that hold any and to the rows they use
+            lk, rk = li[nw], row[nw]
+            first = np.flatnonzero(np.diff(lk, prepend=-1))  # lk ascends, problem-major
+            buf, mat_t = trial[:live.size], live_t
+            if first.size < live.size:
+                buf = np.zeros((first.size,) + trial.shape[1:], dtype=trial.dtype)
+                mat_t = mats[live[lk[first]]].swapaxes(-1, -2)
+                lk = np.cumsum(np.diff(lk, prepend=lk[0]) > 0)
+            rows_n = max(rk.max() + 1, min_rows)
+
+            def product(xk):
+                buf[lk, rk] = xk
+                return (buf[:, :rows_n] @ mat_t)[lk, rk]
+
+            omega, pred, cut = _newton_step(us_n, grad[nw] * (2 / scale[:, None, None]), product,
+                                            2 / (d * scale), radius[nw])
+            pred *= scale
+            grad[nw] = us_n + us_n @ omega  # retract by the polar factor of U + xi
         x_next = _vec_t(_polar(grad))
         trial[li, row] = x_next
         y_next = (trial[:live.size, :rows] @ live_t)[li, row]
         nxt = np.sum(x_next.conj() * y_next, axis=-1).real / d
+        gain = nxt - vs
+        small = gain <= tol
+        gains[:, :-1] = gains[:, 1:]
+        gains[:, -1] = gain
+        if nw.size:
+            g = gain[nw]
+            ratio = g / np.where(pred > 0, pred, np.inf)
+            ok = ratio > _ACCEPT
+            radius[nw] = np.where(ratio < 0.25, radius[nw] / 4, np.where(
+                (ratio > 0.75) & cut, np.minimum(2 * radius[nw], np.sqrt(d)), radius[nw]))
+            back = nw[~ok | (cut & small[nw])]
+            rej = nw[~ok]
+            x_next[rej], y_next[rej], nxt[rej] = xs[rej], ys[rej], vs[rej]
+            newton[back], small[back], gains[back] = False, False, np.nan
+        q = gains[:, 1:] / gains[:, :-1]
+        low = q.min(axis=1)
+        newton |= (low >= _SLOW) & (q.max(axis=1) <= _SETTLED * low)
         stop = flat | (nxt < vs)
         at_top = nxt >= cs
-        done = stop | at_top | (nxt - vs <= tol)
+        done = stop | at_top | small
         if done.any():
             x_next[stop], nxt[stop] = xs[stop], vs[stop]  # stopped pairs keep their U
             converged[pi[done], ri[done]] = True
@@ -228,6 +381,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
             x[pi[out], ri[out]], values[pi[out], ri[out]] = x_next[out], nxt[out]
             go = ~out
             x_next, y_next, nxt, cs = x_next[go], y_next[go], nxt[go], cs[go]
+            gains, newton, radius = gains[go], newton[go], radius[go]
             keep = act.any(axis=1)
             if not keep.all():
                 live, act = live[keep], act[keep]
