@@ -41,7 +41,7 @@ from .states import (
 
 # states of one local dimension per batched ascent in suite_sandwich: enough
 # to share the per-step dispatch, and memory stays bounded for any -n
-_SANDWICH_CHUNK = 32
+_SANDWICH_CHUNK = 64
 _SANDWICH_RESTARTS = 6
 
 # instances of one group evaluated together in suite_norms and

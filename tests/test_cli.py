@@ -448,6 +448,23 @@ def test_scan_builds_each_state_once(capsys, monkeypatch):
         assert len(built) == count and made == []
 
 
+@pytest.mark.parametrize("argv, calls, rows", [
+    # fast restarts that settle near their maximum finish with Newton steps;
+    # the creep switch alone took 18 batched polar steps over 2692 rows here
+    (["scan", "isotropic:d=3,F=0", "--param", "F", "--range=0:1:101"], 10, 1500),
+    # and 62 steps here
+    (["analyze", "random:da=4,db=4,seed=1", "--json"], 50, None),
+])
+def test_close_restarts_switch_to_newton_steps(capsys, monkeypatch, argv, calls, rows):
+    sizes = []
+    polar = criteria._polar
+    monkeypatch.setattr(criteria, "_polar", lambda g: sizes.append(len(g)) or polar(g))
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(sizes) <= calls, len(sizes)
+    assert rows is None or sum(sizes) <= rows, sum(sizes)
+
+
 def test_zero_restarts_rejected(capsys):
     for argv in (["analyze", "werner:d=2,p=0.5"],
                  ["scan", "werner:d=2,p=0", "--param", "p", "--range", "0:1:3"]):

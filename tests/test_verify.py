@@ -179,11 +179,12 @@ def _reference_spectra(per_axis=20):
 
 
 @pytest.mark.parametrize(
-    "seed, n", [(1, 1), (2, 1), (1, 7), (3, 7), (1, 100), (4, 100)]
+    "seed, n", [(1, 1), (2, 1), (1, 7), (3, 7), (1, 100), (4, 100), (2, 150)]
 )
 def test_sandwich_matches_reference(seed, n):
-    # n = 100 puts 50 states of each dimension in two chunks of unequal size
-    assert 50 % verify._SANDWICH_CHUNK != 0
+    # n = 100 puts the 50 states of each dimension in one chunk, and n = 150
+    # puts 75 in two chunks of unequal size
+    assert 50 <= verify._SANDWICH_CHUNK < 75
     _assert_matches(verify.suite_sandwich(seed, n), _reference_sandwich(seed, n))
 
 
