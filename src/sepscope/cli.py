@@ -169,7 +169,8 @@ def _analyze_relaxed(op: TraceClassOperator, args) -> int:
         if op.dim_a == op.dim_b:
             print(f"realigned_trace    = {_fmt(out['realigned_trace_re'])}"
                   f" + {_fmt(out['realigned_trace_im'])}i")
-            print(f"fidelity_best      = {_fmt(out['fidelity_best'])}")
+            print(f"fidelity_best      = {_fmt(out['fidelity_best'])}"
+                  + ("" if opt.converged else "  (not converged)"))
             print(f"fidelity_upper     = {_fmt(out['fidelity_upper'])}")
     return 0
 

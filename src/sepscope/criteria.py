@@ -17,13 +17,11 @@ either at least 0.8 (it creeps) or small enough that the polar steps' own
 remaining gain is at most 1e4 TOL_ASCENT (it is close to a maximum), it
 takes trust-region Newton steps on U(d) instead, and keeps one only if its
 gain exceeds a tenth of the gain its quadratic model predicted; a rejected
-step sends it back to polar steps.  The relaxed ascent of trace-class
-operators switches only when it creeps: its phase grid scores maximisers of
-other objectives, which a tighter ascent scores lower.  A report's
-fidelity_converged still means that the winning restart stopped on a kept
-step that gained at most TOL_ASCENT (a Newton step cut short by its trust
-radius does not count), at the certified ceiling, at a flat gradient, or
-where a polar step would have lowered its value.
+step sends it back to polar steps.  A report's fidelity_converged means
+that the winning restart stopped on a kept step that gained at most
+TOL_ASCENT (a Newton step cut short by its trust radius does not count), at
+the certified ceiling, at a flat gradient, or where a polar step would have
+lowered its value.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .linalg import (
     TOL_DISORDERED,
     TOL_FLAG,
     TOL_FLAT,
-    TOL_SKEW,
     TOL_STRUCTURE,
     DensityMatrix,
     DimensionError,
@@ -116,6 +113,8 @@ class FidelityResult(NamedTuple):
 
 
 _ASCENT_MAX_ITER = 2000
+# Steps per round of the relaxed ascent: 3 ended lower, unbounded ran longer
+_RELAX_ROUND = 10
 
 # At most this many states share one ascent chunk.  Batching them removes the
 # per-state Python dispatch; larger batches gain little more, while the
@@ -185,12 +184,12 @@ def _skew(w: np.ndarray) -> np.ndarray:
 
 # A pair switches to Newton steps once its last three gain ratios are within a
 # factor _SETTLED of each other and either all at least _SLOW (it creeps) or
-# promise a remaining plain gain of at most near * tol (it is close: _NEAR for
-# states, 0 for --relax); it keeps a Newton step whose gain exceeds _ACCEPT
-# times the model's.  The trust radius, in U-space, starts at _RADIUS * sqrt(d)
-# and never exceeds sqrt(d).  Truncated CG stops once its residual is
-# min(_CG_KAPPA, sqrt(||rgrad|| / ||egrad||)) times its first, a superlinear
-# rule (Absil, Mahony and Sepulchre, 2008, 7.3).
+# promise a remaining plain gain of at most _NEAR * tol (it is close); it keeps
+# a Newton step whose gain exceeds _ACCEPT times the model's.  The trust
+# radius, in U-space, starts at _RADIUS * sqrt(d) and never exceeds sqrt(d).
+# Truncated CG stops once its residual is min(_CG_KAPPA, sqrt(||rgrad|| /
+# ||egrad||)) times its first, a superlinear rule (Absil, Mahony and Sepulchre,
+# 2008, 7.3).
 _SLOW, _SETTLED, _ACCEPT, _NEAR = 0.8, 1.1, 0.1, 1e4
 _RADIUS, _CG_KAPPA = 0.125, 0.1
 
@@ -252,8 +251,7 @@ def _newton_step(us: np.ndarray, egrads: np.ndarray, product, unit: np.ndarray,
     return e, _dot(e, grad - r) / 2, cut
 
 
-def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter: int,
-            near: float = _NEAR):
+def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter: int):
     """Monotone ascent of <psi_U|rho|psi_U> for a stack of PSD rho.
 
     ``mats`` is (P, d^2, d^2) and ``starts`` (P, R, d, d), or broadcastable
@@ -273,22 +271,19 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     Newton steps instead (_newton_step) if it creeps, every ratio at least
     _SLOW, or if it is close: with g its last gain and q < 1 its largest
     ratio, the plain steps would gain about g q / (1 - q) more, at most
-    ``near`` * tol.  _optimize_psd passes _NEAR; the relaxed
-    _optimize_trace_class passes 0, the creep rule alone, because its phase
-    grid scores maximisers of other objectives, which tighter ascents scored
-    lower.  Newton steps are retracted by the polar factor of U + xi in the
-    step's one batched SVD; each Hessian-vector product is one more batched
-    product with rho^T in the step's packed layout.  A Newton step is kept
-    only if its gain exceeds _ACCEPT times the model's predicted gain, so the
-    value still never falls.  The pair's trust radius, kept from one Newton
-    phase to the next, shrinks by 4 below a ratio of 1/4 and doubles, up to
-    sqrt(d), above 3/4 on the boundary.  A rejected step leaves U as it was
-    and sends the pair back to plain steps, and so does a kept step that
+    _NEAR tol.  Newton steps are retracted by the polar factor of U + xi in
+    the step's one batched SVD; each Hessian-vector product is one more
+    batched product with rho^T in the step's packed layout.  A Newton step is
+    kept only if its gain exceeds _ACCEPT times the model's predicted gain, so
+    the value still never falls.  The pair's trust radius, kept from one
+    Newton phase to the next, shrinks by 4 below a ratio of 1/4 and doubles,
+    up to sqrt(d), above 3/4 on the boundary.  A rejected step leaves U as it
+    was and sends the pair back to plain steps, and so does a kept step that
     stopped on the trust boundary with a gain of at most tol: that gain only
-    measures the radius.  So converged still means a gain of at most tol on
-    a kept plain or interior Newton step.  Every threshold of the Newton
-    phase is a ratio, near included, and the gradients are scaled by a power
-    of two per pair, so the ascent stays scale equivariant.
+    measures the radius.  So converged still means a gain of at most tol on a
+    kept plain or interior Newton step.  Every threshold of the Newton phase
+    is a ratio, _NEAR included, and the gradients are scaled by a power of two
+    per pair, so the ascent stays scale equivariant.
 
     ``ceiling`` (P,), or a scalar, bounds each problem's objective from
     above; np.inf switches the bound off.  A pair whose value reaches
@@ -380,10 +375,10 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
         q = gains[:, 1:] / gains[:, :-1]
         low, high = q.min(axis=1), q.max(axis=1)
         # creeping, or close: the plain steps' remaining gain, about
-        # gain * high / (1 - high), is at most near * tol.  Written so as not
+        # gain * high / (1 - high), is at most _NEAR * tol.  Written so as not
         # to overflow, and false for high >= 1, as a pair that goes on gained
         # more than tol
-        close = gains[:, -1] / tol <= near * (1 - high) / high
+        close = gains[:, -1] / tol <= _NEAR * (1 - high) / high
         newton |= (high <= _SETTLED * low) & ((low >= _SLOW) | close)
         stop = flat | (nxt < vs)
         at_top = nxt >= cs
@@ -459,7 +454,7 @@ def _optimize_psd(mats: np.ndarray, eigs: np.ndarray, taus: np.ndarray,
     shift = np.maximum(eigs[:, 0], 0.0)
     shifted = mats - shift[:, None, None] * np.eye(side)
     ceiling = np.minimum(taus / d, eigs[:, -1]) - shift
-    _, us, converged = _ascend(shifted, starts, ceiling, TOL_ASCENT, _ASCENT_MAX_ITER, _NEAR)
+    _, us, converged = _ascend(shifted, starts, ceiling, TOL_ASCENT, _ASCENT_MAX_ITER)
     x = _vec_t(us)
     values = np.sum(x.conj() * (x @ mats.swapaxes(-1, -2)), axis=-1).real / d
     best = np.arange(len(values)), np.argmax(values, axis=1)  # the first restart wins ties
@@ -478,8 +473,8 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     reproducible for fixed seed.
 
     For a trace-class operator the fidelity is max |<psi|op|psi>|; the
-    ascent then runs at every d, on Hermitian combinations over a phase grid
-    shifted as for states, and reports the best modulus found.
+    ascent then runs at every d, jointly in the unitary and in the phase of
+    <psi|op|psi>, and reports the best modulus found.
     """
     if not isinstance(rho, TraceClassOperator):
         raise TypeError("expected a DensityMatrix or TraceClassOperator")
@@ -498,33 +493,38 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
 
 
 def _optimize_trace_class(mat, d, restarts, rng):
-    """Best found max |<psi_U|mat|psi_U>| over a grid of phases theta.
+    """Best found max |z|, z = <psi_U|mat|psi_U>, by one ascent per restart,
+    joint in the phase and the unitary, on m = mat / max|mat|: so the value
+    scales with mat, exactly for a power of two, and ignores a global phase.
 
-    Each combination c = cos(theta) H + sin(theta) K of the Hermitian and
-    skew-Hermitian parts (two phases for Hermitian input, else 24) ascends
-    from its own Haar starts on c - lambda_min(c) I: PSD, so the ascent is
-    monotone, and every value moves by the same amount, so the maximisers
-    stay.  It runs without a ceiling, as a restart stopped at its
-    combination's ceiling might still have scored highest on ``mat``, and
-    without _ascend's close switch to Newton steps: the grid scores
-    maximisers of the combinations, and converging them more tightly scored
-    lower on all 50 seeded operators (N + iN)/4 tried at d = 2 and 3.
-    Every (phase, restart) pair is then scored by its overlap modulus on
-    ``mat`` itself; the first in phase-major order wins ties.  Returns the
-    winner's value, unitary and converged flag.
+    Each round sets phi = z/|z| (1 at z = 0) and runs _RELAX_ROUND steps of
+    _ascend, without a ceiling, on H = (conj(phi) m + phi m^H)/2 shifted by
+    its lambda_min.  As <psi|H|psi> = Re(conj(phi) z) <= |z|, with equality
+    at the round's start, |z| never falls.  A restart stops, converged, once
+    a round gains at most TOL_ASCENT, and unconverged after _ASCENT_MAX_ITER
+    steps in all.  Returns the value, unitary and converged flag of the best
+    restart, the first winning ties.
     """
-    herm = (mat + mat.conj().T) / 2.0
-    skew = (mat - mat.conj().T) / 2.0j
-    hermitian_input = np.linalg.norm(skew) <= TOL_SKEW * max(1.0, np.linalg.norm(herm))
-    phases = (0.0, np.pi) if hermitian_input else tuple(2 * np.pi * k / 24 for k in range(24))
-    combos = [np.cos(theta) * herm + np.sin(theta) * skew for theta in phases]
-    mats = np.stack([c - np.linalg.eigvalsh(c)[0] * np.eye(d * d) for c in combos])
-    starts = np.stack([_haar_starts(d, restarts, rng) for _ in phases])  # phase-major draws
-    _, us, converged = _ascend(mats, starts, np.inf, TOL_ASCENT, _ASCENT_MAX_ITER, 0.0)
-    x = _vec_t(us).reshape(-1, d * d)
-    overlaps = np.abs(np.sum(x.conj() * (x @ mat.T), axis=-1)) / d
-    best = int(np.argmax(overlaps))  # phase-major, the first restart wins ties
-    return overlaps[best], us.reshape(-1, d, d)[best], converged.flat[best]
+    scale = np.abs(mat).max() or 1.0
+    m = mat / scale
+    us = _haar_starts(d, restarts, rng)
+    x = _vec_t(us)
+    z = np.sum(x.conj() * (x @ m.T), axis=-1) / d
+    live = np.ones(restarts, dtype=bool)
+    for _ in range(_ASCENT_MAX_ITER // _RELAX_ROUND):
+        phi = np.exp(1j * np.angle(z[live]))[:, None, None]
+        h = (phi.conj() * m + phi * m.conj().T) / 2
+        h -= np.linalg.eigvalsh(h)[:, :1, None] * np.eye(d * d)
+        us[live] = _ascend(h, us[live, None], np.inf, TOL_ASCENT, _RELAX_ROUND)[1][:, 0]
+        x = _vec_t(us[live])
+        z_next = np.sum(x.conj() * (x @ m.T), axis=-1) / d
+        gain = np.abs(z_next) - np.abs(z[live])
+        z[live] = z_next
+        live[live] = gain > TOL_ASCENT
+        if not live.any():
+            break
+    best = int(np.argmax(np.abs(z)))  # the first restart wins ties
+    return np.abs(z[best]) * scale, us[best], not live[best]
 
 
 # the maximally entangled state compensating a given diagonal-correlation

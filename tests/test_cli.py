@@ -144,6 +144,22 @@ def test_analyze_relax_family(capsys):
     assert "trace-class" in out
 
 
+def test_analyze_relax_marks_an_unconverged_fidelity(capsys, monkeypatch):
+    # the text report marks fidelity_best as the JSON's fidelity_converged does;
+    # one round of the joint ascent does not converge on this operator
+    code, out, _ = run(capsys, "analyze", "isotropic:d=3,F=0.11", "--relax")
+    assert code == 0 and "fidelity_best" in out and "not converged" not in out
+    monkeypatch.setattr(criteria, "_ASCENT_MAX_ITER", criteria._RELAX_ROUND)
+    for flags in (["--json"], []):
+        code, out, _ = run(capsys, "analyze", "random:da=3,db=3,seed=2", "--relax", *flags)
+        assert code == 0
+        if flags:
+            assert json.loads(out)["fidelity_converged"] is False
+        else:
+            (line,) = [ln for ln in out.splitlines() if ln.startswith("fidelity_best")]
+            assert line.endswith("  (not converged)")
+
+
 def test_scan_werner_crossing(tmp_path, capsys):
     out_file = tmp_path / "werner.csv"
     code, _, _ = run(

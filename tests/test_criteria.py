@@ -218,12 +218,12 @@ def _serial_ascent(mat, d, u, tol=1e-10, max_iter=2000):
     return value, u, False
 
 
-def _serial_newton_ascent(mat, d, u, tol=1e-10, max_iter=2000, near=criteria._NEAR):
+def _serial_newton_ascent(mat, d, u, tol=1e-10, max_iter=2000):
     """One restart of criteria._ascend as its docstring states it: plain polar
     steps until the last three gain ratios are within a factor _SETTLED of
     each other and either all at least _SLOW or, for a last gain g and
     largest ratio q < 1, promise a remaining gain g q / (1 - q) of at most
-    near * tol; then trust-region Newton steps by truncated CG, each kept only
+    _NEAR * tol; then trust-region Newton steps by truncated CG, each kept only
     if its gain exceeds _ACCEPT times the model's."""
     four = mat.reshape(d, d, d, d)
 
@@ -304,17 +304,9 @@ def _serial_newton_ascent(mat, d, u, tol=1e-10, max_iter=2000, near=criteria._NE
             q = [b / a for a, b in zip(gains, gains[1:])]
             if len(q) == 3 and max(q) <= criteria._SETTLED * min(q):
                 high = max(q)
-                close = high < 1 and gain * high / (1 - high) <= near * tol
+                close = high < 1 and gain * high / (1 - high) <= criteria._NEAR * tol
                 newton = min(q) >= criteria._SLOW or close
     return value, u, False
-
-
-def _phase_matrices(mat, phases):
-    """The Hermitian combinations the trace-class ascent runs on, each shifted
-    by its own lambda_min."""
-    herm, skew = (mat + mat.conj().T) / 2, (mat - mat.conj().T) / 2j
-    combos = [np.cos(t) * herm + np.sin(t) * skew for t in phases]
-    return [c - np.linalg.eigvalsh(c)[0] * np.eye(len(mat)) for c in combos]
 
 
 def _assert_engine_matches_serial(mats, starts, d, max_iter=2000):
@@ -358,28 +350,40 @@ def test_radius_cut_steps_do_not_count_as_converged(monkeypatch):
         np.testing.assert_allclose(got, plain, rtol=0, atol=1e-9)
 
 
+def _serial_joint_ascent(mat, d, u, tol=1e-10):
+    """One restart of the relaxed ascent as criteria._optimize_trace_class
+    states it: on m = mat / max|mat|, rounds of _RELAX_ROUND steps of
+    _serial_newton_ascent on (conj(phi) m + phi m^H)/2 shifted by its
+    lambda_min, phi = z/|z| for z = <psi_U|m|psi_U>, until a round gains at
+    most tol.  Returns |z| on mat, U and whether it converged."""
+    scale = np.abs(mat).max()
+    m = mat / scale
+    z = _overlap(m, u)
+    for _ in range(2000 // criteria._RELAX_ROUND):
+        phi = z / abs(z) if z else 1.0
+        h = (np.conj(phi) * m + phi * m.conj().T) / 2
+        _, u, _ = _serial_newton_ascent(h - np.linalg.eigvalsh(h)[0] * np.eye(d * d), d, u,
+                                        max_iter=criteria._RELAX_ROUND)
+        z_next = _overlap(m, u)
+        gain, z = abs(z_next) - abs(z), z_next
+        if gain <= tol:
+            return abs(z) * scale, u, True
+    return abs(z) * scale, u, False
+
+
 def test_batched_ascent_matches_serial_reference_trace_class():
-    d, restarts = 2, 3
+    # the public path: one set of starts from the seed, each restart its own
+    # joint ascent, the best overlap modulus, the first restart winning ties
     rng = np.random.default_rng(44)
-    mat = (rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))) / 4
-    phases = [2 * np.pi * k / 24 for k in range(24)]
-    mats = _phase_matrices(mat, phases)
-    starts = np.stack([criteria._haar_starts(d, restarts, rng) for _ in phases])
-    _assert_engine_matches_serial(mats, starts, d)
-    # the public path: phase-major starts from one generator, best overlap modulus
-    draws = np.random.default_rng(5)
-    best = None
-    for shifted in mats:
-        for trial in range(restarts):
-            u0 = np.eye(d, dtype=complex) if trial == 0 else random_unitary(d, draws)
-            _, u, conv = _serial_newton_ascent(shifted, d, u0, near=0.0)  # as --relax runs it
-            overlap = abs(_overlap(mat, u))
-            if best is None or overlap > best[0]:
-                best = (overlap, u, conv)
-    res = fidelity_optimize(TraceClassOperator(d, d, mat), restarts=restarts, seed=5)
-    assert res.value == pytest.approx(best[0], abs=1e-12)
-    assert res.converged == best[2]
-    np.testing.assert_allclose(res.unitary, best[1], atol=1e-6)
+    for d, restarts in ((2, 3), (3, 3)):
+        mat = _complex_gaussian(rng, (d * d, d * d)) / 4
+        starts = criteria._haar_starts(d, restarts, np.random.default_rng(5))
+        ref = [_serial_joint_ascent(mat, d, u0) for u0 in starts]
+        best = ref[int(np.argmax([r[0] for r in ref]))]
+        res = fidelity_optimize(TraceClassOperator(d, d, mat), restarts=restarts, seed=5)
+        assert res.value == pytest.approx(best[0], abs=1e-12)
+        assert res.converged == best[2]
+        np.testing.assert_allclose(res.unitary, best[1], atol=1e-6)
 
 
 def test_full_reports_mixed_batch_matches_full_report(rng):
@@ -663,9 +667,10 @@ def _mixed_problems(d, rng):
     F = 0.11, and two shifted phase combinations of a random operator."""
     isotropic = [make_state(Isotropic(d, f)).mat for f in (0.0, 0.11)] if d > 1 else []
     op = _complex_gaussian(rng, (d * d, d * d)) / 4
+    combos = [(np.conj(phi) * op + phi * op.conj().T) / 2 for phi in (1, np.exp(7j * np.pi / 12))]
     mats = [random_density_matrix(d, d, rng=rng).mat, *isotropic[:1],
             random_density_matrix(d, d, rank=1, rng=rng).mat, *isotropic[1:],
-            *_phase_matrices(op, [0.0, 2 * np.pi * 7 / 24]),
+            *[c - np.linalg.eigvalsh(c)[0] * np.eye(d * d) for c in combos],
             random_density_matrix(d, d, rng=rng).mat]
     return np.stack(mats)
 
@@ -1215,19 +1220,49 @@ def test_full_reports_reach_the_exact_fidelities(rng):
 
 
 def test_trace_class_product_fidelity_matches_pairing_oracle(rng):
-    d = 2
-    for k in range(8):
-        h1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h1 = (h1 + h1.conj().T) / 2
-        h2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h2 = (h2 + h2.conj().T) / 2
-        # max_U |tr(h1^T U h2 U^dag)| pairs sorted spectra directly or crossed
-        a = np.sort(np.linalg.eigvalsh(h1.T))
-        b = np.sort(np.linalg.eigvalsh(h2))
-        closed = max(abs(np.dot(a, b)), abs(np.dot(a, b[::-1]))) / d
-        op = TraceClassOperator(d, d, tensor(h1, h2))
-        got = fidelity_optimize(op, restarts=8, seed=k).value
-        assert got == pytest.approx(closed, abs=1e-6)
+    for d in (2, 3):
+        for k in range(8):
+            h1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h1 = (h1 + h1.conj().T) / 2
+            h2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h2 = (h2 + h2.conj().T) / 2
+            # max_U |tr(h1^T U h2 U^dag)| pairs sorted spectra directly or crossed
+            a = np.sort(np.linalg.eigvalsh(h1.T))
+            b = np.sort(np.linalg.eigvalsh(h2))
+            closed = max(abs(np.dot(a, b)), abs(np.dot(a, b[::-1]))) / d
+            op = TraceClassOperator(d, d, tensor(h1, h2))
+            got = fidelity_optimize(op, restarts=8, seed=k).value
+            assert got == pytest.approx(closed, abs=1e-6)
+
+
+def test_relaxed_fidelity_ignores_global_phase_and_scale():
+    # the joint ascent follows the phase of <psi|op|psi> and runs on op over
+    # its largest entry modulus, so neither a global phase nor the scale moves
+    # the value; a power-of-two scale changes no bit, and nothing over- or
+    # underflows, as this suite makes RuntimeWarnings errors
+    rng = np.random.default_rng(123)
+    for d in (2, 3):
+        mat = _complex_gaussian(rng, (d * d, d * d)) / 4
+
+        def relaxed(m):
+            return fidelity_optimize(TraceClassOperator(d, d, m)).value
+
+        want = relaxed(mat)
+        for theta in (0.3, 2.0):
+            assert relaxed(np.exp(1j * theta) * mat) == pytest.approx(want, abs=1e-12)
+        assert relaxed(1e-14 * mat) / 1e-14 == pytest.approx(want, abs=1e-12)
+        for s in (2.0**-700, 2.0**700):
+            assert relaxed(s * mat) == want * s
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_relaxed_fidelity_of_a_state_reaches_its_report(d):
+    # on a state the relaxed ascent keeps phi = 1, so it climbs what the
+    # state's own ascent climbs and ends no lower
+    for seed in range(4):
+        rho = make_state(parse_family(f"random:da={d},db={d},seed={seed}"))
+        relaxed = fidelity_optimize(TraceClassOperator(d, d, rho.mat)).value
+        assert relaxed >= full_report(rho).fidelity_best - 1e-12, seed
 
 
 def test_trace_class_fidelity_below_ccn(rng):
