@@ -175,6 +175,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.view(np.float64).reshape(k, 1, -1) @ b.view(np.float64).reshape(k, -1, 1))[:, 0, 0]
 
 
+def _times(xs: np.ndarray, mat_t: np.ndarray, min_rows: int) -> np.ndarray:
+    """xs @ mat_t for rows xs (n, d^2), with a lone row padded to min_rows
+    (1 or 2) rows: numpy sends a one-row product down its matrix-vector
+    path, which rounds differently."""
+    if len(xs) < min_rows:
+        return (np.concatenate((xs, xs)) @ mat_t)[:1]
+    return xs @ mat_t
+
+
 def _skew(w: np.ndarray) -> np.ndarray:
     """The skew-Hermitian part of each matrix in a (k, d, d) stack."""
     s = w - w.conj().swapaxes(-1, -2)
@@ -199,13 +208,15 @@ def _newton_step(us: np.ndarray, egrads: np.ndarray, product, unit: np.ndarray,
     """Truncated-CG trust-region Newton steps (Steihaug-Toint) for k pairs.
 
     ``us`` (k, d, d) are the iterates and ``egrads`` their Euclidean
-    gradients 2 G(U), each scaled by a power of two.  product(xs) returns
-    the rows xs (k, d^2) times the pairs' rho^T, and ``unit`` (k,) turns a
-    product y into the scaled 2 G = unit * reshape(y)^T.  With
-    S = sym(U^H egrad) and rgrad = egrad - U S, the Riemannian Hessian on
-    U(d) is Hess[xi] = P_U(2 G(xi) - xi S), P_U(Z) = Z - U sym(U^H Z)
-    (Absil, Mahony and Sepulchre, 2008, ch. 5-7).  A step is U Omega with
-    Omega skew-Hermitian, and CG minimises minus the model's gain inside
+    gradients 2 G(U), each scaled by a power of two.  product(idx), for the
+    indices idx of the pairs still in CG, returns the function that takes
+    their rows xs (len(idx), d^2) to xs times their rho^T; it is called again
+    only when pairs leave CG.  ``unit`` (k,) turns a product y into the
+    scaled 2 G = unit * reshape(y)^T.  With S = sym(U^H egrad) and
+    rgrad = egrad - U S, the Riemannian Hessian on U(d) is
+    Hess[xi] = P_U(2 G(xi) - xi S), P_U(Z) = Z - U sym(U^H Z) (Absil, Mahony
+    and Sepulchre, 2008, ch. 5-7).  A step is U Omega with Omega
+    skew-Hermitian, and CG minimises minus the model's gain inside
     ||Omega|| <= radius.  The objective is blind to a global phase: Hess maps
     iU to 0 and its range holds no iU part, nor does the gradient, as
     tr(U^H egrad) is real, so Omega holds none either.
@@ -215,40 +226,53 @@ def _newton_step(us: np.ndarray, egrads: np.ndarray, product, unit: np.ndarray,
     d = us.shape[-1]
     uh = us.conj().swapaxes(-1, -2)
     a = uh @ egrads
-    s = a + a.conj().swapaxes(-1, -2)
-    s *= 0.5
     grad = _skew(a)
-    # each pair's step e, residual r, direction p and squared residual rho; a
-    # pair that has stopped keeps e and r, as its alpha is 0 from then on
-    e, r, p = np.zeros_like(grad), -grad, grad.copy()
-    rho = _dot(r, r)
+    # each pair's step e and residual r, written out on the iteration it stops
+    e_out, r_out, cut = np.zeros_like(grad), -grad, np.zeros(len(us), dtype=bool)
+    rho = _dot(r_out, r_out)
     goal = rho * np.minimum(_CG_KAPPA**2, np.sqrt(rho / _dot(a, a)))  # squared residual goal
-    stopped, cut = rho <= goal, np.zeros(len(us), dtype=bool)
-    ut, uh = us.swapaxes(-1, -2), uh * unit[:, None, None]
-    rad2 = radius**2
-    for _ in range(0 if stopped.all() else d * d - 1):
-        y = product((p.swapaxes(-1, -2) @ ut).reshape(-1, d * d))  # vec((U p)^T) rho^T
-        hp = _skew(p @ s - uh @ y.reshape(-1, d, d).swapaxes(-1, -2))  # -Hess[p]
+    # the pairs still in CG, each with its step e, residual r, direction p and
+    # squared residual rho; skew's 0.5 is folded into s and uh, so that
+    # -Hess[p] = w - w^H with w = p s - uh reshape(y)^T
+    (idx,) = np.nonzero(rho > goal)
+    s = a[idx] + a[idx].conj().swapaxes(-1, -2)
+    s *= 0.25
+    ut, uh = us[idx].swapaxes(-1, -2), uh[idx] * (0.5 * unit[idx, None, None])
+    e, r, p = e_out[idx], r_out[idx], grad[idx]
+    rho, goal, rad2 = rho[idx], goal[idx], radius[idx] ** 2
+    hvp = product(idx) if idx.size else None
+    for _ in range(d * d - 1 if idx.size else 0):
+        y = hvp((p.swapaxes(-1, -2) @ ut).reshape(-1, d * d))  # vec((U p)^T) rho^T
+        w = p @ s - uh @ y.reshape(-1, d, d).swapaxes(-1, -2)
+        hp = w - w.conj().swapaxes(-1, -2)  # -Hess[p]
         kap = _dot(p, hp)
-        alpha = np.where(stopped, 0.0, rho / np.where(kap > 0, kap, 1.0))
+        alpha = rho / np.where(kap > 0, kap, 1.0)
         e_next = e + alpha[:, None, None] * p
-        out = ((kap <= 0) | (_dot(e_next, e_next) >= rad2)) & ~stopped
+        out = (kap <= 0) | (_dot(e_next, e_next) >= rad2)
         if out.any():  # to the boundary along p instead
             eo, po = e[out], p[out]
             e_p, p_p = _dot(eo, po), _dot(po, po)
             alpha[out] = (np.sqrt(e_p**2 + p_p * (rad2[out] - _dot(eo, eo))) - e_p) / p_p
             e_next[out] = eo + alpha[out, None, None] * po
-            cut |= out
+            cut[idx[out]] = True
         e = e_next
         r += alpha[:, None, None] * hp
         rho_next = _dot(r, r)
-        stopped |= out | (rho_next <= goal)
-        if stopped.all():
-            break
-        p *= np.divide(rho_next, rho, out=np.zeros_like(rho), where=~stopped)[:, None, None]
+        stop = out | (rho_next <= goal)
+        if stop.any():
+            e_out[idx[stop]], r_out[idx[stop]] = e[stop], r[stop]
+            if stop.all():
+                break
+            go = ~stop
+            idx, e, r, p, s, ut, uh = idx[go], e[go], r[go], p[go], s[go], ut[go], uh[go]
+            rho, rho_next, goal, rad2 = rho[go], rho_next[go], goal[go], rad2[go]
+            hvp = product(idx)
+        p *= (rho_next / rho)[:, None, None]
         p -= r
         rho = rho_next
-    return e, _dot(e, grad - r) / 2, cut
+    else:  # the pairs still in CG after d^2 - 1 iterations
+        e_out[idx], r_out[idx] = e, r
+    return e_out, _dot(e_out, grad - r_out) / 2, cut
 
 
 def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter: int):
@@ -272,8 +296,9 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     _SLOW, or if it is close: with g its last gain and q < 1 its largest
     ratio, the plain steps would gain about g q / (1 - q) more, at most
     _NEAR tol.  Newton steps are retracted by the polar factor of U + xi in
-    the step's one batched SVD; each Hessian-vector product is one more
-    batched product with rho^T in the step's packed layout.  A Newton step is
+    the step's one batched SVD; each Hessian-vector product multiplies only
+    the rows of the pairs still in CG by rho^T, in the step's packed layout,
+    or directly when they all belong to one problem.  A Newton step is
     kept only if its gain exceeds _ACCEPT times the model's predicted gain, so
     the value still never falls.  The pair's trust radius, kept from one
     Newton phase to the next, shrinks by 4 below a ratio of 1/4 and doubles,
@@ -296,7 +321,10 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     the step it stops.  Each live problem multiplies just its unfinished
     restarts, packed to the front, padded to at least min(2, R) rows: numpy
     sends a one-row product down its matrix-vector path, which rounds
-    differently.
+    differently.  A lone live problem's pairs are those rows in order, so it
+    multiplies them directly (_times).  On its matrix-matrix path BLAS
+    computes each row of a product on its own, so which other rows share a
+    product moves no bit.
 
     Returns the values (P, R), the unitaries (P, R, d, d) and the converged
     flags (P, R).
@@ -335,28 +363,42 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
         if nw.size:
             us_n = xs[nw].reshape(-1, d, d).swapaxes(-1, -2)
             scale = np.ldexp(1.0, np.frexp(big[nw])[1])  # a power of two near |G|
-            # the Newton pairs' rows in the step's packed layout, cut down to
-            # the live problems that hold any and to the rows they use
             lk, rk = li[nw], row[nw]
             first = np.flatnonzero(np.diff(lk, prepend=-1))  # lk ascends, problem-major
-            buf, mat_t = trial[:live.size], live_t
-            if first.size < live.size:
-                buf = np.zeros((first.size,) + trial.shape[1:], dtype=trial.dtype)
-                mat_t = mats[live[lk[first]]].swapaxes(-1, -2)
-                lk = np.cumsum(np.diff(lk, prepend=lk[0]) > 0)
-            rows_n = max(rk.max() + 1, min_rows)
+            if first.size == 1:  # one problem holds the Newton pairs
+                mat_t = live_t[lk[0]]
 
-            def product(xk):
-                buf[lk, rk] = xk
-                return (buf[:, :rows_n] @ mat_t)[lk, rk]
+                def product(k):
+                    return lambda xk: _times(xk, mat_t, min_rows)
+            else:
+                # the Newton pairs' rows in the step's packed layout, cut down
+                # to the live problems that hold any and, as pairs leave CG,
+                # to the rows still in it
+                buf, mat_t = trial[:live.size], live_t
+                if first.size < live.size:
+                    buf = np.zeros((first.size,) + trial.shape[1:], dtype=trial.dtype)
+                    mat_t = mats[live[lk[first]]].swapaxes(-1, -2)
+                    lk = np.cumsum(np.diff(lk, prepend=lk[0]) > 0)
+
+                def product(k):
+                    lk_k, rk_k = lk[k], rk[k]
+                    rows_k = max(rk_k.max() + 1, min_rows)
+
+                    def hvp(xk):
+                        buf[lk_k, rk_k] = xk
+                        return (buf[:, :rows_k] @ mat_t)[lk_k, rk_k]
+                    return hvp
 
             omega, pred, cut = _newton_step(us_n, grad[nw] * (2 / scale[:, None, None]), product,
                                             2 / (d * scale), radius[nw])
             pred *= scale
             grad[nw] = us_n + us_n @ omega  # retract by the polar factor of U + xi
         x_next = _vec_t(_polar(grad))
-        trial[li, row] = x_next
-        y_next = (trial[:live.size, :rows] @ live_t)[li, row]
+        if live.size == 1:
+            y_next = _times(x_next, live_t[0], min_rows)
+        else:
+            trial[li, row] = x_next
+            y_next = (trial[:live.size, :rows] @ live_t)[li, row]
         nxt = np.sum(x_next.conj() * y_next, axis=-1).real / d
         gain = nxt - vs
         small = gain <= tol

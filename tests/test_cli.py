@@ -481,6 +481,31 @@ def test_close_restarts_switch_to_newton_steps(capsys, monkeypatch, argv, calls,
     assert rows is None or sum(sizes) <= rows, sum(sizes)
 
 
+@pytest.mark.parametrize("argv, rows", [
+    # 1673 rows of one problem, multiplied directly; the step that multiplied
+    # all of its pairs' rows at every CG iteration gave the product 3183 rows
+    # here (4426 after padding)
+    (["analyze", "random:da=12,db=12,seed=12", "--json"], 1760),
+    # 4346 rows of 64 d = 3 problems in the packed layout, against 7384
+    (["verify", "sandwich", "--seed", "5"], 4560),
+])
+def test_conjugate_gradient_multiplies_only_the_pairs_still_in_it(
+        capsys, monkeypatch, argv, rows):
+    sizes = []
+    newton = criteria._newton_step
+
+    def counted(us, egrads, product, unit, radius):
+        def select(k):
+            hvp = product(k)
+            return lambda xk: sizes.append(len(xk)) or hvp(xk)
+        return newton(us, egrads, select, unit, radius)
+
+    monkeypatch.setattr(criteria, "_newton_step", counted)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert sum(sizes) <= rows, sum(sizes)
+
+
 def test_zero_restarts_rejected(capsys):
     for argv in (["analyze", "werner:d=2,p=0.5"],
                  ["scan", "werner:d=2,p=0", "--param", "p", "--range", "0:1:3"]):

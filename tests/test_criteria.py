@@ -610,10 +610,14 @@ def _full_batch_ascend(mats, starts, tol, max_iter):
             us_n = x[pi[nw], ri[nw]].reshape(-1, d, d).swapaxes(-1, -2)
             scale = np.ldexp(1.0, np.frexp(big[nw])[1])
 
-            def product(xk):
-                trial = x[live]
-                trial[li[nw], ri[nw]] = xk
-                return (trial @ live_t)[li[nw], ri[nw]]
+            def product(k):
+                lk, rk = li[nw[k]], ri[nw[k]]
+
+                def hvp(xk):
+                    trial = x[live]
+                    trial[lk, rk] = xk
+                    return (trial @ live_t)[lk, rk]
+                return hvp
 
             omega, pred, cut = criteria._newton_step(
                 us_n, grad[nw] * (2 / scale[:, None, None]), product, 2 / (d * scale),
@@ -695,6 +699,107 @@ def test_ascent_matches_the_full_batch_loop_bit_for_bit(d, max_iter):
                     np.testing.assert_array_equal(got_a, want_a)
 
 
+def _masked_newton_step(us, egrads, product, unit, radius):
+    """criteria._newton_step as it ran every CG iteration on all k pairs,
+    product(xs) taking all k rows, with alpha and the direction's update
+    masked to 0 for the pairs that had stopped; kept as the bit-for-bit
+    reference for the step that carries only the pairs still in CG."""
+    d = us.shape[-1]
+    uh = us.conj().swapaxes(-1, -2)
+    a = uh @ egrads
+    s = a + a.conj().swapaxes(-1, -2)
+    s *= 0.5
+    grad = criteria._skew(a)
+    e, r, p = np.zeros_like(grad), -grad, grad.copy()
+    rho = criteria._dot(r, r)
+    goal = rho * np.minimum(criteria._CG_KAPPA**2, np.sqrt(rho / criteria._dot(a, a)))
+    stopped, cut = rho <= goal, np.zeros(len(us), dtype=bool)
+    ut, uh = us.swapaxes(-1, -2), uh * unit[:, None, None]
+    rad2 = radius**2
+    for _ in range(0 if stopped.all() else d * d - 1):
+        y = product((p.swapaxes(-1, -2) @ ut).reshape(-1, d * d))
+        hp = criteria._skew(p @ s - uh @ y.reshape(-1, d, d).swapaxes(-1, -2))
+        kap = criteria._dot(p, hp)
+        alpha = np.where(stopped, 0.0, rho / np.where(kap > 0, kap, 1.0))
+        e_next = e + alpha[:, None, None] * p
+        out = ((kap <= 0) | (criteria._dot(e_next, e_next) >= rad2)) & ~stopped
+        if out.any():
+            eo, po = e[out], p[out]
+            e_p, p_p = criteria._dot(eo, po), criteria._dot(po, po)
+            alpha[out] = (np.sqrt(e_p**2 + p_p * (rad2[out] - criteria._dot(eo, eo))) - e_p) / p_p
+            e_next[out] = eo + alpha[out, None, None] * po
+            cut |= out
+        e = e_next
+        r += alpha[:, None, None] * hp
+        rho_next = criteria._dot(r, r)
+        stopped |= out | (rho_next <= goal)
+        if stopped.all():
+            break
+        p *= np.divide(rho_next, rho, out=np.zeros_like(rho), where=~stopped)[:, None, None]
+        p -= r
+        rho = rho_next
+    return e, criteria._dot(e, grad - r) / 2, cut
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_newton_step_matches_the_masked_loop_bit_for_bit(d):
+    # iterates after 0, 3 and 30 polar steps, at radii 10 and 0.05, leave CG
+    # by negative curvature, on the trust boundary and on the residual goal
+    # at different iterations, and at d = 2 and 4 some reach the d^2 - 1
+    # cap; the identity with a Hermitian gradient never enters CG.  The
+    # pairs run as one problem's restarts, multiplied directly, as one lone
+    # pair, padded to two rows, and as two problems' restarts in the packed
+    # layout; the masked loop multiplies every pair's row at every iteration
+    rng = np.random.default_rng(110 + d)
+    mats = np.stack([random_density_matrix(d, d, rng=rng).mat for _ in range(2)])
+    mat_t = mats.swapaxes(-1, -2)
+    starts = criteria._haar_starts(d, 4, rng)
+    lk, rk = np.repeat([0, 1], 4), np.tile(np.arange(4), 2)
+    iterations, cut_any = set(), False
+    for steps in (0, 3, 30):
+        us = criteria._ascend(mats, starts, np.inf, 1e-10, steps)[1]
+        us[0, 0] = np.eye(d)
+        grads = (criteria._vec_t(us) @ mat_t).reshape(2, 4, d, d).swapaxes(-1, -2) / d
+        grads[0, 0] = (grads[0, 0] + grads[0, 0].conj().T) / 2
+        scale = np.ldexp(1.0, np.frexp(np.abs(grads).max(axis=(-2, -1)))[1])
+        egrads = grads * (2 / scale[..., None, None])
+        for pairs in (lk == 0, lk == 1, (lk == 1) & (rk == 2), np.ones(8, dtype=bool)):
+            (held,) = np.nonzero(np.bincount(lk[pairs], minlength=2))
+            buf, mt = np.zeros((held.size, 4, d * d), dtype=complex), mat_t[held]
+            pl, pr = np.searchsorted(held, lk[pairs]), rk[pairs]
+
+            def masked(xs):
+                calls.append(len(xs))
+                buf[pl, pr] = xs
+                return (buf[:, :max(pr.max() + 1, 2)] @ mt)[pl, pr]
+
+            def product(k):
+                if held.size == 1:
+                    return lambda xk: criteria._times(xk, mt[0], 2)
+                pl_k, pr_k = pl[k], pr[k]
+
+                def hvp(xk):
+                    buf[pl_k, pr_k] = xk
+                    return (buf[:, :max(pr_k.max() + 1, 2)] @ mt)[pl_k, pr_k]
+                return hvp
+
+            args = us[lk[pairs], rk[pairs]], egrads[lk[pairs], rk[pairs]]
+            unit = 2 / (d * scale[lk[pairs], rk[pairs]])
+            for radius in (10.0, 0.05):
+                calls = []
+                radii = np.full(pairs.sum(), radius)
+                want = _masked_newton_step(*args, masked, unit, radii)
+                got = criteria._newton_step(*args, product, unit, radii)
+                for got_a, want_a in zip(got, want):
+                    np.testing.assert_array_equal(got_a, want_a)
+                iterations.add(len(calls))
+                cut_any |= want[2].any()
+                if pairs[0]:
+                    assert not got[0][0].any()
+    assert cut_any
+    assert d in (3, 5) or d * d - 1 in iterations, iterations
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_newton_step_model_matches_finite_differences(d):
     # the predicted gain of each returned step Omega is phi'(0) + phi''(0)/2
@@ -708,8 +813,8 @@ def test_newton_step_model_matches_finite_differences(d):
     scale = np.ldexp(1.0, np.frexp(np.abs(grads).max(axis=(-2, -1)))[1])
     for radius in (10.0, 1e-3):
         omega, pred, cut = criteria._newton_step(
-            us, grads * (2 / scale[:, None, None]), lambda xk: xk @ mat.T, 2 / (d * scale),
-            np.full(len(us), radius))
+            us, grads * (2 / scale[:, None, None]), lambda k: lambda xk: xk @ mat.T,
+            2 / (d * scale), np.full(len(us), radius))
         for u, om, gain, boundary, unit in zip(us, omega, pred * scale, cut, scale):
             norm = np.linalg.norm(om)
             assert np.max(np.abs(om + om.conj().T)) == 0 and abs(np.trace(om)) < 1e-13 * norm
