@@ -16,8 +16,10 @@ its last three ratios of successive gains are within 10% of each other and
 either at least 0.8 (it creeps) or small enough that the polar steps' own
 remaining gain is at most 1e4 TOL_ASCENT (it is close to a maximum), it
 takes trust-region Newton steps on U(d) instead, and keeps one only if its
-gain exceeds a tenth of the gain its quadratic model predicted; a rejected
-step sends it back to polar steps.  A report's fidelity_converged means
+gain exceeds a tenth of the gain its quadratic model predicted.  A rejected
+step keeps U and is tried again with a quartered trust radius, unless its
+model predicted a gain of at most TOL_ASCENT: then the restart goes back to
+polar steps.  A report's fidelity_converged means
 that the winning restart stopped on a kept step that gained at most
 TOL_ASCENT (a Newton step cut short by its trust radius does not count), at
 the certified ceiling, at a flat gradient, or where a polar step would have
@@ -303,12 +305,17 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     the value still never falls.  The pair's trust radius, kept from one
     Newton phase to the next, shrinks by 4 below a ratio of 1/4 and doubles,
     up to sqrt(d), above 3/4 on the boundary.  A rejected step leaves U as it
-    was and sends the pair back to plain steps, and so does a kept step that
-    stopped on the trust boundary with a gain of at most tol: that gain only
-    measures the radius.  So converged still means a gain of at most tol on a
-    kept plain or interior Newton step.  Every threshold of the Newton phase
-    is a ratio, _NEAR included, and the gradients are scaled by a power of two
-    per pair, so the ascent stays scale equivariant.
+    was and the pair takes another Newton step from it on the next iteration,
+    with the quartered radius (Absil, Baker and Gallivan, 2007, Alg. 1).  Two
+    cases send the pair back to plain steps instead: a rejected step whose
+    predicted gain is at most tol, which would otherwise be retried at
+    rounding-level predictions, and a kept step that stopped on the trust
+    boundary with a gain of at most tol, as that gain only measures the
+    radius.  A rejected step never counts as converged, so converged still
+    means a gain of at most tol on a kept plain or interior Newton step.
+    Every threshold of the Newton phase is a ratio, _NEAR included, or is
+    tol, and the gradients are scaled by a power of two per pair, so the
+    ascent stays scale equivariant.
 
     ``ceiling`` (P,), or a scalar, bounds each problem's objective from
     above; np.inf switches the bound off.  A pair whose value reaches
@@ -410,9 +417,9 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
             ok = ratio > _ACCEPT
             radius[nw] = np.where(ratio < 0.25, radius[nw] / 4, np.where(
                 (ratio > 0.75) & cut, np.minimum(2 * radius[nw], np.sqrt(d)), radius[nw]))
-            back = nw[~ok | (cut & small[nw])]
             rej = nw[~ok]
-            x_next[rej], y_next[rej], nxt[rej] = xs[rej], ys[rej], vs[rej]
+            back = nw[np.where(ok, cut & small[nw], pred <= tol)]
+            x_next[rej], y_next[rej], nxt[rej], small[rej] = xs[rej], ys[rej], vs[rej], False
             newton[back], small[back], gains[back] = False, False, np.nan
         q = gains[:, 1:] / gains[:, :-1]
         low, high = q.min(axis=1), q.max(axis=1)

@@ -288,8 +288,9 @@ def _serial_newton_ascent(mat, d, u, tol=1e-10, max_iter=2000):
                 radius /= 4
             elif ratio > 0.75 and cut:
                 radius = min(2 * radius, np.sqrt(d))
-            if ratio <= criteria._ACCEPT:  # rejected: U stays, plain steps again
-                newton, gains = False, []
+            if ratio <= criteria._ACCEPT:  # rejected: U stays, Newton again at radius/4
+                if pred <= tol:  # unless the model promised no more than tol
+                    newton, gains = False, []
                 continue
         elif nxt < value:
             return value, u, True
@@ -348,6 +349,41 @@ def test_radius_cut_steps_do_not_count_as_converged(monkeypatch):
     for mat, got in zip(mats, values):
         plain = [_serial_ascent(mat, d, u0)[0] for u0 in starts]
         np.testing.assert_allclose(got, plain, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("promised", ["model", "nothing"])
+def test_rejected_newton_steps_retry_in_place_unless_the_model_promised_at_most_tol(
+        monkeypatch, promised):
+    # the first Newton step is sent the wrong way, so its gain is negative and
+    # it is rejected.  With the model's own prediction, far above tol, the pair
+    # takes another Newton step on the next iteration from the same U with a
+    # quartered radius; with a prediction of 0 it goes back to polar steps,
+    # which need four fresh gains before the next Newton step
+    d = 4
+    rng = np.random.default_rng(44)
+    mat = random_density_matrix(d, d, rng=rng).mat
+    starts = criteria._haar_starts(d, 1, rng)
+    calls, steps = [], []
+    newton, polar = criteria._newton_step, criteria._polar
+
+    def step(us, egrads, product, unit, radius):
+        omega, pred, cut = newton(us, egrads, product, unit, radius)
+        calls.append((len(steps), us.copy(), radius.copy()))
+        if len(calls) == 1:
+            return -omega, pred if promised == "model" else 0 * pred, cut
+        return omega, pred, cut
+
+    monkeypatch.setattr(criteria, "_newton_step", step)
+    monkeypatch.setattr(criteria, "_polar", lambda g: steps.append(len(g)) or polar(g))
+    _, _, converged = criteria._ascend(mat[None], starts, np.inf, criteria.TOL_ASCENT, 2000)
+    assert converged.all() and len(calls) >= 2
+    (first, us, radius), (second, us_next, radius_next) = calls[:2]
+    if promised == "model":
+        assert second == first + 1
+        np.testing.assert_array_equal(us_next, us)
+        np.testing.assert_array_equal(radius_next, radius / 4)
+    else:
+        assert second >= first + 5, (first, second)
 
 
 def _serial_joint_ascent(mat, d, u, tol=1e-10):
@@ -639,9 +675,10 @@ def _full_batch_ascend(mats, starts, tol, max_iter):
             rad = radius[pi[nw], ri[nw]]
             radius[pi[nw], ri[nw]] = np.where(ratio < 0.25, rad / 4, np.where(
                 (ratio > 0.75) & cut, np.minimum(2 * rad, np.sqrt(d)), rad))
-            rejected, back = nw[ratio <= criteria._ACCEPT], nw[(ratio <= criteria._ACCEPT) | (cut & small[nw])]
+            rej = ratio <= criteria._ACCEPT
+            rejected, back = nw[rej], nw[np.where(rej, pred <= tol, cut & small[nw])]
             stop[nw], step[rejected] = flat[nw], False
-            small[back] = False
+            small[rejected], small[back] = False, False
             hist[back] = np.nan
             newton[pi[back], ri[back]] = False
         q = hist[:, 1:] / hist[:, :-1]
