@@ -11,19 +11,17 @@ basis.  Above, it is estimated by a monotone ascent over local unitaries on
 rho - lambda_min I, which has the same maximisers, and is reported as a
 certified lower bound, not as the global optimum.
 
-Each restart of the ascent takes polar steps, which converge linearly.  Once
-its last three ratios of successive gains are within 10% of each other and
-either at least 0.8 (it creeps) or small enough that the polar steps' own
-remaining gain is at most 1e4 TOL_ASCENT (it is close to a maximum), it
-takes trust-region Newton steps on U(d) instead, and keeps one only if its
+Each restart of the ascent takes four polar steps, which converge linearly,
+then trust-region Newton steps on U(d), and keeps a Newton step only if its
 gain exceeds a tenth of the gain its quadratic model predicted.  A rejected
 step keeps U and is tried again with a quartered trust radius, unless its
 model predicted a gain of at most TOL_ASCENT: then the restart goes back to
-polar steps.  A report's fidelity_converged means
-that the winning restart stopped on a kept step that gained at most
-TOL_ASCENT (a Newton step cut short by its trust radius does not count), at
-the certified ceiling, at a flat gradient, or where a polar step would have
-lowered its value.
+polar steps, four of them before its next Newton step.  A report's
+fidelity_converged means that the winning restart stopped on a kept step
+that gained at most TOL_ASCENT (a Newton step cut short by its trust radius
+does not count), at the certified ceiling, at a flat gradient, where a polar
+step would have lowered its value, or where a Newton step's model predicted
+a gain at rounding level.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .linalg import (
     TOL_DISORDERED,
     TOL_FLAG,
     TOL_FLAT,
+    TOL_PREDICTED,
     TOL_STRUCTURE,
     DensityMatrix,
     DimensionError,
@@ -193,15 +192,14 @@ def _skew(w: np.ndarray) -> np.ndarray:
     return s
 
 
-# A pair switches to Newton steps once its last three gain ratios are within a
-# factor _SETTLED of each other and either all at least _SLOW (it creeps) or
-# promise a remaining plain gain of at most _NEAR * tol (it is close); it keeps
-# a Newton step whose gain exceeds _ACCEPT times the model's.  The trust
-# radius, in U-space, starts at _RADIUS * sqrt(d) and never exceeds sqrt(d).
+# A pair takes Newton steps once it has taken _PLAIN plain steps since it
+# started or last went back to them; it keeps a Newton step whose gain exceeds
+# _ACCEPT times the model's.  The trust radius, in U-space, starts at
+# _RADIUS * sqrt(d) and never exceeds sqrt(d).
 # Truncated CG stops once its residual is min(_CG_KAPPA, sqrt(||rgrad|| /
 # ||egrad||)) times its first, a superlinear rule (Absil, Mahony and Sepulchre,
 # 2008, 7.3).
-_SLOW, _SETTLED, _ACCEPT, _NEAR = 0.8, 1.1, 0.1, 1e4
+_PLAIN, _ACCEPT = 4, 0.1
 _RADIUS, _CG_KAPPA = 0.125, 0.1
 
 
@@ -292,30 +290,31 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     or when the gain is at most tol; unconverged after max_iter steps.
 
     Plain steps converge linearly, Newton steps superlinearly near a
-    nondegenerate maximum.  Once a pair's last three ratios of successive
-    gains are within a factor _SETTLED of each other, it takes trust-region
-    Newton steps instead (_newton_step) if it creeps, every ratio at least
-    _SLOW, or if it is close: with g its last gain and q < 1 its largest
-    ratio, the plain steps would gain about g q / (1 - q) more, at most
-    _NEAR tol.  Newton steps are retracted by the polar factor of U + xi in
-    the step's one batched SVD; each Hessian-vector product multiplies only
-    the rows of the pairs still in CG by rho^T, in the step's packed layout,
-    or directly when they all belong to one problem.  A Newton step is
-    kept only if its gain exceeds _ACCEPT times the model's predicted gain, so
-    the value still never falls.  The pair's trust radius, kept from one
-    Newton phase to the next, shrinks by 4 below a ratio of 1/4 and doubles,
-    up to sqrt(d), above 3/4 on the boundary.  A rejected step leaves U as it
-    was and the pair takes another Newton step from it on the next iteration,
-    with the quartered radius (Absil, Baker and Gallivan, 2007, Alg. 1).  Two
-    cases send the pair back to plain steps instead: a rejected step whose
-    predicted gain is at most tol, which would otherwise be retried at
-    rounding-level predictions, and a kept step that stopped on the trust
-    boundary with a gain of at most tol, as that gain only measures the
-    radius.  A rejected step never counts as converged, so converged still
-    means a gain of at most tol on a kept plain or interior Newton step.
-    Every threshold of the Newton phase is a ratio, _NEAR included, or is
-    tol, and the gradients are scaled by a power of two per pair, so the
-    ascent stays scale equivariant.
+    nondegenerate maximum.  A pair takes trust-region Newton steps
+    (_newton_step) once it has taken _PLAIN plain steps since it started or
+    last went back to them.  Newton steps are retracted by the polar factor
+    of U + xi in the step's one batched SVD; each Hessian-vector product
+    multiplies only the rows of the pairs still in CG by rho^T, in the step's
+    packed layout, or directly when they all belong to one problem.  A
+    Newton step is kept only if its gain exceeds _ACCEPT times the model's
+    predicted gain, so the value still never falls.  The pair's trust
+    radius, kept from one Newton phase to the next, shrinks by 4 below a
+    ratio of 1/4 and doubles, up to sqrt(d), above 3/4 on the boundary.  A
+    rejected step leaves U as it was and the pair takes another Newton step
+    from it on the next iteration, with the quartered radius (Absil, Baker
+    and Gallivan, 2007, Alg. 1).  Two cases send the pair back to plain
+    steps instead: a rejected step whose predicted gain is at most tol,
+    which would otherwise be retried at rounding-level predictions, and a
+    kept step that stopped on the trust boundary with a gain of at most tol,
+    as that gain only measures the radius.  An interior step whose model
+    predicted a gain of at most TOL_PREDICTED times the value is judged
+    before either: the sign of its actual gain is rounding noise, so the
+    pair stops converged where it is.  A rejected step never counts as
+    converged, so converged means a gain of at most tol on a kept plain or
+    interior Newton step, or a rounding-level prediction.  Every threshold
+    of the Newton phase is a ratio, TOL_PREDICTED included, or is tol, and
+    the gradients are scaled by a power of two per pair, so the ascent stays
+    scale equivariant.
 
     ``ceiling`` (P,), or a scalar, bounds each problem's objective from
     above; np.inf switches the bound off.  A pair whose value reaches
@@ -356,17 +355,16 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     # the first `rows` rows of each live problem's block of ``trial``
     trial, rows, min_rows = np.zeros_like(x), x.shape[1], min(2, x.shape[1])
 
-    # each pair's last four plain gains, oldest first, whether it takes
-    # Newton steps, and its trust radius
-    gains = np.full((pi.size, 4), np.nan)
-    newton, radius = np.zeros(pi.size, dtype=bool), np.full(pi.size, _RADIUS * np.sqrt(d))
+    # each pair's plain steps since it started or went back to them, and its
+    # trust radius
+    plain, radius = np.zeros(pi.size, dtype=int), np.full(pi.size, _RADIUS * np.sqrt(d))
     for _ in range(max_iter):
         if pi.size == 0:
             break
         grad = ys.reshape(-1, d, d).swapaxes(-1, -2) / d
         big = np.abs(grad).max(axis=(-2, -1))
-        flat = big < TOL_FLAT
-        (nw,) = np.nonzero(newton)
+        stop = big < TOL_FLAT
+        (nw,) = np.nonzero(plain >= _PLAIN)
         if nw.size:
             us_n = xs[nw].reshape(-1, d, d).swapaxes(-1, -2)
             scale = np.ldexp(1.0, np.frexp(big[nw])[1])  # a power of two near |G|
@@ -409,8 +407,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
         nxt = np.sum(x_next.conj() * y_next, axis=-1).real / d
         gain = nxt - vs
         small = gain <= tol
-        gains[:, :-1] = gains[:, 1:]
-        gains[:, -1] = gain
+        plain += 1
         if nw.size:
             g = gain[nw]
             ratio = g / np.where(pred > 0, pred, np.inf)
@@ -420,16 +417,11 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
             rej = nw[~ok]
             back = nw[np.where(ok, cut & small[nw], pred <= tol)]
             x_next[rej], y_next[rej], nxt[rej], small[rej] = xs[rej], ys[rej], vs[rej], False
-            newton[back], small[back], gains[back] = False, False, np.nan
-        q = gains[:, 1:] / gains[:, :-1]
-        low, high = q.min(axis=1), q.max(axis=1)
-        # creeping, or close: the plain steps' remaining gain, about
-        # gain * high / (1 - high), is at most _NEAR * tol.  Written so as not
-        # to overflow, and false for high >= 1, as a pair that goes on gained
-        # more than tol
-        close = gains[:, -1] / tol <= _NEAR * (1 - high) / high
-        newton |= (high <= _SETTLED * low) & ((low >= _SLOW) | close)
-        stop = flat | (nxt < vs)
+            plain[back], small[back] = 0, False
+            # an interior step whose model promised a rounding-level gain: the
+            # sign of its actual gain is noise, so the pair stops where it is
+            stop[nw[~cut & (pred <= TOL_PREDICTED * np.abs(vs[nw]))]] = True
+        stop |= nxt < vs
         at_top = nxt >= cs
         done = stop | at_top | small
         if done.any():
@@ -443,7 +435,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
             x[pi[out], ri[out]], values[pi[out], ri[out]] = x_next[out], nxt[out]
             go = ~out
             x_next, y_next, nxt, cs = x_next[go], y_next[go], nxt[go], cs[go]
-            gains, newton, radius = gains[go], newton[go], radius[go]
+            plain, radius = plain[go], radius[go]
             keep = act.any(axis=1)
             if not keep.all():
                 live, act = live[keep], act[keep]
@@ -551,29 +543,48 @@ def _optimize_trace_class(mat, d, restarts, rng):
     its lambda_min.  As <psi|H|psi> = Re(conj(phi) z) <= |z|, with equality
     at the round's start, |z| never falls.  A restart stops, converged, once
     a round gains at most TOL_ASCENT, and unconverged after _ASCENT_MAX_ITER
-    steps in all.  Returns the value, unitary and converged flag of the best
-    restart, the first winning ties.
+    steps in all.  Each restart then runs one _ascend to TOL_ASCENT at its
+    last phi, kept only where it raises |z|: a round of _RELAX_ROUND steps
+    can end inside its Newton phase, short of that phase's maximum.  Returns
+    the value, unitary and converged flag of the best restart, the first
+    winning ties.
     """
     scale = np.abs(mat).max() or 1.0
     m = mat / scale
     us = _haar_starts(d, restarts, rng)
-    x = _vec_t(us)
-    z = np.sum(x.conj() * (x @ m.T), axis=-1) / d
+    z = _relaxed_overlaps(m, us)
     live = np.ones(restarts, dtype=bool)
     for _ in range(_ASCENT_MAX_ITER // _RELAX_ROUND):
-        phi = np.exp(1j * np.angle(z[live]))[:, None, None]
-        h = (phi.conj() * m + phi * m.conj().T) / 2
-        h -= np.linalg.eigvalsh(h)[:, :1, None] * np.eye(d * d)
-        us[live] = _ascend(h, us[live, None], np.inf, TOL_ASCENT, _RELAX_ROUND)[1][:, 0]
-        x = _vec_t(us[live])
-        z_next = np.sum(x.conj() * (x @ m.T), axis=-1) / d
+        us[live] = _phase_ascent(m, z[live], us[live], _RELAX_ROUND)
+        z_next = _relaxed_overlaps(m, us[live])
         gain = np.abs(z_next) - np.abs(z[live])
         z[live] = z_next
         live[live] = gain > TOL_ASCENT
         if not live.any():
             break
+    # finish each restart at its last phase, keeping only what raises |z|
+    finish = _phase_ascent(m, z, us, _ASCENT_MAX_ITER)
+    z_finish = _relaxed_overlaps(m, finish)
+    up = np.abs(z_finish) > np.abs(z)
+    us[up], z[up] = finish[up], z_finish[up]
     best = int(np.argmax(np.abs(z)))  # the first restart wins ties
     return np.abs(z[best]) * scale, us[best], not live[best]
+
+
+def _relaxed_overlaps(m, us):
+    """z = <psi_U|m|psi_U> of each unitary in a stack (k, d, d)."""
+    x = _vec_t(us)
+    return np.sum(x.conj() * (x @ m.T), axis=-1) / us.shape[-1]
+
+
+def _phase_ascent(m, z, us, max_iter):
+    """The unitaries that _ascend reaches from ``us`` (k, d, d) in at most
+    max_iter steps on H = (conj(phi) m + phi m^H)/2, phi = z/|z| for each
+    overlap in ``z`` (k,), shifted by its lambda_min."""
+    phi = np.exp(1j * np.angle(z))[:, None, None]
+    h = (phi.conj() * m + phi * m.conj().T) / 2
+    h -= np.linalg.eigvalsh(h)[:, :1, None] * np.eye(len(m))
+    return _ascend(h, us[:, None], np.inf, TOL_ASCENT, max_iter)[1][:, 0]
 
 
 # the maximally entangled state compensating a given diagonal-correlation

@@ -36,6 +36,7 @@ TOL_DIRECTION = 1e-10    # tau change a monotonicity probe still calls invariant
 TOL_ASCENT = 1e-10       # per-step gain at which a fidelity ascent stops
 TOL_FLAT = 1e-300        # largest gradient entry below which an ascent stops as flat
 TOL_CEILING = 1e-12      # distance below its certified ceiling at which an ascent stops
+TOL_PREDICTED = 16 * 2.0**-52  # relative model gain at which an interior Newton step is rounding
 TOL_BISECT = 1e-9        # bracket width at which the CCN threshold bisection stops
 
 

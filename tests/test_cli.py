@@ -465,19 +465,26 @@ def test_scan_builds_each_state_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, calls, rows", [
-    # fast restarts that settle near their maximum finish with Newton steps;
-    # the creep switch alone took 18 batched polar steps over 2692 rows here
-    (["scan", "isotropic:d=3,F=0", "--param", "F", "--range=0:1:101"], 10, 1500),
-    # and 62 steps here.  The 50-call bound also catches a rejected Newton step
-    # retried in place at rounding-level predictions: without the rule that
-    # sends a rejection predicting at most tol back to polar steps, this state
-    # ran 1991 of its 2000 steps
-    (["analyze", "random:da=4,db=4,seed=1", "--json"], 50, None),
+    # every restart takes Newton steps after four plain steps (6 calls over
+    # 1092 rows here); switching only once the gain ratios settled took 8
+    # calls over 1377 rows, and switching only on a creep 18 over 2692
+    (["scan", "isotropic:d=3,F=0", "--param", "F", "--range=0:1:101"], 8, 1200),
+    # 16 calls here, against 43 with the settled-ratio switch.  The bound also
+    # catches a rejected Newton step retried in place at rounding-level
+    # predictions: without the rule that sends a rejection predicting at most
+    # tol back to polar steps, this state ran 1991 of its 2000 steps
+    (["analyze", "random:da=4,db=4,seed=1", "--json"], 20, None),
     # slow restarts retry a rejected Newton step in place with a quartered
-    # radius; sent back to polar steps they took 67 calls here
-    (["analyze", "random:da=12,db=12,seed=12", "--json"], 40, None),
+    # radius (31 calls); sent back to polar steps they took 67 calls here
+    (["analyze", "random:da=12,db=12,seed=12", "--json"], 35, None),
+    # 16 calls here, against 50 with the settled-ratio switch
+    (["analyze", "random:da=6,db=6,seed=3", "--json"], 20, None),
+    # 64 d = 3 states: 22 calls over 2978 rows, against 49 over 6244 with the
+    # settled-ratio switch
+    (["verify", "sandwich", "--seed", "5"], 25, 3200),
 ])
-def test_close_restarts_switch_to_newton_steps(capsys, monkeypatch, argv, calls, rows):
+def test_restarts_switch_to_newton_steps_after_four_plain_steps(
+        capsys, monkeypatch, argv, calls, rows):
     sizes = []
     polar = criteria._polar
     monkeypatch.setattr(criteria, "_polar", lambda g: sizes.append(len(g)) or polar(g))
@@ -488,14 +495,15 @@ def test_close_restarts_switch_to_newton_steps(capsys, monkeypatch, argv, calls,
 
 
 @pytest.mark.parametrize("argv, rows, products", [
-    # 1776 rows in 467 products of one problem, multiplied directly; the step
+    # 1885 rows in 432 products of one problem, multiplied directly; the step
     # that multiplied all of its pairs' rows at every CG iteration gave the
     # product 3183 rows here (4426 after padding), and sending each rejected
     # Newton step back to polar steps took 610 products
-    (["analyze", "random:da=12,db=12,seed=12", "--json"], 1860, 490),
-    # 4373 rows in 262 products of 64 d = 3 problems in the packed layout,
-    # against 7384 rows
-    (["verify", "sandwich", "--seed", "5"], 4560, 275),
+    (["analyze", "random:da=12,db=12,seed=12", "--json"], 1960, 450),
+    # 6493 rows in 125 products of 64 d = 3 problems in the packed layout:
+    # with most pairs taking Newton steps, fewer and fuller products than the
+    # settled-ratio switch's 4373 rows in 262
+    (["verify", "sandwich", "--seed", "5"], 6700, 140),
 ])
 def test_conjugate_gradient_multiplies_only_the_pairs_still_in_it(
         capsys, monkeypatch, argv, rows, products):
