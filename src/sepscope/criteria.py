@@ -114,8 +114,6 @@ class FidelityResult(NamedTuple):
 
 
 _ASCENT_MAX_ITER = 2000
-# Steps per round of the relaxed ascent: 3 ended lower, unbounded ran longer
-_RELAX_ROUND = 10
 
 # At most this many states share one ascent chunk.  Batching them removes the
 # per-state Python dispatch; larger batches gain little more, while the
@@ -201,6 +199,11 @@ def _skew(w: np.ndarray) -> np.ndarray:
 # 2008, 7.3).
 _PLAIN, _ACCEPT = 4, 0.1
 _RADIUS, _CG_KAPPA = 0.125, 0.1
+# A round of the relaxed ascent is _PLAIN steps, all polar: with rounds of 10,
+# whose Newton steps jump to the maximiser of a phase that is still moving,
+# 2 of 515 operators ended in a lower basin.  The finish's fixed-phase ascents
+# take the Newton steps; most restarts need 2-4 of them.
+_RELAX_ROUND, _RELAX_FINISH = _PLAIN, 6
 
 
 def _newton_step(us: np.ndarray, egrads: np.ndarray, product, unit: np.ndarray,
@@ -355,8 +358,8 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     # the first `rows` rows of each live problem's block of ``trial``
     trial, rows, min_rows = np.zeros_like(x), x.shape[1], min(2, x.shape[1])
 
-    # each pair's plain steps since it started or went back to them, and its
-    # trust radius
+    # each pair's steps since it started or last went back to polar steps
+    # (from _PLAIN on they are Newton steps), and its trust radius
     plain, radius = np.zeros(pi.size, dtype=int), np.full(pi.size, _RADIUS * np.sqrt(d))
     for _ in range(max_iter):
         if pi.size == 0:
@@ -538,16 +541,27 @@ def _optimize_trace_class(mat, d, restarts, rng):
     joint in the phase and the unitary, on m = mat / max|mat|: so the value
     scales with mat, exactly for a power of two, and ignores a global phase.
 
-    Each round sets phi = z/|z| (1 at z = 0) and runs _RELAX_ROUND steps of
-    _ascend, without a ceiling, on H = (conj(phi) m + phi m^H)/2 shifted by
-    its lambda_min.  As <psi|H|psi> = Re(conj(phi) z) <= |z|, with equality
-    at the round's start, |z| never falls.  A restart stops, converged, once
-    a round gains at most TOL_ASCENT, and unconverged after _ASCENT_MAX_ITER
-    steps in all.  Each restart then runs one _ascend to TOL_ASCENT at its
-    last phi, kept only where it raises |z|: a round of _RELAX_ROUND steps
-    can end inside its Newton phase, short of that phase's maximum.  Returns
-    the value, unitary and converged flag of the best restart, the first
-    winning ties.
+    Each round sets phi = z/|z| (1 at z = 0) and runs _RELAX_ROUND polar
+    steps of _ascend, without a ceiling, on H = (conj(phi) m + phi m^H)/2
+    shifted by its lambda_min.  As <psi|H|psi> = Re(conj(phi) z) <= |z|,
+    with equality at the round's start, |z| never falls.  A restart stops,
+    converged, once a round gains at most TOL_ASCENT, and unconverged after
+    _ASCENT_MAX_ITER steps of rounds.
+
+    Both the phase and the polar steps converge linearly, so the rounds stop
+    up to about 1e-9 short of the local maximum of |z|.  The finish closes
+    that gap.  Let U(theta) be the maximiser of Re(exp(-i theta) z) that
+    _ascend, Newton steps included, reaches from the current U at the phase
+    theta, to a gain of at most TOL_PREDICTED (m's entries are at most 1 in
+    modulus).  |z| is locally maximal where arg z(U(theta)) = theta.  The
+    finish solves that equation by the secant method from the rounds' last
+    phase, its first step the rounds' own update theta <- arg z, and keeps
+    each U(theta) only where it raises |z|.  A restart leaves the finish once
+    an evaluation raises |z| by at most TOL_PREDICTED |z|, and after
+    _RELAX_FINISH evaluations of at most _ASCENT_MAX_ITER // _RELAX_FINISH
+    steps each, so a restart takes at most 2 _ASCENT_MAX_ITER steps in all.
+    The converged flag is the rounds'.  Returns the value, unitary and
+    converged flag of the best restart, the first winning ties.
     """
     scale = np.abs(mat).max() or 1.0
     m = mat / scale
@@ -555,18 +569,32 @@ def _optimize_trace_class(mat, d, restarts, rng):
     z = _relaxed_overlaps(m, us)
     live = np.ones(restarts, dtype=bool)
     for _ in range(_ASCENT_MAX_ITER // _RELAX_ROUND):
-        us[live] = _phase_ascent(m, z[live], us[live], _RELAX_ROUND)
+        us[live] = _phase_ascent(m, np.angle(z[live]), us[live], _RELAX_ROUND, TOL_ASCENT)
         z_next = _relaxed_overlaps(m, us[live])
         gain = np.abs(z_next) - np.abs(z[live])
         z[live] = z_next
         live[live] = gain > TOL_ASCENT
         if not live.any():
             break
-    # finish each restart at its last phase, keeping only what raises |z|
-    finish = _phase_ascent(m, z, us, _ASCENT_MAX_ITER)
-    z_finish = _relaxed_overlaps(m, finish)
-    up = np.abs(z_finish) > np.abs(z)
-    us[up], z[up] = finish[up], z_finish[up]
+    theta, u, go, last = np.angle(z), us.copy(), np.arange(restarts), None
+    for _ in range(_RELAX_FINISH):
+        if go.size == 0:
+            break
+        u[go] = _phase_ascent(m, theta[go], u[go], _ASCENT_MAX_ITER // _RELAX_FINISH,
+                              TOL_PREDICTED)
+        z_next = _relaxed_overlaps(m, u[go])
+        rise = np.abs(z_next) - np.abs(z[go])
+        up = go[rise > 0]
+        us[up], z[up] = u[up], z_next[rise > 0]
+        r = np.angle(z_next * np.exp(-1j * theta[go]))  # arg z - theta
+        step = r.copy()
+        if last is not None:  # the secant through this and the last evaluation
+            sec = r != last[1]
+            step[sec] *= (theta[go] - last[0])[sec] / (last[1] - r)[sec]
+        more = rise > TOL_PREDICTED * np.abs(z[go])
+        last = theta[go][more], r[more]
+        theta[go] += step
+        go = go[more]
     best = int(np.argmax(np.abs(z)))  # the first restart wins ties
     return np.abs(z[best]) * scale, us[best], not live[best]
 
@@ -577,14 +605,15 @@ def _relaxed_overlaps(m, us):
     return np.sum(x.conj() * (x @ m.T), axis=-1) / us.shape[-1]
 
 
-def _phase_ascent(m, z, us, max_iter):
-    """The unitaries that _ascend reaches from ``us`` (k, d, d) in at most
-    max_iter steps on H = (conj(phi) m + phi m^H)/2, phi = z/|z| for each
-    overlap in ``z`` (k,), shifted by its lambda_min."""
-    phi = np.exp(1j * np.angle(z))[:, None, None]
+def _phase_ascent(m, theta, us, max_iter, tol):
+    """The unitaries that _ascend reaches to ``tol`` from ``us`` (k, d, d)
+    in at most max_iter steps on H = (conj(phi) m + phi m^H)/2, phi =
+    exp(i theta) for each phase in ``theta`` (k,), shifted by its
+    lambda_min."""
+    phi = np.exp(1j * theta)[:, None, None]
     h = (phi.conj() * m + phi * m.conj().T) / 2
     h -= np.linalg.eigvalsh(h)[:, :1, None] * np.eye(len(m))
-    return _ascend(h, us[:, None], np.inf, TOL_ASCENT, max_iter)[1][:, 0]
+    return _ascend(h, us[:, None], np.inf, tol, max_iter)[1][:, 0]
 
 
 # the maximally entangled state compensating a given diagonal-correlation
