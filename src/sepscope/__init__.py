@@ -73,6 +73,7 @@ from .states import (
     counterexample_matrix,
     counterexample_spectra,
     format_family,
+    isotropic_matrix,
     make_state,
     param_kind,
     parse_family,
@@ -81,8 +82,10 @@ from .states import (
     random_max_disordered,
     random_unitary,
     replace_param,
+    rho_p_matrix,
     rho_p_threshold,
     swap_operator,
+    werner_matrix,
 )
 
 __version__ = "0.1.0"

@@ -8,19 +8,21 @@ round-trip formatting so sweep output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
-from .criteria import (CriterionReport, _check_restarts, _chunks, _stacked_reports,
-                       fidelity_optimize, full_report, realigned_trace)
+from .criteria import (CriterionReport, _check_restarts, _chunk_points, _chunks,
+                       _stacked_reports, fidelity_optimize, full_report, realigned_trace)
 from .linalg import TOL_BISECT, TOL_FLAG, DensityMatrix, TraceClassOperator, _check_states
 from .realign import _ccn_values, ccn_value
-from .states import (FamilySpec, _family_matrix, make_state, param_kind, parse_family,
-                     replace_param)
+from .states import (FamilySpec, _check_grid, _family_matrix, _family_stack, make_state,
+                     param_kind, parse_family, replace_param)
 from .verify import SUITES
 
 
@@ -58,7 +60,29 @@ def load_state_file(path: str, relax: bool = False):
     rows = data["matrix"]
     if not isinstance(rows, list) or len(rows) != side:
         raise ValueError(f"'matrix' must have {side} rows")
-    mat = np.zeros((side, side), dtype=np.complex128)
+    cls = TraceClassOperator if relax else DensityMatrix
+    return cls(dims[0], dims[1], _state_matrix(rows, side))
+
+
+def _state_matrix(rows: list, side: int) -> np.ndarray:
+    """The (side, side) complex matrix of a state file's ``side`` rows.
+
+    A well-formed matrix is checked and converted in bulk.  Otherwise the
+    walk below, which checks the same conditions cell by cell, raises for the
+    first bad row or cell in row-major order.
+    """
+    if all(isinstance(row, list) and len(row) == side for row in rows):
+        cells = list(chain.from_iterable(rows))
+        if set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}:
+            values = list(chain.from_iterable(cells))
+            # JSON gives exact types, so this refuses true and false as _is_number does
+            if set(map(type, values)) <= {int, float}:
+                try:
+                    parts = np.array(values, dtype=np.float64)
+                except OverflowError:  # an integer beyond any float, named below
+                    pass
+                else:
+                    return parts.view(np.complex128).reshape(side, side)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != side:
             raise ValueError(f"matrix row {i} must have {side} entries")
@@ -72,11 +96,9 @@ def load_state_file(path: str, relax: bool = False):
                     f"matrix entry ({i}, {j}) must be a two-element [re, im] array"
                 )
             try:
-                mat[i, j] = complex(cell[0], cell[1])
+                complex(cell[0], cell[1])
             except OverflowError:
                 raise ValueError(f"matrix entry ({i}, {j}) is too large for a float") from None
-    cls = TraceClassOperator if relax else DensityMatrix
-    return cls(dims[0], dims[1], mat)
 
 
 def save_state_file(path: str, op) -> None:
@@ -212,62 +234,96 @@ def _csv_cell(value) -> str:
     return repr(float(value))
 
 
+# levels of bisection midpoints built as one stack: 7 midpoints cost about as
+# much as one at d = 2 and 3, and stacks of 15 or 31 were no faster
+_BISECT_LEVELS = 3
+
+
 def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float,
                   tau_lo: float | None = None, tau_hi: float | None = None) -> float | None:
     """Bisect tau(parameter) = 1 between lo and hi, in either order; None
-    without a sign change.
+    without a sign change.  ``key`` names a float parameter.
     An end within the flag margin TOL_FLAG of tau = 1 is itself the crossing.
     ``tau_lo`` and ``tau_hi`` are tau at the ends when already known, as in a
-    scan's rows; an end without one is built like every midpoint."""
+    scan's rows; an end without one is built like every midpoint.
 
-    def excess(value: float) -> float:
-        # make_state and ccn_value on a one-state stack: the same checks,
-        # messages and tau, without a DensityMatrix
-        da, db, mat = _family_matrix(replace_param(spec, key, value))
-        mats = mat[None]
+    The midpoints of the next _BISECT_LEVELS levels are built, checked and
+    realigned as one stack, and the bisection then walks them: it visits the
+    same midpoints, stops and signs as one midpoint at a time would."""
+    if param_kind(spec, key) is int:
+        raise ValueError(f"parameter '{key}' is an integer: no value lies between two of its values")
+
+    def excess(values: list[float]) -> list[float]:
+        # make_state and ccn_value on one stack: the same checks, messages
+        # and tau, without a DensityMatrix
+        values = np.array(values)
+        _check_grid(spec, key, values)
+        da, db, mats = _family_stack(spec, key, values)
         _check_states(mats)
-        return float(_ccn_values(mats, da, db)[0]) - 1.0
+        return (_ccn_values(mats, da, db) - 1.0).tolist()
 
-    f_lo = excess(lo) if tau_lo is None else tau_lo - 1.0
-    f_hi = excess(hi) if tau_hi is None else tau_hi - 1.0
+    f_lo = excess([lo])[0] if tau_lo is None else tau_lo - 1.0
+    f_hi = excess([hi])[0] if tau_hi is None else tau_hi - 1.0
     if abs(f_lo) <= TOL_FLAG:
         return lo
     if abs(f_hi) <= TOL_FLAG:
         return hi
     if np.sign(f_lo) == np.sign(f_hi):
         return None
+    known: dict[float, float] = {}
     for _ in range(200):
         mid = (lo + hi) / 2.0
         if abs(hi - lo) <= TOL_BISECT:
             break
-        if np.sign(excess(mid)) == np.sign(f_lo):
+        if mid not in known:
+            # the next levels' midpoints, level by level
+            ends, mids = [lo, hi], []
+            for _ in range(_BISECT_LEVELS):
+                level = [(a + b) / 2.0 for a, b in zip(ends, ends[1:])]
+                mids += level
+                ends = [*chain.from_iterable(zip(ends, level)), hi]
+            known = dict(zip(mids, excess(mids)))
+        if np.sign(known[mid]) == np.sign(f_lo):
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2.0
 
 
-def _scan_chunks(specs):
-    """The specs' states as checked stacks (da, db, mats, eigs), in order: each
-    chunk of _chunks is built and checked whole, with no per-point state object."""
-    built = (_family_matrix(spec) for spec in specs)
-    for (da, db), chunk in _chunks(built, lambda item: item[:2]):
-        mats = np.stack([mat for _, _, mat in chunk])
-        yield da, db, mats, _check_states(mats)
+def _scan_chunks(spec: FamilySpec, key: str, values: np.ndarray):
+    """The states of spec with parameter key at each of the grid values, as
+    checked stacks (da, db, mats, eigs) in chunks of _chunks, in order.
+
+    Every value is checked here, before any matrix is built: the first that
+    the family rejects raises replace_param's error.  The stacks are built as
+    they are consumed.  A float parameter's chunk is one broadcast of its
+    family's matrix over a slice of the grid; an integer parameter can change
+    the shape or the random draws, so its points are built one by one.
+    """
+    if param_kind(spec, key) is int:
+        specs = [replace_param(spec, key, float(v)) for v in values]
+        built = (_family_matrix(point) for point in specs)
+        stacks = ((da, db, np.stack([mat for _, _, mat in chunk]))
+                  for (da, db), chunk in _chunks(built, lambda item: item[:2]))
+    else:
+        size = _chunk_points(*_check_grid(spec, key, values))
+        stacks = (_family_stack(spec, key, values[i:i + size])
+                  for i in range(0, len(values), size))
+    return ((da, db, mats, _check_states(mats)) for da, db, mats in stacks)
 
 
 def cmd_scan(args) -> int:
     spec = parse_family(args.family)
     lo, hi, steps = _parse_range(args.range)
     values = np.linspace(lo, hi, steps)
-    specs = [replace_param(spec, args.param, float(v)) for v in values]
+    chunks = _scan_chunks(spec, args.param, values)
     _check_restarts(args.restarts)
     if args.out:
         # a bad path fails here, before any numerics; "a" keeps an existing
         # file as it is until the scan has succeeded
         open(args.out, "a", encoding="utf-8").close()
 
-    reports = _stacked_reports(_scan_chunks(specs), args.restarts, seed=0)
+    reports = _stacked_reports(chunks, args.restarts, seed=0)
 
     lines = [",".join(["param", *_CSV_FIELDS])]
     for value, rep in zip(values, reports):
@@ -321,7 +377,10 @@ def cmd_verify(args) -> int:
 # --- entry -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and then kept: parsing
+    leaves it unchanged, and main needs it once per command."""
     parser = argparse.ArgumentParser(
         prog="sepscope",
         description="Entanglement detection via realignment, partial transpose, "

@@ -42,6 +42,9 @@ __all__ = [
     "param_kind",
     "replace_param",
     "scannable_params",
+    "werner_matrix",
+    "isotropic_matrix",
+    "rho_p_matrix",
     "counterexample_matrix",
     "counterexample_spectra",
     "CounterexampleSpectra",
@@ -163,9 +166,8 @@ class Werner:
         if self.d < 2:
             raise ValueError(f"werner d = {self.d} violates d >= 2")
         _check_size(f"werner d = {self.d}", self.d, self.d)
-        lo = -(self.d - 1) / (self.d + 1)
-        if not lo - TOL_PARAM <= self.p <= 1 + TOL_PARAM:
-            raise ValueError(f"werner p = {self.p} outside [{lo:.6g}, 1]")
+        if not _werner_valid(self.d, self.p):
+            raise ValueError(f"werner p = {self.p} outside [{-(self.d - 1) / (self.d + 1):.6g}, 1]")
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ class Isotropic:
         if self.d < 2:
             raise ValueError(f"isotropic d = {self.d} violates d >= 2")
         _check_size(f"isotropic d = {self.d}", self.d, self.d)
-        if not -TOL_PARAM <= self.fidelity <= 1 + TOL_PARAM:
+        if not _isotropic_valid(self.d, self.fidelity):
             raise ValueError(f"isotropic F = {self.fidelity} outside [0, 1]")
 
 
@@ -229,7 +231,7 @@ class RhoP:
         if len(self.coeffs) != 2:
             raise ValueError(f"rhop needs exactly 2 Schmidt coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
-        if not -1.0 / 3.0 - TOL_PARAM <= self.p <= 1 + TOL_PARAM:
+        if not _rho_p_valid(self.coeffs, self.p):
             raise ValueError(f"rhop p = {self.p} outside [-1/3, 1]")
 
 
@@ -413,6 +415,100 @@ def _pure_schmidt_vector(coeffs: tuple[float, ...]) -> np.ndarray:
     return vec
 
 
+# --- family matrices and rules, broadcast over array parameters -------------
+
+
+def werner_matrix(d: int, p) -> np.ndarray:
+    """Canonical-basis matrix of the Werner family; an array p gives a stack."""
+    eye = np.eye(d * d, dtype=np.complex128)
+    anti = (eye - swap_operator(d)) / (d * d - d)
+    p = np.asarray(p)[..., None, None]
+    return p * anti + (1 - p) / (d * d) * eye
+
+
+def isotropic_matrix(d: int, fidelity) -> np.ndarray:
+    """Canonical-basis matrix of the isotropic family; an array fidelity gives
+    a stack."""
+    proj = np.outer(psi_plus(d), psi_plus(d).conj())
+    rest = (np.eye(d * d, dtype=np.complex128) - proj) / (d * d - 1)
+    fidelity = np.asarray(fidelity)[..., None, None]
+    return fidelity * proj + (1 - fidelity) * rest
+
+
+def rho_p_matrix(coeffs: tuple[float, float], p) -> np.ndarray:
+    """Canonical-basis matrix of the rho_p family; an array p gives a stack."""
+    vec = _pure_schmidt_vector(coeffs)
+    p = np.asarray(p)[..., None, None]
+    return p * np.outer(vec, vec.conj()) + (1 - p) / 4.0 * np.eye(4)
+
+
+def _up_to_one(x, lo: float):
+    """lo - TOL_PARAM <= x <= 1 + TOL_PARAM, elementwise."""
+    return (lo - TOL_PARAM <= x) & (x <= 1 + TOL_PARAM)
+
+
+def _werner_valid(d: int, p):
+    return _up_to_one(p, -(d - 1) / (d + 1))
+
+
+def _isotropic_valid(d: int, fidelity):
+    return _up_to_one(fidelity, 0.0)
+
+
+def _rho_p_valid(coeffs: tuple[float, float], p):
+    return _up_to_one(p, -1.0 / 3.0)
+
+
+def _counterexample_valid(s, r, t):
+    ordered, bounded, psd, _ = _counterexample_rules(s, r, t)
+    return ordered & bounded & psd
+
+
+# Each family with a float parameter: its matrix and the validity rule of its
+# parameters, both functions of its fields by name that broadcast over array
+# fields, to a stack of matrices and to a mask.  Each family is d x d, with d
+# its field d, or two qubits.
+_BROADCASTING = {
+    Werner: (werner_matrix, _werner_valid),
+    Isotropic: (isotropic_matrix, _isotropic_valid),
+    RhoP: (rho_p_matrix, _rho_p_valid),
+    Counterexample: (counterexample_matrix, _counterexample_valid),
+}
+
+
+def _broadcast_dims(fields: dict) -> tuple[int, int]:
+    d = fields.get("d", 2)
+    return d, d
+
+
+def _broadcast(spec: FamilySpec, fields: dict) -> tuple[int, int, np.ndarray]:
+    """(dim_a, dim_b, matrix) of a _BROADCASTING family with the given fields."""
+    return *_broadcast_dims(fields), _BROADCASTING[type(spec)][0](**fields)
+
+
+def _grid_fields(spec: FamilySpec, key: str, values: np.ndarray) -> dict:
+    """spec's fields, with its float parameter key set to the array values."""
+    return {**vars(spec), scannable_params(spec)[key]: values}
+
+
+def _check_grid(spec: FamilySpec, key: str, values: np.ndarray) -> tuple[int, int]:
+    """Raise replace_param's error for the first of the 1-D values that spec's
+    float parameter key may not take, which the family's rule finds
+    elementwise; else return their states' (dim_a, dim_b)."""
+    fields = _grid_fields(spec, key, values)
+    for value in values[~_BROADCASTING[type(spec)][1](**fields)]:
+        replace_param(spec, key, float(value))
+    return _broadcast_dims(fields)
+
+
+def _family_stack(spec: FamilySpec, key: str, values: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(dim_a, dim_b, stack) of spec with its float parameter key set to each
+    of the 1-D values, which _check_grid has passed: the family's matrix
+    broadcast once, the stack not yet checked.  Each matrix equals
+    _family_matrix of replace_param(spec, key, value) bit for bit."""
+    return _broadcast(spec, _grid_fields(spec, key, values))
+
+
 def make_state(spec: FamilySpec) -> DensityMatrix:
     """Construct the density matrix described by a family spec."""
     return DensityMatrix(*_family_matrix(spec))
@@ -420,16 +516,8 @@ def make_state(spec: FamilySpec) -> DensityMatrix:
 
 def _family_matrix(spec: FamilySpec) -> tuple[int, int, np.ndarray]:
     """(dim_a, dim_b, matrix) of a family spec, the matrix not yet checked."""
-    if isinstance(spec, Werner):
-        d = spec.d
-        eye = np.eye(d * d, dtype=np.complex128)
-        anti = (eye - swap_operator(d)) / (d * d - d)
-        return d, d, spec.p * anti + (1 - spec.p) / (d * d) * eye
-    if isinstance(spec, Isotropic):
-        d = spec.d
-        proj = np.outer(psi_plus(d), psi_plus(d).conj())
-        rest = (np.eye(d * d, dtype=np.complex128) - proj) / (d * d - 1)
-        return d, d, spec.fidelity * proj + (1 - spec.fidelity) * rest
+    if type(spec) in _BROADCASTING:
+        return _broadcast(spec, vars(spec))
     if isinstance(spec, BellDiagonal):
         mat = np.zeros((4, 4), dtype=np.complex128)
         for p, vec in zip(spec.probs, bell_vectors()):
@@ -439,11 +527,6 @@ def _family_matrix(spec: FamilySpec) -> tuple[int, int, np.ndarray]:
         vec = _pure_schmidt_vector(spec.coeffs)
         d = len(spec.coeffs)
         return d, d, np.outer(vec, vec.conj())
-    if isinstance(spec, RhoP):
-        vec = _pure_schmidt_vector(spec.coeffs)
-        return 2, 2, spec.p * np.outer(vec, vec.conj()) + (1 - spec.p) / 4.0 * np.eye(4)
-    if isinstance(spec, Counterexample):
-        return 2, 2, counterexample_matrix(spec.s, spec.r, spec.t)
     if isinstance(spec, MaxDisordered):
         mat = np.eye(4, dtype=np.complex128)
         for t_m, sigma in zip(spec.t_diag, PAULI):

@@ -5,20 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from sepscope import cli, criteria
+from sepscope import cli, criteria, states
 from sepscope.cli import _csv_cell, ccn_threshold, load_state_file, main, save_state_file
-from sepscope.criteria import _CHUNK_POINTS, _chunk_points, full_report
+from sepscope.criteria import _CHUNK_POINTS, _chunk_points, _chunks, full_report
 from sepscope.linalg import TOL_BISECT, TOL_FLAG, _check_states
-from sepscope.realign import ccn_value
+from sepscope.realign import _ccn_values, ccn_value
 from sepscope.states import (
+    Isotropic,
     RandomState,
+    RhoP,
     Werner,
     counterexample_spectra,
     Counterexample,
     make_state,
     parse_family,
+    psi_plus,
     replace_param,
     rho_p_threshold,
+    swap_operator,
 )
 
 
@@ -117,6 +121,35 @@ def test_state_file_validation_messages(tmp_path, capsys):
     not_json.write_text("{")
     code, _, err = run(capsys, "analyze", str(not_json))
     assert code == 2
+
+
+@pytest.mark.parametrize("matrix, message", [
+    # the first bad row or cell in row-major order is named, whatever follows it
+    ('[[[0.5, 0], [1]], [[true, 0], [0.5, 0]]]', "matrix entry (0, 1) must be a two-element"),
+    ('[[[0.5, 0], [1e999999999, 0]], [[0, 0], [0.5]]]', "matrix entry (1, 1) must be a two-element"),
+    ('[[[0.5, 0], [1' + '0' * 400 + ', 0]], [[0, "0"], [0.5, 0]]]',
+     "matrix entry (0, 1) is too large for a float"),
+    ('[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0], [0, 0]]]', "matrix row 1 must have 2 entries"),
+    ('[[[0.5, 0], [0, 0]], [[0, null], [0.5, 0], [0, 0]]]', "matrix row 1 must have 2 entries"),
+    ('[[[0.5, 0], [0, 0, 0]], [[0, null], [0.5, 0], [0, 0]]]',
+     "matrix entry (0, 1) must be a two-element"),
+])
+def test_state_file_names_its_first_bad_cell(tmp_path, capsys, matrix, message):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": [2, 1], "matrix": ' + matrix + '}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message), err
+
+
+def test_state_file_keeps_every_cell_exactly(tmp_path):
+    # integers, signed zeros, a subnormal and the largest float are stored as
+    # complex(re, im) stores them
+    cells = [[[1, -0.0], [-0.0, 5e-324]], [[-0.0, -5e-324], [1.7976931348623157e308, 0]]]
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps({"dims": [2, 1], "matrix": cells}))
+    want = np.array([[complex(*cell) for cell in row] for row in cells])
+    assert load_state_file(str(path), relax=True).mat.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -374,9 +407,10 @@ def test_scan_checks_each_chunk_in_one_stack(monkeypatch):
         ("random:da=2,db=3,seed=1", "db", [1, 1, 2, 4]),
     ]
     for family, param, values in cases:
-        specs = [replace_param(parse_family(family), param, float(v)) for v in values]
+        spec, values = parse_family(family), np.array(values, dtype=float)
+        specs = [replace_param(spec, param, float(v)) for v in values]
         sizes.clear()
-        chunks = list(cli._scan_chunks(specs))
+        chunks = list(cli._scan_chunks(spec, param, values))
         assert sizes == [len(mats) for _, _, mats, _ in chunks]
         assert sizes and all(len(mats) <= _chunk_points(da, db) for da, db, mats, _ in chunks)
         points = [(da, db, mat, eig) for da, db, mats, eigs in chunks
@@ -391,9 +425,17 @@ def test_scan_checks_each_chunk_in_one_stack(monkeypatch):
     # 35 seeds at d = 3, which runs the ascent, make chunks of 16, 16 and 3;
     # at d = 2, and at 2 x 3, they make one chunk
     for shape, want in (((3, 3), [16, 16, 3]), ((2, 2), [35]), ((2, 3), [35])):
-        specs = [RandomState(*shape, seed=k) for k in range(35)]
         sizes.clear()
-        assert [(da, db) for da, db, _, _ in cli._scan_chunks(specs)] == [shape] * len(want)
+        chunks = cli._scan_chunks(RandomState(*shape), "seed", np.arange(35.0))
+        assert [(da, db) for da, db, _, _ in chunks] == [shape] * len(want)
+        assert sizes == want
+    # a float parameter's grid is cut the same way: 35 points at d = 3 make
+    # chunks of 16, 16 and 3, and 5000 at d = 2 chunks of 4096 and 904
+    for family, param, count, want in (("isotropic:d=3,F=0", "F", 35, [16, 16, 3]),
+                                       ("werner:d=2,p=0", "p", 5000, [4096, 904])):
+        sizes.clear()
+        assert len(list(cli._scan_chunks(parse_family(family), param,
+                                         np.linspace(0, 1, count)))) == len(want)
         assert sizes == want
     # a chunk without an ascent holds as many entries as 16 states at d = 8,
     # and never fewer than 16 states
@@ -439,29 +481,136 @@ def test_scan_taus_equal_ccn_value_of_make_state(capsys, family, param, text):
     assert crossings
 
 
+def _reference_family_matrix(spec):
+    """_family_matrix as each family built one matrix before the broadcast
+    builders: the reference for their bit-for-bit output."""
+    if isinstance(spec, Werner):
+        d = spec.d
+        eye = np.eye(d * d, dtype=np.complex128)
+        anti = (eye - swap_operator(d)) / (d * d - d)
+        return d, d, spec.p * anti + (1 - spec.p) / (d * d) * eye
+    if isinstance(spec, Isotropic):
+        d = spec.d
+        proj = np.outer(psi_plus(d), psi_plus(d).conj())
+        rest = (np.eye(d * d, dtype=np.complex128) - proj) / (d * d - 1)
+        return d, d, spec.fidelity * proj + (1 - spec.fidelity) * rest
+    if isinstance(spec, RhoP):
+        vec = states._pure_schmidt_vector(spec.coeffs)
+        return 2, 2, spec.p * np.outer(vec, vec.conj()) + (1 - spec.p) / 4.0 * np.eye(4)
+    return states._family_matrix(spec)
+
+
+def _reference_scan_chunks(spec, key, values):
+    """The scan's chunks built point by point: one spec and one matrix per
+    grid value, every spec made before the first matrix."""
+    specs = [replace_param(spec, key, float(v)) for v in values]
+
+    def chunks():
+        built = (_reference_family_matrix(point) for point in specs)
+        for (da, db), chunk in _chunks(built, lambda item: item[:2]):
+            mats = np.stack([mat for _, _, mat in chunk])
+            yield da, db, mats, _check_states(mats)
+
+    return chunks()
+
+
+def _reference_ccn_threshold(spec, key, lo, hi, tau_lo=None, tau_hi=None):
+    """ccn_threshold one midpoint at a time, each built as its own spec."""
+
+    def excess(value):
+        da, db, mat = _reference_family_matrix(replace_param(spec, key, value))
+        mats = mat[None]
+        _check_states(mats)
+        return float(_ccn_values(mats, da, db)[0]) - 1.0
+
+    f_lo = excess(lo) if tau_lo is None else tau_lo - 1.0
+    f_hi = excess(hi) if tau_hi is None else tau_hi - 1.0
+    if abs(f_lo) <= TOL_FLAG:
+        return lo
+    if abs(f_hi) <= TOL_FLAG:
+        return hi
+    if np.sign(f_lo) == np.sign(f_hi):
+        return None
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if abs(hi - lo) <= TOL_BISECT:
+            break
+        if np.sign(excess(mid)) == np.sign(f_lo):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+_ORACLE_SCANS = [
+    # the scan-small commands of workload seeds 1-3, at the default restarts
+    "isotropic:d=3,F=0 --param F --range=0.0:1.0:101",
+    "werner:d=2,p=0 --param p --range=0.0:1.0:101",
+    *(f"rhop:a={a},{1 - a:.6f};p=0 --param p --range=0.0:1.0:101"
+      for a in (0.700236, 0.695232, 0.691713)),
+    *(f"counterexample:s={s},r={r},t=0 --param t --range=-0.2:0.2:101"
+      for s, r in ((0.509009, 0.242883), (0.49597, 0.256285), (0.494736, 0.256025))),
+    *(f"{family} --param {param} --range={text} --restarts 1"
+      for family, param, text in _THRESHOLD_GRIDS),
+    # descending ranges
+    "isotropic:d=3,F=0 --param F --range=1:0:11 --restarts 1",
+    "werner:d=2,p=0 --param p --range=1:0:101",
+    "counterexample:s=0.5,r=0.25,t=0 --param t --range=0.2:-0.2:11",
+    # the counterexample's other float parameters
+    "counterexample:s=0.5,r=0.25,t=0.01 --param s --range=0.26:0.9:65",
+    "counterexample:s=0.5,r=0.25,t=0.01 --param r --range=-0.9:0.49:140",
+    # integer parameters, built point by point
+    "werner:d=2,p=0.5 --param d --range=2:4:3 --restarts 2",
+    "random:da=2,db=2,seed=0 --param seed --range=0:9:10",
+    "random:da=2,db=3,seed=0 --param da --range=1:3:3",
+    # invalid grids, which fail before any state is built
+    "werner:d=2,p=0 --param p --range=-1:1:5",
+    "counterexample:s=0.5,r=0.25,t=0 --param t --range=-1:1:5",
+    "counterexample:s=0.5,r=0.25,t=0.01 --param s --range=0.9:1.1:3",
+    "rhop:a=0.7,0.3;p=0 --param p --range=1:1.5:3",
+    "isotropic:d=3,F=0 --param F --range=-0.5:0.5:3",
+]
+
+
+@pytest.mark.parametrize("argv", _ORACLE_SCANS)
+def test_scan_matches_the_per_point_reference(capsys, monkeypatch, argv):
+    # stdout, stderr and exit code are byte-identical to building a spec and
+    # a matrix per grid point and bisecting one midpoint at a time
+    argv = ["scan", *argv.split()]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_scan_chunks", _reference_scan_chunks)
+        patched.setattr(cli, "ccn_threshold", _reference_ccn_threshold)
+        want = run(capsys, *argv)
+    assert run(capsys, *argv) == want
+    assert want[0] == (2 if "error" in want[2] else 0), want
+
+
 def test_scan_builds_each_state_once(capsys, monkeypatch):
-    # the bisection builds only its midpoints, through the scan's own path
-    built, made = [], []
+    # a float grid is one broadcast stack, with no per-point spec or matrix;
+    # the bisection builds only its midpoints, 7 to a stack, through the
+    # scan's own path: 24 halvings of a 0.01 bracket take 8 stacks
+    stacks, made = [], []
 
-    def build(spec):
-        built.append(spec)
-        return family_matrix(spec)
+    def stack(spec, key, values):
+        stacks.append(len(values))
+        return family_stack(spec, key, values)
 
-    family_matrix = cli._family_matrix
-    monkeypatch.setattr(cli, "_family_matrix", build)
-    monkeypatch.setattr(cli, "make_state", lambda spec: made.append(spec))
-    for argv, count, lines in (
-        (["werner:d=2,p=0", "--param", "p", "--range=0:1:101"], 125,
+    family_stack = cli._family_stack
+    monkeypatch.setattr(cli, "_family_stack", stack)
+    for name in ("make_state", "_family_matrix", "replace_param"):
+        monkeypatch.setattr(cli, name, lambda *args: made.append(args))
+    for argv, lines in (
+        (["werner:d=2,p=0", "--param", "p", "--range=0:1:101"],
          ["# ccn-threshold p = 0.3333333334326744"]),
-        (["counterexample:s=0.5,r=0.25,t=0", "--param", "t", "--range=-0.2:0.2:101"], 145,
+        (["counterexample:s=0.5,r=0.25,t=0", "--param", "t", "--range=-0.2:0.2:101"],
          ["# ccn-threshold t = -0.11611652326583863",
           "# ccn-threshold t = 0.1161165232658386"]),
     ):
-        built.clear()
+        stacks.clear()
         code, out, err = run(capsys, "scan", *argv, "--restarts", "1")
         assert code == 0, err
         assert [line for line in out.splitlines() if line.startswith("#")] == lines
-        assert len(built) == count and made == []
+        assert stacks == [101] + [7] * 8 * len(lines) and made == []
 
 
 @pytest.mark.parametrize("argv, calls, rows", [
@@ -553,6 +702,8 @@ def test_ccn_threshold_bisection():
     value = ccn_threshold(spec, "p", 0.0, 1.0)
     assert value == pytest.approx(1 / 3, abs=1e-8)
     assert ccn_threshold(spec, "p", 0.0, 0.2) is None
+    with pytest.raises(ValueError, match="parameter 'd' is an integer"):
+        ccn_threshold(spec, "d", 2, 4)
 
 
 @pytest.mark.parametrize("family,param,steps,crossing", [
@@ -610,6 +761,34 @@ def test_scan_checks_out_path_before_any_numerics(capsys, monkeypatch, tmp_path)
     code, _, err = run(capsys, *argv, "--restarts", "0", "--out", str(fresh))
     assert code == 2 and "restarts must be >= 1" in err
     assert not fresh.exists() and calls == []
+
+
+def test_main_calls_in_one_process_match_fresh_runs(capsys, tmp_path):
+    # main builds its parser once per process; no option of one call leaks
+    # into the next, so each call prints what it prints with a fresh parser,
+    # and the same after any other call
+    out_file = tmp_path / "scan.csv"
+    calls = [
+        ["analyze", "random:da=4,db=4,seed=1", "--json", "--restarts", "1", "--seed", "3"],
+        ["analyze", "random:da=4,db=4,seed=1", "--json"],
+        ["scan", "werner:d=2,p=0", "--param", "p", "--range=0:1:5", "--out", str(out_file)],
+        ["scan", "werner:d=2,p=0", "--param", "p", "--range=0:1:5"],
+        ["verify", "norms", "-n", "3", "--seed", "4"],
+        ["verify", "norms", "-n", "3"],
+        ["analyze", "werner:d=2,p=2"],
+        ["analyze", "werner:d=2,p=0.5", "--json"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert [run(capsys, *argv) for argv in calls[::-1]] == fresh[::-1]
+    assert cli.build_parser.cache_info().misses == 1
+    assert fresh[0] != fresh[1] and fresh[2][1] == "" and fresh[3][1].startswith("param,")
+    assert fresh[4][1] != fresh[5][1] and fresh[6][0] == 2
+    assert out_file.read_text() == fresh[3][1]
 
 
 def test_verify_norms_and_spectra(capsys):
