@@ -6,8 +6,10 @@ slack per property and, for random instances, the instance it came from.
 A check passes when its worst slack stays at or below the stated tolerance.
 
 The random suites draw their instances one by one from the seeded
-generator, so instance k is the same for every n > k, and then evaluate
-instances of one shape together through the same stacked kernels the
+generator, so instance k is the same for every n > k; each instance draws
+each run of consecutive Gaussian matrices in one call.  They then evaluate
+instances of one shape together, in stacks of at most _STACK_ENTRIES
+entries of their largest matrix, through the same stacked kernels the
 library's public functions call.
 """
 
@@ -33,7 +35,6 @@ from .realign import _ccn_values, _reshuffle, realign
 from .states import (
     _counterexample_closed_forms,
     _counterexample_rules,
-    _ginibre,
     _gram_states,
     _haar_unitaries,
     counterexample_matrix,
@@ -44,10 +45,11 @@ from .states import (
 _SANDWICH_CHUNK = 64
 _SANDWICH_RESTARTS = 6
 
-# instances of one group evaluated together in suite_norms and
-# suite_monotonicity: enough to share the per-call dispatch, while a stack of
-# the 36 x 36 pair states stays small (it sets the suites' peak memory)
-_GROUP_CHUNK = 12
+# entries of the largest matrix in a stack of suite_norms, suite_monotonicity
+# or suite_spectra: a group of instances is evaluated once it holds
+# _STACK_ENTRIES // side**2 of them, side x side being its largest stacked
+# matrix, so memory stays bounded for any -n (12 of norms' 36 x 36 pair states)
+_STACK_ENTRIES = 12 * 36 * 36
 
 # every check of a suite with its tolerance, in the order of its results
 _NORM_TOLS = {
@@ -105,18 +107,30 @@ def _results(slacks: np.ndarray, tols: dict[str, float]) -> list[CheckResult]:
 
 
 def _random_dims(rng: np.random.Generator) -> tuple[int, int]:
-    da, db = rng.choice([2, 3], size=2)
+    # draws what rng.choice([2, 3], size=2) draws
+    da, db = 2 + rng.integers(0, 2, size=2)
     return int(da), int(db)
 
 
-def _stacked_slacks(seed: int, n: int, draw, evaluate, checks: int,
-                    chunk: int = _GROUP_CHUNK) -> np.ndarray:
+def _ginibres(draws, shapes) -> list[np.ndarray]:
+    """The (N, rows, cols) complex Gaussian stacks held by N instances'
+    flat draws, each matrix of shapes drawn as _ginibre draws it: its real
+    parts, then its imaginary parts."""
+    z, at, out = np.stack(draws), 0, []
+    for rows, cols in shapes:
+        parts = z[:, at:at + 2 * rows * cols].reshape(-1, 2, rows, cols)
+        out.append(parts[:, 0] + 1j * parts[:, 1])
+        at += 2 * rows * cols
+    return out
+
+
+def _stacked_slacks(seed: int, n: int, draw, evaluate, checks: int, chunk) -> np.ndarray:
     """(checks, n) slacks of n instances drawn in order by draw(rng, k).
 
     draw returns instance k's group key and its draws; evaluate(key, *draws)
     returns the (checks, N) slacks of N instances of one group, each draw
     given as the tuple of its N values.  A group is evaluated whenever it
-    holds chunk instances, and what is left of each group at the end.
+    holds chunk(key) instances, and what is left of each group at the end.
     """
     rng = np.random.default_rng(seed)
     slacks = np.empty((checks, n))
@@ -129,7 +143,7 @@ def _stacked_slacks(seed: int, n: int, draw, evaluate, checks: int,
     for k in range(n):
         key, draws = draw(rng, k)
         groups.setdefault(key, []).append((k, draws))
-        if len(groups[key]) == chunk:
+        if len(groups[key]) == chunk(key):
             flush(key)
     for key in list(groups):
         flush(key)
@@ -138,30 +152,31 @@ def _stacked_slacks(seed: int, n: int, draw, evaluate, checks: int,
 
 def suite_norms(seed: int, n: int) -> list[CheckResult]:
     """Norm identities, partial transpose/trace structure, realignment basics."""
-    slacks = _stacked_slacks(seed, n, _draw_norms, _norm_slacks, len(_NORM_TOLS))
+    slacks = _stacked_slacks(seed, n, _draw_norms, _norm_slacks, len(_NORM_TOLS),
+                             lambda dims: _STACK_ENTRIES // (4 * dims[0] * dims[1]) ** 2)
     return _results(slacks, _NORM_TOLS)
 
 
+def _norm_shapes(da: int, db: int) -> list[tuple[int, int]]:
+    """The Gaussian matrices of a suite_norms instance in generator order:
+    m, the Haar unitaries u, v, the random state, the Haar u_a, u_b, the
+    2 x 2 random state and the Hermitian h1, h2."""
+    return [(da * db, da * db)] * 4 + [(da, da), (db, db), (4, 4), (da, da), (db, db)]
+
+
 def _draw_norms(rng: np.random.Generator, k: int):
-    """A suite_norms instance: its dims and its Gaussian draws in generator
-    order, each Haar unitary and random state still the Gaussian matrix it
-    is built from."""
-    da, db = _random_dims(rng)
-    side = da * db
-    m, u, v, g = (_ginibre(rng, side, side) for _ in range(4))
-    ua, ub = _ginibre(rng, da, da), _ginibre(rng, db, db)
-    g2 = _ginibre(rng, 4, 4)
-    h1, h2 = _ginibre(rng, da, da), _ginibre(rng, db, db)
-    return (da, db), (m, u, v, g, ua, ub, g2, h1, h2)
+    """A suite_norms instance: its dims and its Gaussian draws."""
+    dims = _random_dims(rng)
+    return dims, (rng.standard_normal(sum(2 * r * c for r, c in _norm_shapes(*dims))),)
 
 
-def _norm_slacks(dims, *draws) -> np.ndarray:
+def _norm_slacks(dims, draws) -> np.ndarray:
     """The suite_norms slacks of one group of (da, db) instances, in the
     order of _NORM_TOLS.  The states go through the public realign one at a
     time; its realigned matrices and their trace norms give the realignment
     check and tau."""
     da, db = dims
-    m, u, v, g, ua, ub, g2, h1, h2 = map(np.stack, draws)
+    m, u, v, g, ua, ub, g2, h1, h2 = _ginibres(draws, _norm_shapes(da, db))
     u, v, ua, ub = (_haar_unitaries(z) for z in (u, v, ua, ub))
     rho, rho2 = _gram_states(g), _gram_states(g2)
     eigs = _check_states(rho)
@@ -212,18 +227,18 @@ def suite_sandwich(seed: int, n: int) -> list[CheckResult]:
 
     def draw(rng: np.random.Generator, k: int):
         d = 2 if k % 2 == 0 else 3
-        return d, (seed + k, _ginibre(rng, d * d, d * d))
+        return d, (seed + k, rng.standard_normal(2 * d**4))
 
     slacks = _stacked_slacks(
-        seed, n, draw, _sandwich_slacks, len(_SANDWICH_TOLS), _SANDWICH_CHUNK
+        seed, n, draw, _sandwich_slacks, len(_SANDWICH_TOLS), lambda d: _SANDWICH_CHUNK
     )
     return _results(slacks, _SANDWICH_TOLS)
 
 
 def _sandwich_slacks(d: int, seeds, g) -> np.ndarray:
-    """The sandwich slacks of the d x d states of Gaussian matrices g, each
+    """The sandwich slacks of the d x d states of the Gaussian draws g, each
     with its ascent seed, in the order of _SANDWICH_TOLS."""
-    mats = _gram_states(np.stack(g))
+    mats = _gram_states(_ginibres(g, [(d * d, d * d)])[0])
     eigs = _check_states(mats)
     starts = None if d == 2 else np.stack([
         _haar_starts(d, _SANDWICH_RESTARTS, np.random.default_rng(s)) for s in seeds
@@ -240,41 +255,46 @@ def _sandwich_slacks(d: int, seeds, g) -> np.ndarray:
 def suite_monotonicity(seed: int, n: int) -> list[CheckResult]:
     """CCN behaviour under the elementary local operations."""
     slacks = _stacked_slacks(
-        seed, n, _draw_monotonicity, _monotonicity_slacks, len(_MONOTONICITY_TOLS)
+        seed, n, _draw_monotonicity, _monotonicity_slacks, len(_MONOTONICITY_TOLS),
+        lambda key: _STACK_ENTRIES // (2 * key[0] * key[1]) ** 2,  # the ancilla-extended states
     )
     return _results(slacks, _MONOTONICITY_TOLS)
 
 
 def _draw_monotonicity(rng: np.random.Generator, k: int):
-    """A suite_monotonicity instance: its dims, measured side and projector
-    cut, and its Gaussian draws in generator order, each Haar unitary and
-    random state still the Gaussian matrix it is built from."""
+    """A suite_monotonicity instance: its dims and measured side, and its
+    draws in generator order: the Gaussian random state, u_a and u_b, the
+    Gaussian Haar frame of the measurement, its projector cut, and the
+    Gaussian ancilla and pinched matrix."""
     da, db = _random_dims(rng)
-    g = _ginibre(rng, da * db, da * db)
-    ua, ub = _ginibre(rng, da, da), _ginibre(rng, db, db)
+    state = rng.standard_normal(2 * (da * db) ** 2 + 2 * da * da + 2 * db * db)
     side, dim = ("alice", da) if rng.integers(2) == 0 else ("bob", db)
-    frame = _ginibre(rng, dim, dim)
+    frame = rng.standard_normal(2 * dim * dim)
     cut = int(rng.integers(1, dim))
-    g_anc = _ginibre(rng, 2, 2)
-    sigma = _ginibre(rng, dim, dim)
-    return (da, db, side, cut), (g, ua, ub, frame, g_anc, sigma)
+    return (da, db, side), (state, frame, cut, rng.standard_normal(8 + 2 * dim * dim))
 
 
-def _monotonicity_slacks(key, *draws) -> np.ndarray:
-    """The suite_monotonicity slacks of one group of instances sharing dims,
-    measured side and cut, in the order of _MONOTONICITY_TOLS.  The
-    measurement projects onto the first cut columns of a Haar frame and onto
-    the rest."""
-    da, db, side, cut = key
-    g, ua, ub, frame, g_anc, sigma = map(np.stack, draws)
+def _monotonicity_slacks(key, state, frame, cuts, tail) -> np.ndarray:
+    """The suite_monotonicity slacks of one group of instances sharing dims
+    and measured side, in the order of _MONOTONICITY_TOLS.  The measurement
+    projects onto the first cut columns of a Haar frame and onto the rest;
+    the instances of each cut build their projectors together."""
+    da, db, side = key
+    dim = da if side == "alice" else db
+    g, ua, ub = _ginibres(state, [(da * db, da * db), (da, da), (db, db)])
+    [frame] = _ginibres(frame, [(dim, dim)])
+    g_anc, sigma = _ginibres(tail, [(2, 2), (dim, dim)])
     rho, anc = _gram_states(g), _gram_states(g_anc)
     _check_states(rho)
     _check_states(anc)
     ua, ub, frame = _haar_unitaries(ua), _haar_unitaries(ub), _haar_unitaries(frame)
     _check_unitaries(ua, "u_a")
     _check_unitaries(ub, "u_b")
-    kept, rest = frame[..., :cut], frame[..., cut:]
-    projs = np.stack([kept @ kept.conj().swapaxes(-1, -2), rest @ rest.conj().swapaxes(-1, -2)])
+    projs = np.empty((2,) + frame.shape, dtype=frame.dtype)
+    for cut in set(cuts):
+        at = [i for i, c in enumerate(cuts) if c == cut]
+        kept, rest = np.split(frame[at], [cut], axis=-1)
+        projs[:, at] = kept @ kept.conj().swapaxes(-1, -2), rest @ rest.conj().swapaxes(-1, -2)
     _check_projectors(projs)
 
     tau = _ccn_values(rho, da, db)
@@ -295,24 +315,25 @@ def suite_spectra(seed: int, n: int, per_axis: int = 20) -> list[CheckResult]:
     """Closed-form spectra and CCN value of the counterexample family on a
     deterministic grid; seed and n are accepted for interface uniformity.
 
-    The grid runs one value of s at a time: the valid (r, t) points of that
-    row are validated as states and solved as one stack.
+    The valid (s, r, t) points of the grid, in s-major order, are validated
+    as states and solved in stacks of at most _STACK_ENTRIES // 16 points,
+    each spanning several values of s.
     """
     del seed, n
     s_vals = np.linspace(-0.95, 0.95, per_axis)
     r_vals = np.linspace(-0.95, 0.95, per_axis)
     t_vals = np.concatenate([np.linspace(-0.3, -0.05, per_axis // 2 - 1), [0.0],
                              np.linspace(0.05, 0.35, per_axis - per_axis // 2)])
-    r_row, t_row = (a.ravel() for a in np.meshgrid(r_vals, t_vals, indexing="ij"))
+    grid = [a.ravel() for a in np.meshgrid(s_vals, r_vals, t_vals, indexing="ij")]
+    valid = np.logical_and.reduce(_counterexample_rules(*grid)[:3])
+    if not valid.any():
+        raise RuntimeError("spectra grid produced no valid parameter triples")
+    s_all, r_all, t_all = (a[valid] for a in grid)
     worst_rho = worst_pt = worst_tau = -np.inf
     ppt_mismatches = 0
-    checked = 0
-    for s in s_vals:
-        valid = np.logical_and.reduce(_counterexample_rules(s, r_row, t_row)[:3])
-        if not valid.any():
-            continue
-        r, t = r_row[valid], t_row[valid]
-        checked += r.size
+    step = _STACK_ENTRIES // 16
+    for at in range(0, s_all.size, step):
+        s, r, t = (a[at:at + step] for a in (s_all, r_all, t_all))
         closed = _counterexample_closed_forms(s, r, t)
         mats = counterexample_matrix(s, r, t)
         eig = _check_states(mats)
@@ -325,8 +346,6 @@ def suite_spectra(seed: int, n: int, per_axis: int = 20) -> list[CheckResult]:
         worst_tau = np.maximum(worst_tau, np.max(np.abs(tau - (closed.g + np.abs(t)))))
         violated = _ppt_from_eigs(pt_eig)[2]
         ppt_mismatches += int(np.count_nonzero(violated != (t != 0.0)))
-    if checked == 0:
-        raise RuntimeError("spectra grid produced no valid parameter triples")
     worst = (worst_rho, worst_pt, worst_tau, ppt_mismatches)
     return [CheckResult(name, float(w), tol) for (name, tol), w in zip(_SPECTRA_TOLS.items(), worst)]
 

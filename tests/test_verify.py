@@ -210,6 +210,84 @@ def test_spectra_matches_reference(per_axis):
     assert worst == _reference_spectra(per_axis)
 
 
+_STAGES = {  # the draw and the group evaluation of each random suite
+    "norms": ("_draw_norms", "_norm_slacks"),
+    "monotonicity": ("_draw_monotonicity", "_monotonicity_slacks"),
+    "sandwich": (None, "_sandwich_slacks"),
+}
+
+
+def _recorded_run(monkeypatch, suite, seed, n):
+    """The (checks, n) slacks a random suite takes its worst values from,
+    the group key of each instance and the largest stack of each group."""
+    slacks, keys, chunks = [], [], {}
+    draw_name, evaluate_name = _STAGES[suite]
+    with monkeypatch.context() as m:
+        if draw_name is None:  # suite_sandwich alternates d = 2 and 3
+            keys = [2 if k % 2 == 0 else 3 for k in range(n)]
+        else:
+            draw = getattr(verify, draw_name)
+
+            def recording(rng, k):
+                key, draws = draw(rng, k)
+                keys.append(key)
+                return key, draws
+
+            m.setattr(verify, draw_name, recording)
+        evaluate = getattr(verify, evaluate_name)
+
+        def sized(key, *draws):
+            chunks[key] = max(chunks.get(key, 0), len(draws[0]))
+            return evaluate(key, *draws)
+
+        m.setattr(verify, evaluate_name, sized)
+        m.setattr(verify, "_results", lambda s, tols: slacks.append(s) or [])
+        verify.SUITES[suite](seed, n)
+    return slacks[0], keys, chunks
+
+
+# monotonicity spreads its instances over 8 groups, so it first fills a
+# (3, 3) stack of 48 at about n = 400
+@pytest.mark.parametrize("suite, n, full_chunks", [
+    ("norms", 300, {(2, 2): 60, (2, 3): 27, (3, 2): 27, (3, 3): 12}),
+    ("monotonicity", 600, {(3, 3, "alice"): 48, (3, 3, "bob"): 48}),
+    ("sandwich", 300, {2: 64, 3: 64}),
+])
+def test_instance_k_replays_at_n_k_plus_1(monkeypatch, suite, n, full_chunks):
+    full, keys, chunks = _recorded_run(monkeypatch, suite, 5, n)
+    assert chunks.items() >= full_chunks.items()
+    # the last instance of each group's first full stack and the first of
+    # its next, where the replay's stack ends and the full run's does not
+    replayed, seen = {0, n - 1}, {}
+    for k, key in enumerate(keys):
+        seen[key] = seen.get(key, 0) + 1
+        if key in full_chunks and seen[key] in (full_chunks[key], full_chunks[key] + 1):
+            replayed.add(k)
+    assert len(replayed) == 2 + 2 * len(full_chunks)
+    for k in sorted(replayed):
+        column = _recorded_run(monkeypatch, suite, 5, k + 1)[0][:, k]
+        assert column.tobytes() == full[:, k].tobytes(), k
+
+
+# norms, sandwich and spectra fill their largest stack by n = 300;
+# monotonicity's 8 groups need about n = 400
+@pytest.mark.parametrize("suite, ns", [
+    ("norms", (300, 1000)), ("monotonicity", (1000, 3000)),
+    ("sandwich", (300, 1000)), ("spectra", (300, 1000)),
+])
+def test_stacks_stay_within_the_entry_budget(monkeypatch, suite, ns):
+    def largest(n):
+        entries = []  # count x side^2 of each stack of states the suite checks
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_check_states",
+                      lambda mats: entries.append(mats.size) or _check_states(mats))
+            verify.SUITES[suite](7, n)
+        return max(entries)
+
+    small, large = map(largest, ns)
+    assert small == large <= verify._STACK_ENTRIES
+
+
 def _message(mat) -> str:
     with pytest.raises(InvariantError) as info:
         DensityMatrix(2, 2, mat)
