@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .criteria import (CriterionReport, _check_restarts, _chunk_points, _chunks,
+from .criteria import (CriterionReport, _check_restarts, _check_seed, _chunk_points, _chunks,
                        _stacked_reports, fidelity_optimize, full_report, realigned_trace)
 from .linalg import TOL_BISECT, TOL_FLAG, DensityMatrix, TraceClassOperator, _check_states
 from .realign import _ccn_values, ccn_value
@@ -143,13 +143,8 @@ def _print_report(report: CriterionReport) -> None:
         print(f"note: {note}")
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
-
-
 def cmd_analyze(args) -> int:
-    _check_seed(args.seed)
+    _check_seed(args.seed, "--seed")
     if _looks_like_path(args.input):
         op = load_state_file(args.input, relax=args.relax)
     else:
@@ -350,7 +345,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_seed(args.seed)
+    _check_seed(args.seed, "--seed")
     if args.n < 1:
         raise ValueError(f"-n must be at least 1, got {args.n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]

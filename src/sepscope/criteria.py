@@ -12,16 +12,16 @@ rho - lambda_min I, which has the same maximisers, and is reported as a
 certified lower bound, not as the global optimum.
 
 Each restart of the ascent takes four polar steps, which converge linearly,
-then trust-region Newton steps on U(d), and keeps a Newton step only if its
-gain exceeds a tenth of the gain its quadratic model predicted.  A rejected
-step keeps U and is tried again with a quartered trust radius, unless its
-model predicted a gain of at most TOL_ASCENT: then the restart goes back to
-polar steps, four of them before its next Newton step.  A report's
-fidelity_converged means that the winning restart stopped on a kept step
-that gained at most TOL_ASCENT (a Newton step cut short by its trust radius
-does not count), at the certified ceiling, at a flat gradient, where a polar
-step would have lowered its value, or where a Newton step's model predicted
-a gain at rounding level.
+then trust-region Newton steps on U(d), retracted by the Cayley transform,
+and keeps a Newton step only if its gain exceeds a tenth of the gain its
+quadratic model predicted.  A rejected step keeps U and is tried again with
+a quartered trust radius, unless its model predicted a gain of at most
+TOL_ASCENT: then the restart goes back to polar steps, four of them before
+its next Newton step.  A report's fidelity_converged means that the winning
+restart stopped on a kept step that gained at most TOL_ASCENT (a Newton step
+cut short by its trust radius does not count), at the certified ceiling, at
+a flat gradient, where a polar step would have lowered its value, or where a
+Newton step's model predicted a gain at rounding level.
 """
 
 from __future__ import annotations
@@ -141,9 +141,22 @@ def _chunks(items, dims):
             yield k, chunk
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a bool or non-integer ``value`` of the parameter ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_restarts(restarts: int) -> None:
+    _check_count("restarts", restarts)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+
+
+def _check_seed(seed: int, name: str = "seed") -> None:
+    _check_count(name, seed)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
 
 
 def _haar_starts(d: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
@@ -163,9 +176,21 @@ def _vec_t(us: np.ndarray) -> np.ndarray:
 
 def _polar(g: np.ndarray) -> np.ndarray:
     """Unitary polar factor W V^H of each matrix W S V^H in a stack (..., d, d),
-    from the SVD at every d; the ascent calls it once per step."""
+    from the SVD at every d; the ascent calls it once per step on the pairs
+    taking plain steps."""
     w, _, vh = np.linalg.svd(g)
     return w @ vh
+
+
+def _cayley(xs: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Rows x = vec(V^T) of the Cayley retractions V = U (I - Omega/2)^{-1}
+    (I + Omega/2) of rows xs = vec(U^T) (k, d^2) along skew-Hermitian Omega
+    (k, d, d), by one batched solve: V^T = 2 (I - Omega/2)^{-T} U^T - U^T.
+    V agrees with U exp(Omega) to second order, and I - Omega/2 is never
+    singular (Wen and Yin, Math. Program. 142, 397 (2013))."""
+    ut = xs.reshape(omega.shape)
+    return (2 * np.linalg.solve(np.eye(omega.shape[-1]) - omega.swapaxes(-1, -2) / 2, ut)
+            - ut).reshape(xs.shape)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,9 +219,10 @@ def _skew(w: np.ndarray) -> np.ndarray:
 # started or last went back to them; it keeps a Newton step whose gain exceeds
 # _ACCEPT times the model's.  The trust radius, in U-space, starts at
 # _RADIUS * sqrt(d) and never exceeds sqrt(d).
-# Truncated CG stops once its residual is min(_CG_KAPPA, sqrt(||rgrad|| /
-# ||egrad||)) times its first, a superlinear rule (Absil, Mahony and Sepulchre,
-# 2008, 7.3).
+# Truncated CG stops once its residual is min(_CG_KAPPA, (||rgrad|| /
+# ||egrad||)^(1/4)) times its first, which converges with q-order 5/4 (Absil,
+# Mahony and Sepulchre, 2008, 7.4); the exponent 1/2 (order 3/2) over-solved
+# the last, confirming steps.
 _PLAIN, _ACCEPT = 4, 0.1
 _RADIUS, _CG_KAPPA = 0.125, 0.1
 # A round of the relaxed ascent is _PLAIN steps, all polar: with rounds of 10,
@@ -219,10 +245,12 @@ def _newton_step(us: np.ndarray, egrads: np.ndarray, product, unit: np.ndarray,
     rgrad = egrad - U S, the Riemannian Hessian on U(d) is
     Hess[xi] = P_U(2 G(xi) - xi S), P_U(Z) = Z - U sym(U^H Z) (Absil, Mahony
     and Sepulchre, 2008, ch. 5-7).  A step is U Omega with Omega
-    skew-Hermitian, and CG minimises minus the model's gain inside
-    ||Omega|| <= radius.  The objective is blind to a global phase: Hess maps
-    iU to 0 and its range holds no iU part, nor does the gradient, as
-    tr(U^H egrad) is real, so Omega holds none either.
+    skew-Hermitian, which _ascend retracts by _cayley, and CG minimises
+    minus the model's gain inside ||Omega|| <= radius, until its residual is
+    min(_CG_KAPPA, (||grad|| / ||egrad||)^(1/4)) times its first.  The
+    objective is blind to a global phase: Hess maps iU to 0 and its range
+    holds no iU part, nor does the gradient, as tr(U^H egrad) is real, so
+    Omega holds none either.
     Returns Omega (k, d, d), the model's predicted gain (k,) in the scaled
     units, and whether each step stopped on the trust boundary (k,).
     """
@@ -233,7 +261,7 @@ def _newton_step(us: np.ndarray, egrads: np.ndarray, product, unit: np.ndarray,
     # each pair's step e and residual r, written out on the iteration it stops
     e_out, r_out, cut = np.zeros_like(grad), -grad, np.zeros(len(us), dtype=bool)
     rho = _dot(r_out, r_out)
-    goal = rho * np.minimum(_CG_KAPPA**2, np.sqrt(rho / _dot(a, a)))  # squared residual goal
+    goal = rho * np.minimum(_CG_KAPPA**2, np.sqrt(np.sqrt(rho / _dot(a, a))))  # squared residual goal
     # the pairs still in CG, each with its step e, residual r, direction p and
     # squared residual rho; skew's 0.5 is folded into s and uh, so that
     # -Hess[p] = w - w^H with w = p s - uh reshape(y)^T
@@ -295,8 +323,9 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     Plain steps converge linearly, Newton steps superlinearly near a
     nondegenerate maximum.  A pair takes trust-region Newton steps
     (_newton_step) once it has taken _PLAIN plain steps since it started or
-    last went back to them.  Newton steps are retracted by the polar factor
-    of U + xi in the step's one batched SVD; each Hessian-vector product
+    last went back to them.  Newton steps are retracted by the Cayley
+    transform (_cayley) in the step's one batched solve, and only its plain
+    pairs take the batched SVD (_polar); each Hessian-vector product
     multiplies only the rows of the pairs still in CG by rho^T, in the step's
     packed layout, or directly when they all belong to one problem.  A
     Newton step is kept only if its gain exceeds _ACCEPT times the model's
@@ -369,7 +398,8 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
         stop = big < TOL_FLAT
         (nw,) = np.nonzero(plain >= _PLAIN)
         if nw.size:
-            us_n = xs[nw].reshape(-1, d, d).swapaxes(-1, -2)
+            xn = xs[nw]
+            us_n = xn.reshape(-1, d, d).swapaxes(-1, -2)
             scale = np.ldexp(1.0, np.frexp(big[nw])[1])  # a power of two near |G|
             lk, rk = li[nw], row[nw]
             first = np.flatnonzero(np.diff(lk, prepend=-1))  # lk ascends, problem-major
@@ -400,8 +430,13 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
             omega, pred, cut = _newton_step(us_n, grad[nw] * (2 / scale[:, None, None]), product,
                                             2 / (d * scale), radius[nw])
             pred *= scale
-            grad[nw] = us_n + us_n @ omega  # retract by the polar factor of U + xi
-        x_next = _vec_t(_polar(grad))
+            x_next = np.empty_like(xs)
+            x_next[nw] = _cayley(xn, omega)
+            if nw.size < len(xs):  # the other pairs take plain steps
+                (pl,) = np.nonzero(plain < _PLAIN)
+                x_next[pl] = _vec_t(_polar(grad[pl]))
+        else:
+            x_next = _vec_t(_polar(grad))
         if live.size == 1:
             y_next = _times(x_next, live_t[0], min_rows)
         else:
@@ -512,9 +547,10 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     in the magic basis.  Above, restart 0 starts from the identity (so the
     result is never below the realigned-trace lower bound); further restarts
     draw Haar-random seeds.  The returned value is a certified lower bound on
-    the fidelity, and the returned unitary reproduces it.  Restarts are
-    merged deterministically (first restart wins ties), so results are
-    reproducible for fixed seed.
+    the fidelity, at most tau/d, and the returned unitary reproduces it up
+    to rounding.  Restarts are merged deterministically (first restart wins
+    ties), so results are reproducible for fixed seed.  ``restarts`` must be
+    a positive integer and ``seed`` a non-negative one.
 
     For a trace-class operator the fidelity is max |<psi|op|psi>|; the
     ascent then runs at every d, jointly in the unitary and in the phase of
@@ -523,13 +559,15 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     if not isinstance(rho, TraceClassOperator):
         raise TypeError("expected a DensityMatrix or TraceClassOperator")
     _check_restarts(restarts)
+    _check_seed(seed)
     d, rng = rho.dim, np.random.default_rng(seed)
     if isinstance(rho, DensityMatrix):
         starts = None if d == 2 else _haar_starts(d, restarts, rng)
         mats = rho.mat[None]
-        values, unitaries, converged = _optimize_psd(
-            mats, rho._eigs[None], _ccn_values(mats, d, d), starts)
-        best = values[0], unitaries[0], converged[0]
+        taus = _ccn_values(mats, d, d)
+        values, unitaries, converged = _optimize_psd(mats, rho._eigs[None], taus, starts)
+        # as in full_reports, a lower bound never exceeds its upper bound tau/d
+        best = min(values[0], taus[0] / d), unitaries[0], converged[0]
     else:
         best = _optimize_trace_class(rho.mat, d, restarts, rng)
     value, unitary, converged = best
@@ -829,6 +867,7 @@ def _stacked_reports(chunks, restarts: int, seed: int) -> list[CriterionReport]:
     Haar starts of each local dimension are drawn once, as full_report would
     draw them for each state; at d = 2 the fidelity is exact and needs none."""
     _check_restarts(restarts)
+    _check_seed(seed)
     starts: dict[int, np.ndarray] = {}
     reports: list[CriterionReport] = []
     for da, db, mats, eigs in chunks:

@@ -613,45 +613,58 @@ def test_scan_builds_each_state_once(capsys, monkeypatch):
         assert stacks == [101] + [7] * 8 * len(lines) and made == []
 
 
-@pytest.mark.parametrize("argv, calls, rows", [
+@pytest.mark.parametrize("argv, steps, rows", [
     # every restart takes Newton steps after four plain steps (6 calls over
     # 1092 rows here); switching only once the gain ratios settled took 8
-    # calls over 1377 rows, and switching only on a creep 18 over 2692
+    # calls over 1377 rows, and switching only on a creep 18 over 2692.  Since
+    # Newton steps retract by the Cayley transform, 4 of the 6 steps are SVDs
     (["scan", "isotropic:d=3,F=0", "--param", "F", "--range=0:1:101"], 8, 1200),
-    # 16 calls here, against 43 with the settled-ratio switch.  The bound also
-    # catches a rejected Newton step retried in place at rounding-level
-    # predictions: without the rule that sends a rejection predicting at most
-    # tol back to polar steps, this state ran 1991 of its 2000 steps
+    # 17 steps here (16 with polar retractions), against 43 with the
+    # settled-ratio switch.  The bound also catches a rejected Newton step
+    # retried in place at rounding-level predictions: without the rule that
+    # sends a rejection predicting at most tol back to polar steps, this state
+    # ran 1991 of its 2000 steps
     (["analyze", "random:da=4,db=4,seed=1", "--json"], 20, None),
     # slow restarts retry a rejected Newton step in place with a quartered
-    # radius (31 calls); sent back to polar steps they took 67 calls here
-    (["analyze", "random:da=12,db=12,seed=12", "--json"], 35, None),
-    # 16 calls here, against 50 with the settled-ratio switch
-    (["analyze", "random:da=6,db=6,seed=3", "--json"], 20, None),
-    # 64 d = 3 states: 22 calls over 2978 rows, against 49 over 6244 with the
+    # radius; sent back to polar steps they took 67 steps here.  37 steps,
+    # against 31 when truncated CG solved each step to a residual of
+    # (||grad||/||egrad||)^(1/2) instead of ^(1/4): each step is cheaper
+    (["analyze", "random:da=12,db=12,seed=12", "--json"], 40, None),
+    # 18 steps here (16 with polar retractions), against 50 with the
     # settled-ratio switch
+    (["analyze", "random:da=6,db=6,seed=3", "--json"], 20, None),
+    # 64 d = 3 states: 23 steps (22 with polar retractions, over 2978 SVD
+    # rows), against 49 over 6244 rows with the settled-ratio switch
     (["verify", "sandwich", "--seed", "5"], 25, 3200),
 ])
 def test_restarts_switch_to_newton_steps_after_four_plain_steps(
-        capsys, monkeypatch, argv, calls, rows):
-    sizes = []
-    polar = criteria._polar
-    monkeypatch.setattr(criteria, "_polar", lambda g: sizes.append(len(g)) or polar(g))
+        capsys, monkeypatch, argv, steps, rows):
+    # each step makes a batched SVD polar factor for its plain pairs, a
+    # batched Cayley retraction for its Newton pairs, or both.  Only the first
+    # _PLAIN steps of a restart, and those after it went back to plain steps,
+    # are SVDs: 4 calls in each case here
+    svd, cayley = [], []
+    polar, retract = criteria._polar, criteria._cayley
+    monkeypatch.setattr(criteria, "_polar", lambda g: svd.append(len(g)) or polar(g))
+    monkeypatch.setattr(criteria, "_cayley",
+                        lambda xs, om: cayley.append(len(xs)) or retract(xs, om))
     code, _, err = run(capsys, *argv)
     assert code == 0, err
-    assert len(sizes) <= calls, len(sizes)
-    assert rows is None or sum(sizes) <= rows, sum(sizes)
+    assert len(svd) + len(cayley) <= steps, (len(svd), len(cayley))
+    assert len(svd) <= 6, len(svd)
+    assert rows is None or sum(svd) + sum(cayley) <= rows, (sum(svd), sum(cayley))
 
 
 @pytest.mark.parametrize("argv, rows, products", [
-    # 1885 rows in 432 products of one problem, multiplied directly; the step
+    # 1778 rows in 342 products of one problem, multiplied directly; the step
     # that multiplied all of its pairs' rows at every CG iteration gave the
-    # product 3183 rows here (4426 after padding), and sending each rejected
-    # Newton step back to polar steps took 610 products
+    # product 3183 rows here (4426 after padding), sending each rejected
+    # Newton step back to polar steps took 610 products, and solving CG to a
+    # residual of (||grad||/||egrad||)^(1/2) instead of ^(1/4) took 432
     (["analyze", "random:da=12,db=12,seed=12", "--json"], 1960, 450),
-    # 6493 rows in 125 products of 64 d = 3 problems in the packed layout:
+    # 5555 rows in 117 products of 64 d = 3 problems in the packed layout:
     # with most pairs taking Newton steps, fewer and fuller products than the
-    # settled-ratio switch's 4373 rows in 262
+    # settled-ratio switch's 4373 rows in 262 (6493 in 125 with the 1/2 rule)
     (["verify", "sandwich", "--seed", "5"], 6700, 140),
 ])
 def test_conjugate_gradient_multiplies_only_the_pairs_still_in_it(
@@ -769,8 +782,10 @@ def test_main_calls_in_one_process_match_fresh_runs(capsys, tmp_path):
     # and the same after any other call
     out_file = tmp_path / "scan.csv"
     calls = [
-        ["analyze", "random:da=4,db=4,seed=1", "--json", "--restarts", "1", "--seed", "3"],
-        ["analyze", "random:da=4,db=4,seed=1", "--json"],
+        # the identity, the lone restart of the first call, is a stationary
+        # point of the Werner state, so the restarts option shows in the value
+        ["analyze", "werner:d=3,p=0.4", "--json", "--restarts", "1", "--seed", "3"],
+        ["analyze", "werner:d=3,p=0.4", "--json"],
         ["scan", "werner:d=2,p=0", "--param", "p", "--range=0:1:5", "--out", str(out_file)],
         ["scan", "werner:d=2,p=0", "--param", "p", "--range=0:1:5"],
         ["verify", "norms", "-n", "3", "--seed", "4"],
