@@ -396,7 +396,8 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
         grad = ys.reshape(-1, d, d).swapaxes(-1, -2) / d
         big = np.abs(grad).max(axis=(-2, -1))
         stop = big < TOL_FLAT
-        (nw,) = np.nonzero(plain >= _PLAIN)
+        newton = plain >= _PLAIN
+        (nw,) = np.nonzero(newton)
         if nw.size:
             xn = xs[nw]
             us_n = xn.reshape(-1, d, d).swapaxes(-1, -2)
@@ -433,8 +434,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
             x_next = np.empty_like(xs)
             x_next[nw] = _cayley(xn, omega)
             if nw.size < len(xs):  # the other pairs take plain steps
-                (pl,) = np.nonzero(plain < _PLAIN)
-                x_next[pl] = _vec_t(_polar(grad[pl]))
+                x_next[~newton] = _vec_t(_polar(grad[~newton]))
         else:
             x_next = _vec_t(_polar(grad))
         if live.size == 1:

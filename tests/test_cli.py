@@ -616,25 +616,20 @@ def test_scan_builds_each_state_once(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, steps, rows", [
     # every restart takes Newton steps after four plain steps (6 calls over
     # 1092 rows here); switching only once the gain ratios settled took 8
-    # calls over 1377 rows, and switching only on a creep 18 over 2692.  Since
-    # Newton steps retract by the Cayley transform, 4 of the 6 steps are SVDs
+    # calls over 1377 rows, and switching only on a creep 18 over 2692
     (["scan", "isotropic:d=3,F=0", "--param", "F", "--range=0:1:101"], 8, 1200),
-    # 17 steps here (16 with polar retractions), against 43 with the
-    # settled-ratio switch.  The bound also catches a rejected Newton step
-    # retried in place at rounding-level predictions: without the rule that
-    # sends a rejection predicting at most tol back to polar steps, this state
-    # ran 1991 of its 2000 steps
+    # 17 steps here, against 43 with the settled-ratio switch.  The bound also
+    # catches a rejected Newton step retried in place at rounding-level
+    # predictions: without the rule that sends a rejection predicting at most
+    # tol back to polar steps, this state ran 1991 of its 2000 steps
     (["analyze", "random:da=4,db=4,seed=1", "--json"], 20, None),
     # slow restarts retry a rejected Newton step in place with a quartered
-    # radius; sent back to polar steps they took 67 steps here.  37 steps,
-    # against 31 when truncated CG solved each step to a residual of
-    # (||grad||/||egrad||)^(1/2) instead of ^(1/4): each step is cheaper
+    # radius (37 steps); sent back to polar steps they took 67 steps here
     (["analyze", "random:da=12,db=12,seed=12", "--json"], 40, None),
-    # 18 steps here (16 with polar retractions), against 50 with the
-    # settled-ratio switch
+    # 18 steps here, against 50 with the settled-ratio switch
     (["analyze", "random:da=6,db=6,seed=3", "--json"], 20, None),
-    # 64 d = 3 states: 23 steps (22 with polar retractions, over 2978 SVD
-    # rows), against 49 over 6244 rows with the settled-ratio switch
+    # 64 d = 3 states: 23 steps over 3141 rows, against 49 over 6244 rows
+    # with the settled-ratio switch
     (["verify", "sandwich", "--seed", "5"], 25, 3200),
 ])
 def test_restarts_switch_to_newton_steps_after_four_plain_steps(
@@ -658,13 +653,12 @@ def test_restarts_switch_to_newton_steps_after_four_plain_steps(
 @pytest.mark.parametrize("argv, rows, products", [
     # 1778 rows in 342 products of one problem, multiplied directly; the step
     # that multiplied all of its pairs' rows at every CG iteration gave the
-    # product 3183 rows here (4426 after padding), sending each rejected
-    # Newton step back to polar steps took 610 products, and solving CG to a
-    # residual of (||grad||/||egrad||)^(1/2) instead of ^(1/4) took 432
+    # product 3183 rows here (4426 after padding), and sending each rejected
+    # Newton step back to polar steps took 610 products
     (["analyze", "random:da=12,db=12,seed=12", "--json"], 1960, 450),
     # 5555 rows in 117 products of 64 d = 3 problems in the packed layout:
     # with most pairs taking Newton steps, fewer and fuller products than the
-    # settled-ratio switch's 4373 rows in 262 (6493 in 125 with the 1/2 rule)
+    # settled-ratio switch's 4373 rows in 262
     (["verify", "sandwich", "--seed", "5"], 6700, 140),
 ])
 def test_conjugate_gradient_multiplies_only_the_pairs_still_in_it(
