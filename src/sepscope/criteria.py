@@ -16,12 +16,12 @@ then trust-region Newton steps on U(d), retracted by the Cayley transform,
 and keeps a Newton step only if its gain exceeds a tenth of the gain its
 quadratic model predicted.  A rejected step keeps U and is tried again with
 a quartered trust radius, unless its model predicted a gain of at most
-TOL_ASCENT: then the restart goes back to polar steps, four of them before
-its next Newton step.  A report's fidelity_converged means that the winning
-restart stopped on a kept step that gained at most TOL_ASCENT (a Newton step
-cut short by its trust radius does not count), at the certified ceiling, at
-a flat gradient, where a polar step would have lowered its value, or where a
-Newton step's model predicted a gain at rounding level.
+TOL_ASCENT: then the restart stops where it is.  A report's
+fidelity_converged means that the winning restart stopped on a kept step
+that gained at most TOL_ASCENT (a Newton step cut short by its trust radius
+does not count), at the certified ceiling, at a flat gradient, where a polar
+step would have lowered its value, or where a Newton step's model predicted
+a gain at rounding level (at most TOL_ASCENT for a rejected step).
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ def _vec_t(us: np.ndarray) -> np.ndarray:
 
 def _polar(g: np.ndarray) -> np.ndarray:
     """Unitary polar factor W V^H of each matrix W S V^H in a stack (..., d, d),
-    from the SVD at every d; the ascent calls it once per step on the pairs
-    taking plain steps."""
+    from the SVD at every d; the ascent calls it on each of its first _PLAIN
+    steps."""
     w, _, vh = np.linalg.svd(g)
     return w @ vh
 
@@ -215,10 +215,9 @@ def _skew(w: np.ndarray) -> np.ndarray:
     return s
 
 
-# A pair takes Newton steps once it has taken _PLAIN plain steps since it
-# started or last went back to them; it keeps a Newton step whose gain exceeds
-# _ACCEPT times the model's.  The trust radius, in U-space, starts at
-# _RADIUS * sqrt(d) and never exceeds sqrt(d).
+# The ascent takes Newton steps from its _PLAIN-th step on, and keeps one whose
+# gain exceeds _ACCEPT times the model's.  The trust radius, in U-space,
+# starts at _RADIUS * sqrt(d) and never exceeds sqrt(d).
 # Truncated CG stops once its residual is min(_CG_KAPPA, (||rgrad|| /
 # ||egrad||)^(1/4)) times its first, which converges with q-order 5/4 (Absil,
 # Mahony and Sepulchre, 2008, 7.4); the exponent 1/2 (order 3/2) over-solved
@@ -321,32 +320,25 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     or when the gain is at most tol; unconverged after max_iter steps.
 
     Plain steps converge linearly, Newton steps superlinearly near a
-    nondegenerate maximum.  A pair takes trust-region Newton steps
-    (_newton_step) once it has taken _PLAIN plain steps since it started or
-    last went back to them.  Newton steps are retracted by the Cayley
-    transform (_cayley) in the step's one batched solve, and only its plain
-    pairs take the batched SVD (_polar); each Hessian-vector product
-    multiplies only the rows of the pairs still in CG by rho^T, in the step's
-    packed layout, or directly when they all belong to one problem.  A
-    Newton step is kept only if its gain exceeds _ACCEPT times the model's
-    predicted gain, so the value still never falls.  The pair's trust
-    radius, kept from one Newton phase to the next, shrinks by 4 below a
-    ratio of 1/4 and doubles, up to sqrt(d), above 3/4 on the boundary.  A
-    rejected step leaves U as it was and the pair takes another Newton step
-    from it on the next iteration, with the quartered radius (Absil, Baker
-    and Gallivan, 2007, Alg. 1).  Two cases send the pair back to plain
-    steps instead: a rejected step whose predicted gain is at most tol,
-    which would otherwise be retried at rounding-level predictions, and a
-    kept step that stopped on the trust boundary with a gain of at most tol,
-    as that gain only measures the radius.  An interior step whose model
-    predicted a gain of at most TOL_PREDICTED times the value is judged
-    before either: the sign of its actual gain is rounding noise, so the
-    pair stops converged where it is.  A rejected step never counts as
-    converged, so converged means a gain of at most tol on a kept plain or
-    interior Newton step, or a rounding-level prediction.  Every threshold
-    of the Newton phase is a ratio, TOL_PREDICTED included, or is tol, and
-    the gradients are scaled by a power of two per pair, so the ascent stays
-    scale equivariant.
+    nondegenerate maximum.  The first _PLAIN steps are plain, one batched
+    SVD each (_polar); every later step is a trust-region Newton step
+    (_newton_step) for every pair, retracted by the Cayley transform
+    (_cayley) in one batched solve.  A Newton step is kept only if its gain
+    exceeds _ACCEPT times the model's predicted gain, so the value still
+    never falls.  The pair's trust radius shrinks by 4 below a ratio of 1/4
+    and doubles, up to sqrt(d), above 3/4 on the boundary; a rejected step
+    leaves U as it was, and the pair retries from it with the quartered
+    radius (Absil, Baker and Gallivan, 2007, Alg. 1).  A step whose model
+    predicted a rounding-level gain stops the pair, converged, where it is:
+    an interior step predicting at most TOL_PREDICTED times the value, as
+    the sign of its actual gain is noise, and a rejected step predicting at
+    most tol, which would only be retried at such predictions.  Converged
+    means one of these two stops or a gain of at most tol on a kept plain or
+    interior Newton step.  A kept step on the trust boundary never counts,
+    as its gain measures the radius, not the distance to the maximum.  Every
+    threshold of the Newton phase is a ratio, TOL_PREDICTED included, or is
+    tol, and the gradients are scaled by a power of two per pair, so the
+    ascent stays scale equivariant.
 
     ``ceiling`` (P,), or a scalar, bounds each problem's objective from
     above; np.inf switches the bound off.  A pair whose value reaches
@@ -360,9 +352,10 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     restarts, packed to the front, padded to at least min(2, R) rows: numpy
     sends a one-row product down its matrix-vector path, which rounds
     differently.  A lone live problem's pairs are those rows in order, so it
-    multiplies them directly (_times).  On its matrix-matrix path BLAS
-    computes each row of a product on its own, so which other rows share a
-    product moves no bit.
+    multiplies them directly (_times).  The step's value product and each
+    Hessian-vector product, which takes only the pairs still in CG, share
+    this layout.  On its matrix-matrix path BLAS computes each row of a
+    product on its own, so which other rows share a product moves no bit.
 
     Returns the values (P, R), the unitaries (P, R, d, d) and the converged
     flags (P, R).
@@ -383,82 +376,57 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
     pi, row = live[li], ri
     xs, ys, vs, cs = x[pi, ri], y[pi, ri], values[pi, ri], reach[pi]
     live_t = (mats if live.size == p else mats[live]).swapaxes(-1, -2)
-    # pair k is row row[k] of live problem li[k] in the product, which takes
-    # the first `rows` rows of each live problem's block of ``trial``
-    trial, rows, min_rows = np.zeros_like(x), x.shape[1], min(2, x.shape[1])
+    trial, min_rows = np.zeros_like(x), min(2, x.shape[1])
 
-    # each pair's steps since it started or last went back to polar steps
-    # (from _PLAIN on they are Newton steps), and its trust radius
-    plain, radius = np.zeros(pi.size, dtype=int), np.full(pi.size, _RADIUS * np.sqrt(d))
-    for _ in range(max_iter):
+    def product(k=slice(None)):
+        """The function taking the rows xk of pairs k (all by default) to xk
+        times their rho^T: pair k is row row[k] of live problem li[k] in
+        ``trial``, whose product takes each live problem's rows up to the
+        last of them."""
+        if live.size == 1:
+            return lambda xk: _times(xk, live_t[0], min_rows)
+        lk, rk = li[k], row[k]
+        rows = max(rk.max() + 1, min_rows)
+
+        def times(xk):
+            trial[lk, rk] = xk
+            return (trial[:live.size, :rows] @ live_t)[lk, rk]
+        return times
+
+    radius = np.full(pi.size, _RADIUS * np.sqrt(d))  # each pair's trust radius
+    for it in range(max_iter):
         if pi.size == 0:
             break
         grad = ys.reshape(-1, d, d).swapaxes(-1, -2) / d
         big = np.abs(grad).max(axis=(-2, -1))
         stop = big < TOL_FLAT
-        newton = plain >= _PLAIN
-        (nw,) = np.nonzero(newton)
-        if nw.size:
-            xn = xs[nw]
-            us_n = xn.reshape(-1, d, d).swapaxes(-1, -2)
-            scale = np.ldexp(1.0, np.frexp(big[nw])[1])  # a power of two near |G|
-            lk, rk = li[nw], row[nw]
-            first = np.flatnonzero(np.diff(lk, prepend=-1))  # lk ascends, problem-major
-            if first.size == 1:  # one problem holds the Newton pairs
-                mat_t = live_t[lk[0]]
-
-                def product(k):
-                    return lambda xk: _times(xk, mat_t, min_rows)
-            else:
-                # the Newton pairs' rows in the step's packed layout, cut down
-                # to the live problems that hold any and, as pairs leave CG,
-                # to the rows still in it
-                buf, mat_t = trial[:live.size], live_t
-                if first.size < live.size:
-                    buf = np.zeros((first.size,) + trial.shape[1:], dtype=trial.dtype)
-                    mat_t = mats[live[lk[first]]].swapaxes(-1, -2)
-                    lk = np.cumsum(np.diff(lk, prepend=lk[0]) > 0)
-
-                def product(k):
-                    lk_k, rk_k = lk[k], rk[k]
-                    rows_k = max(rk_k.max() + 1, min_rows)
-
-                    def hvp(xk):
-                        buf[lk_k, rk_k] = xk
-                        return (buf[:, :rows_k] @ mat_t)[lk_k, rk_k]
-                    return hvp
-
-            omega, pred, cut = _newton_step(us_n, grad[nw] * (2 / scale[:, None, None]), product,
-                                            2 / (d * scale), radius[nw])
-            pred *= scale
-            x_next = np.empty_like(xs)
-            x_next[nw] = _cayley(xn, omega)
-            if nw.size < len(xs):  # the other pairs take plain steps
-                x_next[~newton] = _vec_t(_polar(grad[~newton]))
-        else:
+        if it < _PLAIN:
             x_next = _vec_t(_polar(grad))
-        if live.size == 1:
-            y_next = _times(x_next, live_t[0], min_rows)
         else:
-            trial[li, row] = x_next
-            y_next = (trial[:live.size, :rows] @ live_t)[li, row]
+            scale = np.ldexp(1.0, np.frexp(big)[1])  # a power of two near |G|
+            omega, pred, cut = _newton_step(xs.reshape(-1, d, d).swapaxes(-1, -2),
+                                            grad * (2 / scale[:, None, None]), product,
+                                            2 / (d * scale), radius)
+            pred *= scale
+            x_next = _cayley(xs, omega)
+        y_next = product()(x_next)
         nxt = np.sum(x_next.conj() * y_next, axis=-1).real / d
         gain = nxt - vs
         small = gain <= tol
-        plain += 1
-        if nw.size:
-            g = gain[nw]
-            ratio = g / np.where(pred > 0, pred, np.inf)
+        if it >= _PLAIN:
+            ratio = gain / np.where(pred > 0, pred, np.inf)
             ok = ratio > _ACCEPT
-            radius[nw] = np.where(ratio < 0.25, radius[nw] / 4, np.where(
-                (ratio > 0.75) & cut, np.minimum(2 * radius[nw], np.sqrt(d)), radius[nw]))
-            rej = nw[~ok]
-            back = nw[np.where(ok, cut & small[nw], pred <= tol)]
-            x_next[rej], y_next[rej], nxt[rej], small[rej] = xs[rej], ys[rej], vs[rej], False
-            plain[back], small[back] = 0, False
-            # an interior step whose model promised a rounding-level gain: the
-            # sign of its actual gain is noise, so the pair stops where it is
-            stop[nw[~cut & (pred <= TOL_PREDICTED * np.abs(vs[nw]))]] = True
+            radius = np.where(ratio < 0.25, radius / 4, np.where(
+                (ratio > 0.75) & cut, np.minimum(2 * radius, np.sqrt(d)), radius))
+            rej = ~ok
+            x_next[rej], y_next[rej], nxt[rej] = xs[rej], ys[rej], vs[rej]
+            # the gain of a rejected step, or of a kept one on the trust
+            # boundary, measures the radius
+            small &= ok & ~cut
+            # a model that promised a rounding-level gain stops the pair where
+            # it is: an interior step's actual gain is noise in sign, and a
+            # rejected step would only be retried at such predictions
+            stop |= (~cut & (pred <= TOL_PREDICTED * np.abs(vs))) | (rej & (pred <= tol))
         stop |= nxt < vs
         at_top = nxt >= cs
         done = stop | at_top | small
@@ -472,8 +440,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
             out = ~act[li, ri]
             x[pi[out], ri[out]], values[pi[out], ri[out]] = x_next[out], nxt[out]
             go = ~out
-            x_next, y_next, nxt, cs = x_next[go], y_next[go], nxt[go], cs[go]
-            plain, radius = plain[go], radius[go]
+            x_next, y_next, nxt, cs, radius = x_next[go], y_next[go], nxt[go], cs[go], radius[go]
             keep = act.any(axis=1)
             if not keep.all():
                 live, act = live[keep], act[keep]
@@ -482,7 +449,6 @@ def _ascend(mats: np.ndarray, starts: np.ndarray, ceiling, tol: float, max_iter:
             pi = live[li]
             # each live problem's unfinished pairs, packed from row 0
             row = np.cumsum(act, axis=1)[act] - 1
-            rows = max(row.max(initial=0) + 1, min_rows)
         xs, ys, vs = x_next, y_next, nxt
     x[pi, ri], values[pi, ri] = xs, vs  # the pairs still unfinished after max_iter
     us = x.reshape(values.shape + (d, d)).swapaxes(-1, -2)

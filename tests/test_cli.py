@@ -620,11 +620,11 @@ def test_scan_builds_each_state_once(capsys, monkeypatch):
     (["scan", "isotropic:d=3,F=0", "--param", "F", "--range=0:1:101"], 8, 1200),
     # 17 steps here, against 43 with the settled-ratio switch.  The bound also
     # catches a rejected Newton step retried in place at rounding-level
-    # predictions: without the rule that sends a rejection predicting at most
-    # tol back to polar steps, this state ran 1991 of its 2000 steps
+    # predictions: without the rule that stops a rejection predicting at most
+    # tol, this state ran 1991 of its 2000 steps
     (["analyze", "random:da=4,db=4,seed=1", "--json"], 20, None),
     # slow restarts retry a rejected Newton step in place with a quartered
-    # radius (37 steps); sent back to polar steps they took 67 steps here
+    # radius (37 steps)
     (["analyze", "random:da=12,db=12,seed=12", "--json"], 40, None),
     # 18 steps here, against 50 with the settled-ratio switch
     (["analyze", "random:da=6,db=6,seed=3", "--json"], 20, None),
@@ -634,10 +634,8 @@ def test_scan_builds_each_state_once(capsys, monkeypatch):
 ])
 def test_restarts_switch_to_newton_steps_after_four_plain_steps(
         capsys, monkeypatch, argv, steps, rows):
-    # each step makes a batched SVD polar factor for its plain pairs, a
-    # batched Cayley retraction for its Newton pairs, or both.  Only the first
-    # _PLAIN steps of a restart, and those after it went back to plain steps,
-    # are SVDs: 4 calls in each case here
+    # each of the first _PLAIN steps makes one batched SVD polar factor, and
+    # every later step one batched Cayley retraction: 4 SVD calls here
     svd, cayley = [], []
     polar, retract = criteria._polar, criteria._cayley
     monkeypatch.setattr(criteria, "_polar", lambda g: svd.append(len(g)) or polar(g))

@@ -247,7 +247,9 @@ def _serial_newton_ascent(mat, d, u, tol=1e-10, max_iter=2000):
     plain polar steps, then trust-region Newton steps by truncated CG,
     retracted by the Cayley transform, each kept only if its gain exceeds
     _ACCEPT times the model's.  An interior Newton step whose model predicted
-    at most TOL_PREDICTED times the value stops the restart where it is."""
+    at most TOL_PREDICTED times the value, or a rejected one whose model
+    predicted at most tol, stops the restart where it is, converged; a kept
+    step on the trust boundary never counts as converged."""
     four = mat.reshape(d, d, d, d)
 
     def objective(u):
@@ -293,13 +295,12 @@ def _serial_newton_ascent(mat, d, u, tol=1e-10, max_iter=2000):
             p, rr = rr_next / rr * p - r, rr_next
         return eta, inner(eta, grad - r) / 2, cut
 
-    # plain: steps since the start or the last return to polar steps
-    value, plain, radius = objective(u), 0, criteria._RADIUS * np.sqrt(d)
-    for _ in range(max_iter):
+    value, radius = objective(u), criteria._RADIUS * np.sqrt(d)
+    for it in range(max_iter):
         grad = g_of(u)
         if np.abs(grad).max() < 1e-300:
             return value, u, True
-        newton = plain >= criteria._PLAIN
+        newton = it >= criteria._PLAIN
         if newton:
             omega, pred, cut = newton_step(u, radius)
             if not cut and pred <= criteria.TOL_PREDICTED * abs(value):
@@ -319,17 +320,13 @@ def _serial_newton_ascent(mat, d, u, tol=1e-10, max_iter=2000):
                 radius = min(2 * radius, np.sqrt(d))
             if ratio <= criteria._ACCEPT:  # rejected: U stays, Newton again at radius/4
                 if pred <= tol:  # unless the model promised no more than tol
-                    plain = 0
+                    return value, u, True
                 continue
         elif nxt < value:
             return value, u, True
         value, u = nxt, u_next
-        if newton and cut and gain <= tol:  # the gain only measures the radius
-            plain = 0
-            continue
-        if gain <= tol:
+        if gain <= tol and not (newton and cut):  # a boundary step's gain measures the radius
             return value, u, True
-        plain += 1
     return value, u, False
 
 
@@ -359,9 +356,9 @@ def test_batched_ascent_matches_serial_reference(d, max_iter):
 
 def test_radius_cut_steps_do_not_count_as_converged(monkeypatch):
     # with a trust radius far below any Newton step, every Newton step ends
-    # on the boundary, gaining at most tol: it sends the pair back to polar
-    # steps rather than stopping it, so each restart still climbs to where the
-    # plain ascent ends
+    # on the boundary, gaining at most tol: such a step does not stop the
+    # pair, and the ratio rule doubles the radius until the steps reach, so
+    # each restart still climbs to where the plain ascent ends
     monkeypatch.setattr(criteria, "_RADIUS", 1e-12)
     d = 4
     rng = np.random.default_rng(44)
@@ -374,25 +371,45 @@ def test_radius_cut_steps_do_not_count_as_converged(monkeypatch):
         np.testing.assert_allclose(got, plain, rtol=0, atol=1e-9)
 
 
-def _count_steps(monkeypatch, record):
+def _count_steps(monkeypatch, record, kinds=None):
     """Call record(rows) on each batched polar factor and Cayley retraction
-    of the ascent: a step makes one of them, or both when some of its pairs
-    take plain steps and others Newton steps."""
+    of the ascent, and append its kind, "P" or "C", to the list ``kinds``,
+    if given: a step makes exactly one of them."""
+    kinds = [] if kinds is None else kinds
     polar, cayley = criteria._polar, criteria._cayley
-    monkeypatch.setattr(criteria, "_polar", lambda g: record(len(g)) or polar(g))
-    monkeypatch.setattr(criteria, "_cayley", lambda xs, om: record(len(xs)) or cayley(xs, om))
+    monkeypatch.setattr(criteria, "_polar", lambda g: kinds.append("P") or record(len(g)) or polar(g))
+    monkeypatch.setattr(criteria, "_cayley",
+                        lambda xs, om: kinds.append("C") or record(len(xs)) or cayley(xs, om))
+
+
+@pytest.mark.parametrize("radius", [criteria._RADIUS, 1e-12])
+def test_every_pair_takes_polar_steps_then_newton_steps(monkeypatch, radius):
+    # every step before the _PLAIN-th is a polar step and every later one a
+    # Newton step, whatever the trust radius: at 1e-12 every Newton step ends
+    # on the boundary, gaining at most tol, and its pair still takes Newton
+    # steps after it
+    monkeypatch.setattr(criteria, "_RADIUS", radius)
+    d = 4
+    rng = np.random.default_rng(44)
+    mats = [random_density_matrix(d, d, rank=r, rng=rng).mat for r in (2, d * d)]
+    starts = criteria._haar_starts(d, 5, rng)
+    kinds = []
+    _count_steps(monkeypatch, lambda rows: None, kinds)
+    criteria._ascend(np.stack(mats), starts, np.inf, 1e-10, 2000)
+    steps = "".join(kinds)
+    assert len(steps) > criteria._PLAIN
+    assert steps == "P" * criteria._PLAIN + "C" * (len(steps) - criteria._PLAIN), steps
 
 
 @pytest.mark.parametrize("promised", ["model", "nothing", "rounding"])
-def test_rejected_newton_steps_retry_in_place_unless_the_model_promised_at_most_tol(
+def test_rejected_newton_steps_retry_in_place_or_stop_where_the_model_promised_at_most_tol(
         monkeypatch, promised):
     # the first Newton step is sent the wrong way, so its gain is negative and
     # it is rejected.  With the model's own prediction, far above tol, the pair
     # takes another Newton step on the next iteration from the same U with a
-    # quartered radius; with a prediction of 0 on the trust boundary it goes
-    # back to polar steps, which take _PLAIN steps before the next Newton
-    # step.  An interior step predicting 0 instead stops the pair, converged,
-    # at the U it started from, whatever its actual gain
+    # quartered radius; with a prediction of 0 on the trust boundary it stops,
+    # converged, at the U it started from.  So does an interior step
+    # predicting 0, whatever its actual gain
     d = 4
     rng = np.random.default_rng(44)
     mat = random_density_matrix(d, d, rng=rng).mat
@@ -412,19 +429,16 @@ def test_rejected_newton_steps_retry_in_place_unless_the_model_promised_at_most_
     monkeypatch.setattr(criteria, "_newton_step", step)
     _count_steps(monkeypatch, steps.append)
     _, us_end, converged = criteria._ascend(mat[None], starts, np.inf, criteria.TOL_ASCENT, 2000)
-    assert converged.all()
-    if promised == "rounding":
+    assert converged.all() and calls[0][3].all()  # the first step ends on the boundary
+    if promised != "model":
         assert len(calls) == 1
         np.testing.assert_array_equal(us_end[0, 0], calls[0][1][0])
         return
-    assert len(calls) >= 2 and calls[0][3].all()
+    assert len(calls) >= 2
     (first, us, radius, _), (second, us_next, radius_next, _) = calls[:2]
-    if promised == "model":
-        assert second == first + 1
-        np.testing.assert_array_equal(us_next, us)
-        np.testing.assert_array_equal(radius_next, radius / 4)
-    else:
-        assert second >= first + 5, (first, second)
+    assert second == first + 1
+    np.testing.assert_array_equal(us_next, us)
+    np.testing.assert_array_equal(radius_next, radius / 4)
 
 
 def _serial_joint_ascent(mat, d, u, tol=1e-10):
@@ -715,14 +729,12 @@ def test_ascent_problems_leaving_the_product_match_solo_runs(d, monkeypatch):
         np.testing.assert_array_equal(converged[k], c[0])
 
 
-def _full_batch_ascend(mats, starts, tol, max_iter, mixed=None):
+def _full_batch_ascend(mats, starts, tol, max_iter):
     """The ascent loop that multiplied every restart of each live problem at
     every step, Newton steps' Hessian-vector products included, and scattered
     the stepping pairs back into (P, R) arrays; kept as the bit-for-bit
     reference for criteria._ascend.  Each pair follows the rule
-    _serial_newton_ascent states; the Newton step is criteria._newton_step.
-    Each step that has both Newton and plain pairs appends its number of
-    Newton pairs to the list ``mixed``, if given."""
+    _serial_newton_ascent states; the Newton step is criteria._newton_step."""
     p, d = mats.shape[0], starts.shape[-1]
     mats = np.ascontiguousarray(mats)
     x = criteria._vec_t(np.broadcast_to(starts, (p,) + starts.shape[-3:])).copy()
@@ -730,13 +742,11 @@ def _full_batch_ascend(mats, starts, tol, max_iter, mixed=None):
     values = np.sum(x.conj() * y, axis=-1).real / d
     converged = np.zeros(values.shape, dtype=bool)
     active = np.ones(values.shape, dtype=bool)
-    # each pair's steps since it started or last went back to polar steps
-    plain = np.zeros(values.shape, dtype=int)
     radius = np.full(values.shape, criteria._RADIUS * np.sqrt(d))
     live = np.arange(p)
     live_t = mats.swapaxes(-1, -2)
     act = active
-    for _ in range(max_iter):
+    for it in range(max_iter):
         li, ri = np.nonzero(act)
         if li.size == 0:
             break
@@ -744,13 +754,12 @@ def _full_batch_ascend(mats, starts, tol, max_iter, mixed=None):
         grad = y[pi, ri].reshape(-1, d, d).swapaxes(-1, -2) / d
         big = np.abs(grad).max(axis=(-2, -1))
         flat = big < criteria.TOL_FLAT
-        (nw,) = np.nonzero(plain[pi, ri] >= criteria._PLAIN)
-        if nw.size:
-            us_n = x[pi[nw], ri[nw]].reshape(-1, d, d).swapaxes(-1, -2)
-            scale = np.ldexp(1.0, np.frexp(big[nw])[1])
+        newton = it >= criteria._PLAIN
+        if newton:  # retracted by the Cayley transform
+            scale = np.ldexp(1.0, np.frexp(big)[1])
 
             def product(k):
-                lk, rk = li[nw[k]], ri[nw[k]]
+                lk, rk = li[k], ri[k]
 
                 def hvp(xk):
                     trial = x[live]
@@ -758,19 +767,14 @@ def _full_batch_ascend(mats, starts, tol, max_iter, mixed=None):
                     return (trial @ live_t)[lk, rk]
                 return hvp
 
+            x_next = x[pi, ri]
             omega, pred, cut = criteria._newton_step(
-                us_n, grad[nw] * (2 / scale[:, None, None]), product, 2 / (d * scale),
-                radius[pi[nw], ri[nw]])
+                x_next.reshape(-1, d, d).swapaxes(-1, -2), grad * (2 / scale[:, None, None]),
+                product, 2 / (d * scale), radius[pi, ri])
             pred *= scale
-        # Newton pairs retract by the Cayley transform, the others take plain steps
-        x_next = x[pi, ri]
-        newton = plain[pi, ri] >= criteria._PLAIN
-        if nw.size:
-            x_next[nw] = criteria._cayley(x_next[nw], omega)
-        if nw.size < li.size:
-            x_next[~newton] = criteria._vec_t(criteria._polar(grad[~newton]))
-            if nw.size and mixed is not None:
-                mixed.append(nw.size)
+            x_next = criteria._cayley(x_next, omega)
+        else:
+            x_next = criteria._vec_t(criteria._polar(grad))
         trial = x[live]
         trial[li, ri] = x_next
         y_next = (trial @ live_t)[li, ri]
@@ -779,19 +783,16 @@ def _full_batch_ascend(mats, starts, tol, max_iter, mixed=None):
         small = gain <= tol
         stop = flat | (nxt < values[pi, ri])
         step = ~stop
-        plain[pi, ri] += 1
-        if nw.size:
-            ratio = gain[nw] / np.where(pred > 0, pred, np.inf)
-            rad = radius[pi[nw], ri[nw]]
-            radius[pi[nw], ri[nw]] = np.where(ratio < 0.25, rad / 4, np.where(
+        if newton:
+            ratio = gain / np.where(pred > 0, pred, np.inf)
+            rad = radius[pi, ri]
+            radius[pi, ri] = np.where(ratio < 0.25, rad / 4, np.where(
                 (ratio > 0.75) & cut, np.minimum(2 * rad, np.sqrt(d)), rad))
             rej = ratio <= criteria._ACCEPT
-            rejected, back = nw[rej], nw[np.where(rej, pred <= tol, cut & small[nw])]
-            stop[nw], step[rejected] = flat[nw], False
-            small[rejected], small[back] = False, False
-            plain[pi[back], ri[back]] = 0
-            rounding = nw[~cut & (pred <= criteria.TOL_PREDICTED * np.abs(values[pi[nw], ri[nw]]))]
-            stop[rounding], step[rounding] = True, False
+            rounding = ~cut & (pred <= criteria.TOL_PREDICTED * np.abs(values[pi, ri]))
+            stop = flat | rounding | (rej & (pred <= tol))
+            step = ~stop & ~rej
+            small &= ~rej & ~cut
         x[pi[step], ri[step]] = x_next[step]
         y[pi[step], ri[step]] = y_next[step]
         values[pi[step], ri[step]] = nxt[step]
@@ -844,18 +845,18 @@ def test_ascent_matches_the_full_batch_loop_bit_for_bit(d, max_iter):
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_ascent_matches_the_full_batch_loop_on_steps_of_both_kinds(d, monkeypatch):
-    # with a trust radius of 1e-9 every Newton step ends on the boundary, and
-    # pairs go back to plain steps at different steps, so many steps retract
-    # some pairs by the Cayley transform and the others by the polar factor;
-    # each pair's retraction must not depend on which kind its neighbours take
+    # with a trust radius of 1e-9 every Newton step ends on the boundary, so
+    # the pairs' radii grow, and their problems end, at different steps; the
+    # polar steps and the many Cayley steps after them must each match
     monkeypatch.setattr(criteria, "_RADIUS", 1e-9)
     rng = np.random.default_rng(70 + d)
     mats = _mixed_problems(d, rng)
     starts = criteria._haar_starts(d, 5, rng)
-    mixed = []
-    want = _full_batch_ascend(mats, starts, criteria.TOL_ASCENT, 2000, mixed)
+    want = _full_batch_ascend(mats, starts, criteria.TOL_ASCENT, 2000)
+    kinds = []
+    _count_steps(monkeypatch, lambda rows: None, kinds)
     got = criteria._ascend(mats, starts, np.inf, criteria.TOL_ASCENT, 2000)
-    assert len(mixed) >= 10, mixed
+    assert kinds.count("P") == criteria._PLAIN and kinds.count("C") >= 10, kinds
     for got_a, want_a in zip(got, want):
         np.testing.assert_array_equal(got_a, want_a)
 
