@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .criteria import (CriterionReport, _check_restarts, _check_seed, _chunk_points, _chunks,
-                       _stacked_reports, fidelity_optimize, full_report, realigned_trace)
+                       _stacked_columns, fidelity_optimize, full_report, realigned_trace)
 from .linalg import TOL_BISECT, TOL_FLAG, DensityMatrix, TraceClassOperator, _check_states
 from .realign import _ccn_values, ccn_value
 from .states import (FamilySpec, _check_grid, _family_matrix, _family_stack, make_state,
@@ -221,12 +221,14 @@ _CSV_FIELDS = {
 }
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return repr(float(value))
+def _csv_cells(column, n: int) -> list[str]:
+    """The CSV cells of a kernel column: 1 or 0 for a flag, the round-trip
+    repr of a float, and nan at each of the n points if it is None."""
+    if column is None:
+        return ["nan"] * n
+    if column.dtype == bool:
+        return ["1" if flag else "0" for flag in column.tolist()]
+    return list(map(repr, column.tolist()))
 
 
 # levels of bisection midpoints built as one stack: 7 midpoints cost about as
@@ -318,18 +320,21 @@ def cmd_scan(args) -> int:
         # file as it is until the scan has succeeded
         open(args.out, "a", encoding="utf-8").close()
 
-    reports = _stacked_reports(chunks, args.restarts, seed=0)
-
+    # the CSV a column at a time, from the column kernel: no report, no note
+    cells: dict[str, list[str]] = {name: [] for name in _CSV_FIELDS}
+    for _, _, mats, columns, _, _ in _stacked_columns(chunks, args.restarts, seed=0):
+        for name, field in _CSV_FIELDS.items():
+            cells[name] += _csv_cells(columns[field], len(mats))
     lines = [",".join(["param", *_CSV_FIELDS])]
-    for value, rep in zip(values, reports):
-        cells = [float(value)] + [getattr(rep, name) for name in _CSV_FIELDS.values()]
-        lines.append(",".join(map(_csv_cell, cells)))
-    # no value lies between two consecutive integers, so there is nothing to bisect
+    lines += map(",".join, zip(_csv_cells(values, steps), *cells.values()))
+    # no value lies between two consecutive integers, so there is nothing to
+    # bisect; a tau cell is a round-trip repr, so it gives tau back bit for bit
     bisect = param_kind(spec, args.param) is not int
+    flags, taus = cells["ccn_flag"], cells["tau"]
     for i in range(steps - 1):
-        if bisect and reports[i].ccn_flag != reports[i + 1].ccn_flag:
+        if bisect and flags[i] != flags[i + 1]:
             crossing = ccn_threshold(spec, args.param, float(values[i]), float(values[i + 1]),
-                                     reports[i].tau, reports[i + 1].tau)
+                                     float(taus[i]), float(taus[i + 1]))
             if crossing is not None:
                 lines.append(f"# ccn-threshold {args.param} = {crossing!r}")
     text = "\n".join(lines) + "\n"

@@ -22,6 +22,11 @@ that gained at most TOL_ASCENT (a Newton step cut short by its trust radius
 does not count), at the certified ceiling, at a flat gradient, where a polar
 step would have lowered its value, or where a Newton step's model predicted
 a gain at rounding level (at most TOL_ASCENT for a rejected step).
+
+Reports come from one numeric path in two layers.  The column kernel,
+_chunk_columns, gives every report field but the notes as an array per field
+for a stack of states of one shape: a scan prints them and computes no more.
+The report layer, full_reports, adds the notes and builds the reports.
 """
 
 from __future__ import annotations
@@ -630,13 +635,9 @@ _SIGNATURE_UNITARIES = {
 }
 
 
-def _max_disordered(dec: HSDecomposition) -> bool:
-    """Both Bloch vectors vanish (always so at d = 1, where they are empty)."""
-    return bool(_disordered(dec.r_vec, dec.s_vec))
-
-
 def _disordered(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """_max_disordered of each pair of Bloch vectors in (..., k) stacks."""
+    """Whether both Bloch vectors vanish, for each pair in (..., k) stacks
+    (always so at d = 1, where they are empty)."""
     return np.all(np.abs(np.concatenate([r, s], axis=-1)) <= TOL_DISORDERED, axis=-1)
 
 
@@ -652,7 +653,7 @@ def fidelity_two_qubit_max_disordered(dec: HSDecomposition, entangled_hint: bool
     """
     if dec.dim != 2 or dec.basis != "pauli":
         raise ValueError("closed form requires a two-qubit pauli decomposition")
-    if not _max_disordered(dec):
+    if not _disordered(dec.r_vec, dec.s_vec):
         raise ValueError("state is not maximally disordered (nonzero Bloch vector)")
     t = dec.t_mat
     off = t - np.diag(np.diagonal(t))
@@ -678,7 +679,7 @@ def fidelity_two_qubit_max_disordered(dec: HSDecomposition, entangled_hint: bool
 
 def ccn_max_disordered(dec: HSDecomposition) -> float:
     """CCN value (1 + ||T||_1)/d for states with maximally mixed reductions."""
-    if not _max_disordered(dec):
+    if not _disordered(dec.r_vec, dec.s_vec):
         raise ValueError("state is not maximally disordered (nonzero Bloch vector)")
     return (1.0 + t_trace_norm(dec)) / dec.dim
 
@@ -796,19 +797,19 @@ def distillable_by_fidelity(report: CriterionReport) -> bool:
     disordered state with PSD correlation matrix violates the CCN bound.
     False means "not certified", never "not distillable".
     """
-    return _distillable(
+    if report.realigned_trace is None:  # unequal local dimensions
+        return False
+    return bool(_distillable(
         report.dim_a, report.tau, report.realigned_trace, report.fidelity_best,
         report.max_disordered, report.t_psd,
-    )
+    ))
 
 
-def _distillable(d, tau, realigned_trace, fidelity_best, max_disordered, t_psd) -> bool:
-    """distillable_by_fidelity from the report fields it reads."""
-    if realigned_trace is not None and realigned_trace > 1.0 + TOL_FLAG:
-        return True
-    if fidelity_best is not None and fidelity_best > 1.0 / d + TOL_FLAG:
-        return True
-    return bool(max_disordered and t_psd and tau > 1.0 + TOL_FLAG)
+def _distillable(d, tau, realigned_trace, fidelity_best, max_disordered, t_psd):
+    """distillable_by_fidelity from the report fields it reads, elementwise
+    over scalars or the columns of a square chunk."""
+    return ((realigned_trace > 1.0 + TOL_FLAG) | (fidelity_best > 1.0 / d + TOL_FLAG)
+            | (max_disordered & t_psd & (tau > 1.0 + TOL_FLAG)))
 
 
 def _schmidt_tau(mat: np.ndarray, da: int, db: int) -> float:
@@ -820,27 +821,31 @@ def _schmidt_tau(mat: np.ndarray, da: int, db: int) -> float:
 
 
 def full_reports(states, restarts: int = 16, seed: int = 0) -> list[CriterionReport]:
-    """full_report of every state, in order: each chunk of one shape from
-    _chunks goes to _stacked_reports as its stacked matrices and spectra."""
+    """full_report of every state, in order: the report layer.  Each chunk
+    of one shape from _chunks goes to _stacked_columns as its stacked
+    matrices and spectra, and its columns to one report per state, with the
+    notes of _chunk_notes."""
     chunks = ((*key, np.stack([rho.mat for rho in c]), np.stack([rho._eigs for rho in c]))
               for key, c in _chunks(states, lambda rho: (rho.dim_a, rho.dim_b)))
-    return _stacked_reports(chunks, restarts, seed)
+    reports: list[CriterionReport] = []
+    for da, db, mats, columns, overlaps, t_mats in _stacked_columns(chunks, restarts, seed):
+        notes = _chunk_notes(da, db, mats, overlaps, t_mats, columns["max_disordered"])
+        cells = [[None] * len(mats) if col is None else col.tolist() for col in columns.values()]
+        reports += [CriterionReport(da, db, *row, notes=note) for *row, note in zip(*cells, notes)]
+    return reports
 
 
-def _stacked_reports(chunks, restarts: int, seed: int) -> list[CriterionReport]:
-    """The reports of the checked state stacks (da, db, mats, eigs) of a
-    chunk iterable, in order, consumed a chunk at a time.  Above d = 2 the
-    Haar starts of each local dimension are drawn once, as full_report would
-    draw them for each state; at d = 2 the fidelity is exact and needs none."""
+def _stacked_columns(chunks, restarts: int, seed: int):
+    """(da, db, mats, *_chunk_columns(...)) of each checked state stack (da,
+    db, mats, eigs) of a chunk iterable, a chunk at a time.  Above d = 2 each
+    local dimension's Haar starts are drawn once, as full_report draws them."""
     _check_restarts(restarts)
     _check_seed(seed)
     starts: dict[int, np.ndarray] = {}
-    reports: list[CriterionReport] = []
     for da, db, mats, eigs in chunks:
         if da == db != 2 and da not in starts:
             starts[da] = _haar_starts(da, restarts, np.random.default_rng(seed))
-        reports += _chunk_reports(da, db, mats, eigs, starts.get(da))
-    return reports
+        yield da, db, mats, *_chunk_columns(da, db, mats, eigs, starts.get(da))
 
 
 def full_report(rho: DensityMatrix, restarts: int = 16, seed: int = 0) -> CriterionReport:
@@ -848,41 +853,57 @@ def full_report(rho: DensityMatrix, restarts: int = 16, seed: int = 0) -> Criter
     return full_reports([rho], restarts, seed)[0]
 
 
-def _chunk_reports(da, db, mats, eigs, starts) -> list[CriterionReport]:
-    """The reports of a checked (N, da*db, da*db) state stack with its
-    ascending spectra ``eigs``; ``starts`` is used only when square above d = 2.
-
-    tau comes from one stacked SVD and the PPT fields from one stacked
-    eigensolve of the partial transposes.  A square chunk shifts its ascents
-    by the smallest of ``eigs`` and also stacks its Bloch coefficients, the
-    T >= 0 test and the purity and isotropic tests; the overlap
-    <psi+|rho|psi+> and the Schmidt value of a pure state stay per state.
-    """
+def _chunk_columns(da, db, mats, eigs, starts):
+    """The column kernel of a checked (N, da*db, da*db) state stack with
+    ascending spectra ``eigs`` (``starts`` is used only when square above
+    d = 2): a dict from each CriterionReport field but the dims and notes,
+    in field order, to its (N,) column, None where undefined at unequal
+    local dimensions, and the overlaps <psi+|rho|psi+> and correlation
+    matrices T that _chunk_notes reads (None, None at unequal dimensions).
+    One stacked SVD and eigensolve give tau and the PPT columns; a square
+    chunk runs its shifted ascents as one batch and stacks its Bloch
+    coefficients and T >= 0 test, the overlap alone per state."""
     taus = _ccn_values(mats, da, db)
-    ppts = _ppt_from_eigs(np.linalg.eigvalsh(_partial_transpose(mats, da, db)))
-    fixed = [
-        dict(dim_a=da, dim_b=db, tau=tau, ppt_min_eig=min_eig, ppt_trace_norm=ppt_tn,
-             ccn_flag=tau > 1.0 + TOL_FLAG, ppt_flag=ppt_flag)
-        for tau, min_eig, ppt_tn, ppt_flag in zip(*(a.tolist() for a in (taus, *ppts)))
-    ]
+    min_eig, ppt_tn, ppt_flag = _ppt_from_eigs(np.linalg.eigvalsh(_partial_transpose(mats, da, db)))
+    columns = dict(tau=taus, ppt_min_eig=min_eig, ppt_trace_norm=ppt_tn, realigned_trace=None,
+                   fidelity_lower=None, fidelity_best=None, fidelity_upper=None,
+                   fidelity_converged=None, ccn_flag=taus > 1.0 + TOL_FLAG, ppt_flag=ppt_flag,
+                   distillable_flag=np.zeros(len(mats), dtype=bool), max_disordered=None,
+                   t_psd=None)
     if da != db:
-        undefined = dict(
-            realigned_trace=None, fidelity_lower=None, fidelity_best=None, fidelity_upper=None,
-            fidelity_converged=None, distillable_flag=False, max_disordered=None, t_psd=None,
-            notes=("unequal local dimensions: fidelity bounds not defined",),
-        )
-        return [CriterionReport(**common, **undefined) for common in fixed]
+        return columns, None, None
     d = da
     best, _, converged = _optimize_psd(mats, eigs, taus, starts)
     overlaps = _overlaps(mats, d)
-    notes: list[list[str]] = [[] for _ in mats]
     # positivity of the correlation matrix is meaningful in the conjugated
     # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD;
-    # the other checks do not depend on the basis
+    # the other checks do not depend on the basis.  T >= 0 means Hermitian
+    # and PSD, both within TOL_STRUCTURE, as the empty T of d = 1 is
     coeff = _coefficients(mats, d, "spin")
     t_mats = coeff[:, 1:, 1:].swapaxes(-1, -2)
     max_dis = _disordered(coeff[:, 1:, 0], coeff[:, 0, 1:])
-    t_psd = _psd_correlations(t_mats)
+    t_herm = t_mats.conj().swapaxes(-1, -2)
+    defects = np.abs(t_mats - t_herm).max(axis=(-2, -1), initial=0.0)
+    t_eigs = np.linalg.eigvalsh((t_mats + t_herm) / 2)
+    t_psd = (defects <= TOL_STRUCTURE) & np.all(t_eigs >= -TOL_STRUCTURE, axis=-1)
+    tr_a, fid_up = d * overlaps, taus / d
+    # rounding can lift a lower bound just past tau/d at a pure endpoint;
+    # a reported lower bound never exceeds its upper bound
+    fid_best = np.minimum(best, fid_up)
+    columns.update(realigned_trace=tr_a, fidelity_lower=np.minimum(overlaps, fid_up),
+                   fidelity_best=fid_best, fidelity_upper=fid_up, fidelity_converged=converged,
+                   distillable_flag=_distillable(d, taus, tr_a, fid_best, max_dis, t_psd),
+                   max_disordered=max_dis, t_psd=t_psd)
+    return columns, overlaps, t_mats
+
+
+def _chunk_notes(da, db, mats, overlaps, t_mats, max_dis) -> list[tuple[str, ...]]:
+    """Each state's notes in a chunk, from its kernel outputs: the closed
+    forms that apply, stacked but for the rare pure points' Schmidt values."""
+    if da != db:
+        return [("unequal local dimensions: fidelity bounds not defined",)] * len(mats)
+    d = da
+    notes: list[list[str]] = [[] for _ in mats]
     (dis,) = np.nonzero(max_dis)
     for k, value in zip(dis, (1.0 + _trace_norms(t_mats[dis])) / d):
         notes[k].append(f"maximally disordered subsystems: tau = (1 + ||T||_1)/d = {value:.12g}")
@@ -902,29 +923,4 @@ def _chunk_reports(da, db, mats, eigs, starts) -> list[CriterionReport]:
         iso -= mats
         for k in np.nonzero(_max_abs(iso) <= TOL_STRUCTURE)[0]:
             notes[k].append(f"isotropic state with fidelity F = {overlaps[k]:.12g}")
-
-    reports = []
-    for common, overlap, value, conv, dis_k, psd_k, note in zip(
-        fixed, *(a.tolist() for a in (overlaps, best, converged, max_dis, t_psd)), notes
-    ):
-        tau = common["tau"]
-        tr_a, fid_up = d * overlap, tau / d
-        # rounding can lift a lower bound just past tau/d at a pure endpoint;
-        # a reported lower bound never exceeds its upper bound
-        fid_best = min(value, fid_up)
-        reports.append(CriterionReport(
-            **common, realigned_trace=tr_a, fidelity_lower=min(overlap, fid_up),
-            fidelity_best=fid_best, fidelity_upper=fid_up, fidelity_converged=conv,
-            distillable_flag=_distillable(d, tau, tr_a, fid_best, dis_k, psd_k),
-            max_disordered=dis_k, t_psd=psd_k, notes=tuple(note),
-        ))
-    return reports
-
-
-def _psd_correlations(t_mats: np.ndarray) -> np.ndarray:
-    """Whether each correlation matrix in a (P, k, k) stack is Hermitian and
-    PSD, both within TOL_STRUCTURE; True for the empty T of d = 1."""
-    t_herm = t_mats.conj().swapaxes(-1, -2)
-    defects = np.abs(t_mats - t_herm).max(axis=(-2, -1), initial=0.0)
-    t_eigs = np.linalg.eigvalsh((t_mats + t_herm) / 2)
-    return (defects <= TOL_STRUCTURE) & np.all(t_eigs >= -TOL_STRUCTURE, axis=-1)
+    return [tuple(note) for note in notes]

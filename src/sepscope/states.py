@@ -185,6 +185,17 @@ class Isotropic:
             raise ValueError(f"isotropic F = {self.fidelity} outside [0, 1]")
 
 
+def _simplex(what: str, values) -> tuple[float, ...]:
+    """values as floats, refused with ``what`` (the family and field) named
+    unless each is >= 0 and they sum to 1."""
+    values = tuple(float(v) for v in values)
+    if min(values, default=0.0) < -TOL_PARAM:
+        raise ValueError(f"{what} must be >= 0, got {min(values)}")
+    if abs(sum(values) - 1.0) > TOL_SIMPLEX:
+        raise ValueError(f"{what} sum to {sum(values)}, not 1")
+    return values
+
+
 @dataclass(frozen=True)
 class BellDiagonal:
     """Mixture of the four Bell projectors in the order (phi+, phi-, psi+, psi-)."""
@@ -192,14 +203,9 @@ class BellDiagonal:
     probs: tuple[float, float, float, float]
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if len(probs) != 4:
-            raise ValueError(f"belldiag needs 4 probabilities, got {len(probs)}")
-        if min(probs) < -TOL_PARAM:
-            raise ValueError(f"belldiag probabilities must be >= 0, got {min(probs)}")
-        if abs(sum(probs) - 1.0) > TOL_SIMPLEX:
-            raise ValueError(f"belldiag probabilities sum to {sum(probs)}, not 1")
+        if len(self.probs) != 4:
+            raise ValueError(f"belldiag needs 4 probabilities, got {len(self.probs)}")
+        object.__setattr__(self, "probs", _simplex("belldiag probabilities", self.probs))
 
 
 @dataclass(frozen=True)
@@ -209,14 +215,7 @@ class PureSchmidt:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(a) for a in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) < 1:
-            raise ValueError("pure state needs at least one Schmidt coefficient")
-        if min(coeffs) < -TOL_PARAM:
-            raise ValueError(f"Schmidt coefficients must be >= 0, got {min(coeffs)}")
-        if abs(sum(coeffs) - 1.0) > TOL_SIMPLEX:
-            raise ValueError(f"Schmidt coefficients sum to {sum(coeffs)}, not 1")
+        object.__setattr__(self, "coeffs", _simplex("pure Schmidt coefficients a", self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -227,10 +226,10 @@ class RhoP:
     p: float
 
     def __post_init__(self):
-        PureSchmidt(self.coeffs)
-        if len(self.coeffs) != 2:
-            raise ValueError(f"rhop needs exactly 2 Schmidt coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
+        coeffs = _simplex("rhop Schmidt coefficients a", self.coeffs)
+        if len(coeffs) != 2:
+            raise ValueError(f"rhop needs exactly 2 Schmidt coefficients a, got {len(coeffs)}")
+        object.__setattr__(self, "coeffs", coeffs)
         if not _rho_p_valid(self.coeffs, self.p):
             raise ValueError(f"rhop p = {self.p} outside [-1/3, 1]")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sepscope import cli, criteria, states
-from sepscope.cli import _csv_cell, ccn_threshold, load_state_file, main, save_state_file
+from sepscope.cli import ccn_threshold, load_state_file, main, save_state_file
 from sepscope.criteria import _CHUNK_POINTS, _chunk_points, _chunks, full_report
 from sepscope.linalg import TOL_BISECT, TOL_FLAG, _check_states
 from sepscope.realign import _ccn_values, ccn_value
@@ -32,6 +32,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _csv_cell(value) -> str:
+    """One scan CSV cell of a report field, formatted on its own: the
+    reference for the column writer, cli._csv_cells."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return repr(float(value))
+
+
+def test_csv_columns_match_the_per_cell_reference():
+    floats = np.array([0.0, -0.0, 0.1 + 0.2, 1 / 3, 1e-300, -2.5e17, 1.0 + 2.0**-52, 5e-324])
+    flags = np.array([True, False, False, True, True, False, True, False])
+    for column in (floats, flags):
+        assert cli._csv_cells(column, len(column)) == [_csv_cell(v) for v in column.tolist()]
+    assert cli._csv_cells(None, 3) == [_csv_cell(None)] * 3
+
+
 def test_analyze_counterexample(capsys):
     code, out, _ = run(capsys, "analyze", "counterexample:s=0.5,r=0.25,t=0.0625")
     assert code == 0
@@ -45,6 +63,17 @@ def test_analyze_maximally_entangled_pure(capsys):
     assert code == 0
     assert "tau (ccn value)    = 2" in out
     assert "fidelity_best      = 1" in out
+
+
+@pytest.mark.parametrize("family, message", [
+    ("pure:a=0.7,0.4", "pure Schmidt coefficients a sum to 1.1, not 1"),
+    ("pure:a=1.2,-0.2", "pure Schmidt coefficients a must be >= 0, got -0.2"),
+    ("rhop:a=0.7,0.4;p=0.5", "rhop Schmidt coefficients a sum to 1.1, not 1"),
+    ("rhop:a=1.2,-0.2;p=0.5", "rhop Schmidt coefficients a must be >= 0, got -0.2"),
+    ("rhop:a=0.2,0.3,0.5;p=0.5", "rhop needs exactly 2 Schmidt coefficients a, got 3"),
+])
+def test_schmidt_errors_name_the_family_and_key(capsys, family, message):
+    assert run(capsys, "analyze", family) == (2, "", f"error: {message}\n")
 
 
 def test_analyze_maximally_mixed(capsys):
@@ -752,10 +781,10 @@ def test_scan_checks_out_path_before_any_numerics(capsys, monkeypatch, tmp_path)
 
     def spy(*args):
         calls.append(args)
-        return chunk_reports(*args)
+        return chunk_columns(*args)
 
-    chunk_reports = criteria._chunk_reports
-    monkeypatch.setattr(criteria, "_chunk_reports", spy)
+    chunk_columns = criteria._chunk_columns
+    monkeypatch.setattr(criteria, "_chunk_columns", spy)
     argv = ["scan", "isotropic:d=3,F=0", "--param", "F", "--range=0:1:101"]
     bad = tmp_path / "missing" / "x.csv"
     code, out, err = run(capsys, *argv, "--out", str(bad))
@@ -766,6 +795,35 @@ def test_scan_checks_out_path_before_any_numerics(capsys, monkeypatch, tmp_path)
     code, _, err = run(capsys, *argv, "--restarts", "0", "--out", str(fresh))
     assert code == 2 and "restarts must be >= 1" in err
     assert not fresh.exists() and calls == []
+    # the spy sits on the kernel the scan runs: a good path reaches it
+    code, _, err = run(capsys, *argv, "--out", str(fresh))
+    assert code == 0 and fresh.exists() and len(calls) == 7, err
+
+
+def test_scan_computes_no_notes(capsys, monkeypatch):
+    # every point of the two-qubit Werner scan is maximally disordered and
+    # p = 1 is pure, yet the CSV prints no note, so none is computed; analyze
+    # of the pure endpoint still prints both
+    calls = []
+
+    def spy(name):
+        func = getattr(criteria, name)
+
+        def counted(*args):
+            calls.append(name)
+            return func(*args)
+        return counted
+
+    for name in ("_chunk_notes", "_schmidt_tau"):
+        monkeypatch.setattr(criteria, name, spy(name))
+    code, out, err = run(capsys, "scan", "werner:d=2,p=0", "--param", "p", "--range=0:1:101")
+    assert code == 0 and out.count("\n") == 103 and calls == [], err
+    code, out, err = run(capsys, "analyze", "werner:d=2,p=1", "--json")
+    assert code == 0 and calls == ["_chunk_notes", "_schmidt_tau"], err
+    assert json.loads(out)["notes"] == [
+        "maximally disordered subsystems: tau = (1 + ||T||_1)/d = 2",
+        "pure state: tau = (sum sqrt Schmidt)^2 = 2",
+    ]
 
 
 def test_main_calls_in_one_process_match_fresh_runs(capsys, tmp_path):

@@ -1376,6 +1376,38 @@ def test_distillable_psd_correlation_route_branch():
     assert not other.t_psd
 
 
+def test_distillable_column_matches_the_report_rule(monkeypatch, rng):
+    # the kernel's column and distillable_by_fidelity apply one rule: on a
+    # batch at d = 1, 2 and 3 and at unequal local dimensions, certified by
+    # the realigned trace, by fidelity_best alone (a locally rotated
+    # isotropic state) or not at all, the column equals the rule on each report
+    columns = []
+
+    def spy(*args):
+        out = chunk_columns(*args)
+        columns.append(out[0]["distillable_flag"])
+        return out
+
+    chunk_columns = criteria._chunk_columns
+    monkeypatch.setattr(criteria, "_chunk_columns", spy)
+    families = ("random:da=1,db=1", "pure:a=0.5,0.5", "werner:d=2,p=0", "werner:d=2,p=0.9",
+                "isotropic:d=3,F=0.4", "isotropic:d=3,F=0.32", "random:da=2,db=3,seed=1",
+                "random:da=3,db=2,rank=1,seed=2", "maxdis:t=0.3,-0.2,0.4")
+    states = [make_state(parse_family(f)) for f in families]
+    local = tensor(random_unitary(3, rng), random_unitary(3, rng))
+    states.append(DensityMatrix(3, 3, local @ make_state(Isotropic(3, 0.5)).mat @ local.conj().T))
+    reports = full_reports(states, restarts=4)
+    flags = np.concatenate(columns).tolist()
+    assert flags == [distillable_by_fidelity(r) for r in reports] == [
+        r.distillable_flag for r in reports]
+    assert set(flags) == {True, False} and not reports[-1].realigned_trace > 1 and flags[-1]
+    # the correlation route, which no state reaches alone (T >= 0 makes the
+    # realigned trace equal tau), elementwise as in the scalar branch test
+    assert criteria._distillable(2, np.array([1.02, 1.02]), np.array([0.99, 0.99]),
+                                 np.array([0.4, 0.4]), np.array([True, True]),
+                                 np.array([True, False])).tolist() == [True, False]
+
+
 # --- extended ccn -------------------------------------------------------------------
 
 
