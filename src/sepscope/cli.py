@@ -145,6 +145,7 @@ def _print_report(report: CriterionReport) -> None:
 
 def cmd_analyze(args) -> int:
     _check_seed(args.seed, "--seed")
+    _check_restarts(args.restarts)
     if _looks_like_path(args.input):
         op = load_state_file(args.input, relax=args.relax)
     else:
@@ -167,15 +168,13 @@ def _analyze_relaxed(op: TraceClassOperator, args) -> int:
     tau = ccn_value(op)
     out = {"dims": [op.dim_a, op.dim_b], "kind": "trace-class", "tau": tau}
     if op.dim_a == op.dim_b:
-        d = op.dim_a
         tr = realigned_trace(op)
         opt = fidelity_optimize(op, restarts=args.restarts, seed=args.seed)
-        # a reported lower bound never exceeds its upper bound, as in full_reports
         out.update(
             realigned_trace_re=tr.real,
             realigned_trace_im=tr.imag,
-            fidelity_best=min(opt.value, tau / d),
-            fidelity_upper=tau / d,
+            fidelity_best=opt.value,
+            fidelity_upper=tau / op.dim_a,
             fidelity_converged=opt.converged,
         )
     if args.json:
@@ -322,7 +321,7 @@ def cmd_scan(args) -> int:
 
     # the CSV a column at a time, from the column kernel: no report, no note
     cells: dict[str, list[str]] = {name: [] for name in _CSV_FIELDS}
-    for _, _, mats, columns, _, _ in _stacked_columns(chunks, args.restarts, seed=0):
+    for _, _, mats, columns, _ in _stacked_columns(chunks, args.restarts, seed=0):
         for name, field in _CSV_FIELDS.items():
             cells[name] += _csv_cells(columns[field], len(mats))
     lines = [",".join(["param", *_CSV_FIELDS])]

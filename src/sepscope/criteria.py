@@ -24,13 +24,14 @@ step would have lowered its value, or where a Newton step's model predicted
 a gain at rounding level (at most TOL_ASCENT for a rejected step).
 
 Reports come from one numeric path in two layers.  The column kernel,
-_chunk_columns, gives every report field but the notes as an array per field
-for a stack of states of one shape: a scan prints them and computes no more.
-The report layer, full_reports, adds the notes and builds the reports.
+_chunk_columns, gives the bounds and flags as an array per field for a stack
+of states of one shape: a scan prints them and computes no more.  The report
+layer, full_reports, adds max_disordered, t_psd and the notes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby, islice
 from typing import NamedTuple
@@ -485,10 +486,11 @@ def _optimize_psd(mats: np.ndarray, eigs: np.ndarray, taus: np.ndarray,
                   starts: np.ndarray | None):
     """Best fidelity of each PSD matrix in the stack (P, d^2, d^2), whose
     ascending spectra are ``eigs`` (P, d^2) and CCN values ``taus`` (P,), as
-    the values (P,), unitaries (P, d, d) and converged flags (P,).
+    the values (P,), unitaries (P, d, d) and converged flags (P,).  Each
+    value is capped at tau/d, which rounding could pass at a pure endpoint;
+    taus = inf leaves the values uncapped.
 
-    At d = 2 it is exact (_two_qubit_optimum); ``eigs``, ``taus`` and
-    ``starts`` are unused.
+    At d = 2 it is exact (_two_qubit_optimum), without ``eigs`` or ``starts``.
     Above, each matrix ascends from ``starts``, (R, d, d) shared by every
     matrix or (P, R, d, d) one set per matrix, and the best restart wins.
     The ascent runs on rho - s I with s = max(lambda_min, 0): that moves
@@ -498,17 +500,19 @@ def _optimize_psd(mats: np.ndarray, eigs: np.ndarray, taus: np.ndarray,
     any unit vector's overlap.  The values are evaluated on rho itself.
     """
     side = mats.shape[-1]
-    if side == 4:
-        return _two_qubit_optimum(mats)
-    d = starts.shape[-1]
-    shift = np.maximum(eigs[:, 0], 0.0)
-    shifted = mats - shift[:, None, None] * np.eye(side)
-    ceiling = np.minimum(taus / d, eigs[:, -1]) - shift
-    _, us, converged = _ascend(shifted, starts, ceiling, TOL_ASCENT, _ASCENT_MAX_ITER)
-    x = _vec_t(us)
-    values = np.sum(x.conj() * (x @ mats.swapaxes(-1, -2)), axis=-1).real / d
-    best = np.arange(len(values)), np.argmax(values, axis=1)  # the first restart wins ties
-    return values[best], us[best], converged[best]
+    d = math.isqrt(side)
+    if d == 2:
+        values, us, converged = _two_qubit_optimum(mats)
+    else:
+        shift = np.maximum(eigs[:, 0], 0.0)
+        shifted = mats - shift[:, None, None] * np.eye(side)
+        ceiling = np.minimum(taus / d, eigs[:, -1]) - shift
+        _, us, converged = _ascend(shifted, starts, ceiling, TOL_ASCENT, _ASCENT_MAX_ITER)
+        x = _vec_t(us)
+        values = np.sum(x.conj() * (x @ mats.swapaxes(-1, -2)), axis=-1).real / d
+        best = np.arange(len(values)), np.argmax(values, axis=1)  # the first restart wins ties
+        values, us, converged = values[best], us[best], converged[best]
+    return np.minimum(values, taus / d), us, converged
 
 
 def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
@@ -525,7 +529,7 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
 
     For a trace-class operator the fidelity is max |<psi|op|psi>|; the
     ascent then runs at every d, jointly in the unitary and in the phase of
-    <psi|op|psi>, and reports the best modulus found.
+    <psi|op|psi>, and reports the best modulus found, again at most tau/d.
     """
     if not isinstance(rho, TraceClassOperator):
         raise TypeError("expected a DensityMatrix or TraceClassOperator")
@@ -535,13 +539,11 @@ def fidelity_optimize(rho, restarts: int = 16, seed: int = 0) -> FidelityResult:
     if isinstance(rho, DensityMatrix):
         starts = None if d == 2 else _haar_starts(d, restarts, rng)
         mats = rho.mat[None]
-        taus = _ccn_values(mats, d, d)
-        values, unitaries, converged = _optimize_psd(mats, rho._eigs[None], taus, starts)
-        # as in full_reports, a lower bound never exceeds its upper bound tau/d
-        best = min(values[0], taus[0] / d), unitaries[0], converged[0]
+        best = _optimize_psd(mats, rho._eigs[None], _ccn_values(mats, d, d), starts)
+        value, unitary, converged = (column[0] for column in best)
     else:
-        best = _optimize_trace_class(rho.mat, d, restarts, rng)
-    value, unitary, converged = best
+        value, unitary, converged = _optimize_trace_class(rho.mat, d, restarts, rng)
+        value = min(value, ccn_value(rho) / d)  # rounding can pass tau/d, as for a state
     return FidelityResult(float(value), unitary, bool(converged))
 
 
@@ -793,23 +795,20 @@ def distillable_by_fidelity(report: CriterionReport) -> bool:
     True when the overlap with some maximally entangled state exceeds 1/d,
     which violates the reduction criterion (M. and P. Horodecki, PRA 59,
     4206 (1999)): at psi+ that is a realigned trace above 1, and at the
-    ascent's unitary a fidelity_best above 1/d.  Also True when a maximally
-    disordered state with PSD correlation matrix violates the CCN bound.
+    ascent's unitary a fidelity_best above 1/d.  That covers a maximally
+    disordered state with T >= 0, whose realigned operator is then PSD, so
+    that tr A(rho) = ||A(rho)||_1 = tau.
     False means "not certified", never "not distillable".
     """
     if report.realigned_trace is None:  # unequal local dimensions
         return False
-    return bool(_distillable(
-        report.dim_a, report.tau, report.realigned_trace, report.fidelity_best,
-        report.max_disordered, report.t_psd,
-    ))
+    return bool(_distillable(report.dim_a, report.realigned_trace, report.fidelity_best))
 
 
-def _distillable(d, tau, realigned_trace, fidelity_best, max_disordered, t_psd):
+def _distillable(d, realigned_trace, fidelity_best):
     """distillable_by_fidelity from the report fields it reads, elementwise
     over scalars or the columns of a square chunk."""
-    return ((realigned_trace > 1.0 + TOL_FLAG) | (fidelity_best > 1.0 / d + TOL_FLAG)
-            | (max_disordered & t_psd & (tau > 1.0 + TOL_FLAG)))
+    return (realigned_trace > 1.0 + TOL_FLAG) | (fidelity_best > 1.0 / d + TOL_FLAG)
 
 
 def _schmidt_tau(mat: np.ndarray, da: int, db: int) -> float:
@@ -824,12 +823,13 @@ def full_reports(states, restarts: int = 16, seed: int = 0) -> list[CriterionRep
     """full_report of every state, in order: the report layer.  Each chunk
     of one shape from _chunks goes to _stacked_columns as its stacked
     matrices and spectra, and its columns to one report per state, with the
-    notes of _chunk_notes."""
+    structure columns and notes of _chunk_structure."""
     chunks = ((*key, np.stack([rho.mat for rho in c]), np.stack([rho._eigs for rho in c]))
               for key, c in _chunks(states, lambda rho: (rho.dim_a, rho.dim_b)))
     reports: list[CriterionReport] = []
-    for da, db, mats, columns, overlaps, t_mats in _stacked_columns(chunks, restarts, seed):
-        notes = _chunk_notes(da, db, mats, overlaps, t_mats, columns["max_disordered"])
+    for da, db, mats, columns, overlaps in _stacked_columns(chunks, restarts, seed):
+        max_dis, t_psd, notes = _chunk_structure(da, db, mats, overlaps)
+        columns.update(max_disordered=max_dis, t_psd=t_psd)
         cells = [[None] * len(mats) if col is None else col.tolist() for col in columns.values()]
         reports += [CriterionReport(da, db, *row, notes=note) for *row, note in zip(*cells, notes)]
     return reports
@@ -858,11 +858,10 @@ def _chunk_columns(da, db, mats, eigs, starts):
     ascending spectra ``eigs`` (``starts`` is used only when square above
     d = 2): a dict from each CriterionReport field but the dims and notes,
     in field order, to its (N,) column, None where undefined at unequal
-    local dimensions, and the overlaps <psi+|rho|psi+> and correlation
-    matrices T that _chunk_notes reads (None, None at unequal dimensions).
+    local dimensions and for the structure fields, which _chunk_structure
+    gives; and the overlaps <psi+|rho|psi+> (None at unequal dimensions).
     One stacked SVD and eigensolve give tau and the PPT columns; a square
-    chunk runs its shifted ascents as one batch and stacks its Bloch
-    coefficients and T >= 0 test, the overlap alone per state."""
+    chunk runs its ascents as one batch, the overlap alone per state."""
     taus = _ccn_values(mats, da, db)
     min_eig, ppt_tn, ppt_flag = _ppt_from_eigs(np.linalg.eigvalsh(_partial_transpose(mats, da, db)))
     columns = dict(tau=taus, ppt_min_eig=min_eig, ppt_trace_norm=ppt_tn, realigned_trace=None,
@@ -871,10 +870,24 @@ def _chunk_columns(da, db, mats, eigs, starts):
                    distillable_flag=np.zeros(len(mats), dtype=bool), max_disordered=None,
                    t_psd=None)
     if da != db:
-        return columns, None, None
+        return columns, None
     d = da
     best, _, converged = _optimize_psd(mats, eigs, taus, starts)
     overlaps = _overlaps(mats, d)
+    tr_a, fid_up = d * overlaps, taus / d
+    columns.update(realigned_trace=tr_a, fidelity_lower=np.minimum(overlaps, fid_up),
+                   fidelity_best=best, fidelity_upper=fid_up, fidelity_converged=converged,
+                   distillable_flag=_distillable(d, tr_a, best))
+    return columns, overlaps
+
+
+def _chunk_structure(da, db, mats, overlaps):
+    """The report layer's part of a chunk: its max_disordered and t_psd
+    columns (None at unequal local dimensions) and each state's notes, all
+    stacked but for the rare pure points' Schmidt values."""
+    if da != db:
+        return None, None, [("unequal local dimensions: fidelity bounds not defined",)] * len(mats)
+    d = da
     # positivity of the correlation matrix is meaningful in the conjugated
     # (spin-basis) convention, where T >= 0 iff the realigned operator is PSD;
     # the other checks do not depend on the basis.  T >= 0 means Hermitian
@@ -886,23 +899,6 @@ def _chunk_columns(da, db, mats, eigs, starts):
     defects = np.abs(t_mats - t_herm).max(axis=(-2, -1), initial=0.0)
     t_eigs = np.linalg.eigvalsh((t_mats + t_herm) / 2)
     t_psd = (defects <= TOL_STRUCTURE) & np.all(t_eigs >= -TOL_STRUCTURE, axis=-1)
-    tr_a, fid_up = d * overlaps, taus / d
-    # rounding can lift a lower bound just past tau/d at a pure endpoint;
-    # a reported lower bound never exceeds its upper bound
-    fid_best = np.minimum(best, fid_up)
-    columns.update(realigned_trace=tr_a, fidelity_lower=np.minimum(overlaps, fid_up),
-                   fidelity_best=fid_best, fidelity_upper=fid_up, fidelity_converged=converged,
-                   distillable_flag=_distillable(d, taus, tr_a, fid_best, max_dis, t_psd),
-                   max_disordered=max_dis, t_psd=t_psd)
-    return columns, overlaps, t_mats
-
-
-def _chunk_notes(da, db, mats, overlaps, t_mats, max_dis) -> list[tuple[str, ...]]:
-    """Each state's notes in a chunk, from its kernel outputs: the closed
-    forms that apply, stacked but for the rare pure points' Schmidt values."""
-    if da != db:
-        return [("unequal local dimensions: fidelity bounds not defined",)] * len(mats)
-    d = da
     notes: list[list[str]] = [[] for _ in mats]
     (dis,) = np.nonzero(max_dis)
     for k, value in zip(dis, (1.0 + _trace_norms(t_mats[dis])) / d):
@@ -923,4 +919,4 @@ def _chunk_notes(da, db, mats, overlaps, t_mats, max_dis) -> list[tuple[str, ...
         iso -= mats
         for k in np.nonzero(_max_abs(iso) <= TOL_STRUCTURE)[0]:
             notes[k].append(f"isotropic state with fidelity F = {overlaps[k]:.12g}")
-    return [tuple(note) for note in notes]
+    return max_dis, t_psd, [tuple(note) for note in notes]

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .criteria import FactorizedState, _tensor_pairs
+from .criteria import FactorizedState, _check_count, _tensor_pairs
 from .linalg import (
     TOL_DIRECTION,
     TOL_PROJECTOR,
@@ -65,6 +65,7 @@ class TraceOutFactor:
 
     def __post_init__(self):
         _check_side(self.side)
+        _check_count("index", self.index)
 
 
 @dataclass(frozen=True)

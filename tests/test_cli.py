@@ -707,7 +707,8 @@ def test_conjugate_gradient_multiplies_only_the_pairs_still_in_it(
 
 
 def test_zero_restarts_rejected(capsys):
-    for argv in (["analyze", "werner:d=2,p=0.5"],
+    # the relaxed path at unequal local dimensions runs no ascent, yet is refused
+    for argv in (["analyze", "werner:d=2,p=0.5"], ["analyze", "random:da=2,db=3", "--relax"],
                  ["scan", "werner:d=2,p=0", "--param", "p", "--range", "0:1:3"]):
         code, out, err = run(capsys, *argv, "--restarts", "0")
         assert code == 2 and out == ""
@@ -802,8 +803,9 @@ def test_scan_checks_out_path_before_any_numerics(capsys, monkeypatch, tmp_path)
 
 def test_scan_computes_no_notes(capsys, monkeypatch):
     # every point of the two-qubit Werner scan is maximally disordered and
-    # p = 1 is pure, yet the CSV prints no note, so none is computed; analyze
-    # of the pure endpoint still prints both
+    # p = 1 is pure, yet the CSV prints no note and no structure field, so
+    # neither they nor the Bloch coefficients are computed; analyze of the
+    # pure endpoint still prints both notes
     calls = []
 
     def spy(name):
@@ -814,12 +816,13 @@ def test_scan_computes_no_notes(capsys, monkeypatch):
             return func(*args)
         return counted
 
-    for name in ("_chunk_notes", "_schmidt_tau"):
+    names = ["_chunk_structure", "_coefficients", "_schmidt_tau"]
+    for name in names:
         monkeypatch.setattr(criteria, name, spy(name))
     code, out, err = run(capsys, "scan", "werner:d=2,p=0", "--param", "p", "--range=0:1:101")
     assert code == 0 and out.count("\n") == 103 and calls == [], err
     code, out, err = run(capsys, "analyze", "werner:d=2,p=1", "--json")
-    assert code == 0 and calls == ["_chunk_notes", "_schmidt_tau"], err
+    assert code == 0 and calls == names, err
     assert json.loads(out)["notes"] == [
         "maximally disordered subsystems: tau = (1 + ||T||_1)/d = 2",
         "pure state: tau = (sum sqrt Schmidt)^2 = 2",

@@ -1357,20 +1357,26 @@ def test_distillable_flag_is_local_unitary_invariant(d):
     assert sum(report.realigned_trace > 1 for report in reports) == 3
 
 
-def test_distillable_psd_correlation_route_branch():
-    # in the conjugated convention the sigma_y coefficient flips sign, so
-    # pauli diag (0.3, -0.2, 0.4) has PSD correlation matrix diag (0.3, 0.2, 0.4)
-    from dataclasses import replace
-
+def test_distillable_psd_correlation_states_via_realigned_trace():
+    # a maximally disordered state with T >= 0 has a PSD realigned operator,
+    # so tr A(rho) = ||A(rho)||_1 = tau, and the realigned trace alone
+    # certifies it exactly when tau > 1 does.  In the conjugated convention
+    # the sigma_y coefficient flips sign, so pauli diag (0.3, -0.2, 0.4) has
+    # PSD correlation matrix diag (0.3, 0.2, 0.4); tau = 1.1 for
+    # (0.4, -0.4, 0.4), and isotropic states near F = 1/d have T >= 0 too
     base = full_report(make_state(MaxDisordered((0.3, -0.2, 0.4))), restarts=2)
-    assert base.max_disordered and base.t_psd
-    # with a PSD correlation matrix the realigned trace equals tau exactly
-    assert base.realigned_trace == pytest.approx(base.tau, abs=1e-12)
-    assert not distillable_by_fidelity(base)
-    tweaked = replace(base, realigned_trace=0.99, tau=1.02)
-    assert distillable_by_fidelity(tweaked)
-    not_psd = replace(tweaked, t_psd=False)
-    assert not distillable_by_fidelity(not_psd)
+    states = [make_state(MaxDisordered((0.4, -0.4, 0.4)))]
+    states += [make_state(Isotropic(d, 1 / d + s)) for d in (3, 4, 5) for s in (-0.02, 0.02)]
+    reports = [base, *full_reports(states, restarts=2)]
+    assert reports[1].tau == pytest.approx(1.1, abs=1e-12)
+    for report in reports:
+        assert report.max_disordered and report.t_psd
+        assert report.realigned_trace == pytest.approx(report.tau, abs=1e-12)
+        assert report.distillable_flag == (report.tau > 1 + TOL_FLAG)
+    assert [report.distillable_flag for report in reports] == [False, True] + [False, True] * 3
+    # with the realigned trace at most 1 and fidelity_best at most 1/d,
+    # tau above 1 certifies nothing
+    assert not distillable_by_fidelity(replace(base, realigned_trace=0.99, tau=1.02))
     # flipped sign pattern: correlation matrix not PSD in that convention
     other = full_report(make_state(MaxDisordered((0.3, 0.2, 0.4))), restarts=2)
     assert not other.t_psd
@@ -1401,11 +1407,6 @@ def test_distillable_column_matches_the_report_rule(monkeypatch, rng):
     assert flags == [distillable_by_fidelity(r) for r in reports] == [
         r.distillable_flag for r in reports]
     assert set(flags) == {True, False} and not reports[-1].realigned_trace > 1 and flags[-1]
-    # the correlation route, which no state reaches alone (T >= 0 makes the
-    # realigned trace equal tau), elementwise as in the scalar branch test
-    assert criteria._distillable(2, np.array([1.02, 1.02]), np.array([0.99, 0.99]),
-                                 np.array([0.4, 0.4]), np.array([True, True]),
-                                 np.array([True, False])).tolist() == [True, False]
 
 
 # --- extended ccn -------------------------------------------------------------------

@@ -22,6 +22,7 @@ from sepscope.locc import (
 )
 from sepscope.realign import ccn_value
 from sepscope.states import (
+    Isotropic,
     PureSchmidt,
     Werner,
     make_state,
@@ -145,6 +146,17 @@ def test_ccn_flag_flip_after_local_trace_out():
     res = extended_ccn(pair)
     assert res.value == pytest.approx(1.7, abs=1e-10)
     assert (res.traced_alice, res.traced_bob) == ((0,), (0,))
+
+
+def test_trace_out_index_must_be_an_integer():
+    # a bool or float index is refused, not read as the factor it equals
+    pair = tensor_pair(make_state(Werner(2, 0.5)), make_state(Isotropic(3, 0.5)))
+    for index in (True, 1.0, 0.5):
+        with pytest.raises(ValueError, match=f"index must be an integer, got {index!r}"):
+            TraceOutFactor("alice", index)
+    reduced = apply(TraceOutFactor("alice", np.int64(1)), pair)
+    assert reduced.alice_factors == (2,)
+    np.testing.assert_array_equal(reduced.state.mat, apply(TraceOutFactor("alice", 1), pair).state.mat)
 
 
 def test_pinching_frobenius_inequality(rng):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepscope.criteria import fidelity_optimize, full_report
+from sepscope.linalg import TraceClassOperator
 from sepscope.realign import ccn_value
 from sepscope.states import random_density_matrix
 
@@ -33,3 +34,12 @@ def test_reported_fidelity_lies_in_its_sandwich(rho):
 def test_optimized_fidelity_never_exceeds_its_upper_bound(rho):
     # rounding lifts the ascent's value of a pure state just past tau/d
     assert fidelity_optimize(rho, restarts=4).value <= ccn_value(rho) / rho.dim
+
+
+@_SETTINGS
+@given(_states())
+def test_relaxed_fidelity_never_exceeds_its_upper_bound(rho):
+    # the same bound for the state read as a trace-class operator, whose
+    # relaxed ascent at a pure state (pure:a=1) rounds just past tau/d
+    op = TraceClassOperator(rho.dim, rho.dim, rho.mat)
+    assert fidelity_optimize(op, restarts=4).value <= ccn_value(op) / rho.dim
