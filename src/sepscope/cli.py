@@ -17,8 +17,9 @@ from itertools import chain
 
 import numpy as np
 
-from .criteria import (CriterionReport, _check_restarts, _check_seed, _chunk_points, _chunks,
-                       _stacked_columns, fidelity_optimize, full_report, realigned_trace)
+from .criteria import (_CHUNK_ENTRIES, CriterionReport, _check_restarts, _check_seed,
+                       _chunk_points, _chunks, _stacked_columns, fidelity_optimize, full_report,
+                       realigned_trace)
 from .linalg import TOL_BISECT, TOL_FLAG, DensityMatrix, TraceClassOperator, _check_states
 from .realign import _ccn_values, ccn_value
 from .states import (FamilySpec, _check_grid, _family_matrix, _family_stack, make_state,
@@ -183,8 +184,9 @@ def _analyze_relaxed(op: TraceClassOperator, args) -> int:
         print(f"dims               = {op.dim_a} x {op.dim_b}  (trace-class)")
         print(f"tau (ccn value)    = {_fmt(tau)}")
         if op.dim_a == op.dim_b:
+            im = out["realigned_trace_im"]
             print(f"realigned_trace    = {_fmt(out['realigned_trace_re'])}"
-                  f" + {_fmt(out['realigned_trace_im'])}i")
+                  f" {'-' if np.signbit(im) else '+'} {_fmt(abs(im))}i")
             print(f"fidelity_best      = {_fmt(out['fidelity_best'])}"
                   + ("" if opt.converged else "  (not converged)"))
             print(f"fidelity_upper     = {_fmt(out['fidelity_upper'])}")
@@ -230,9 +232,20 @@ def _csv_cells(column, n: int) -> list[str]:
     return list(map(repr, column.tolist()))
 
 
-# levels of bisection midpoints built as one stack: 7 midpoints cost about as
-# much as one at d = 2 and 3, and stacks of 15 or 31 were no faster
-_BISECT_LEVELS = 3
+def _predicted_path(lo: float, hi: float, f_lo: float, f_hi: float, steps: int) -> list[float]:
+    """The midpoints, at most ``steps`` of them, that the bisection of
+    [lo, hi] would visit if the excess were the straight line through
+    (lo, f_lo) and (hi, f_hi)."""
+    start, slope, sign = lo, (f_hi - f_lo) / (hi - lo), np.sign(f_lo)
+    path: list[float] = []
+    while len(path) < steps and abs(hi - lo) > TOL_BISECT:
+        mid = (lo + hi) / 2.0
+        path.append(mid)
+        if np.sign(f_lo + slope * (mid - start)) == sign:
+            lo = mid
+        else:
+            hi = mid
+    return path
 
 
 def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float,
@@ -243,18 +256,25 @@ def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float,
     ``tau_lo`` and ``tau_hi`` are tau at the ends when already known, as in a
     scan's rows; an end without one is built like every midpoint.
 
-    The midpoints of the next _BISECT_LEVELS levels are built, checked and
-    realigned as one stack, and the bisection then walks them: it visits the
-    same midpoints, stops and signs as one midpoint at a time would."""
+    The midpoints the bisection would visit if tau were the secant through
+    the bracket's ends are built, checked and realigned as one stack (its
+    leading part at large d), and the bisection then walks them by their
+    computed signs.  At the first midpoint off that path it predicts again
+    from the bracket reached, so it visits the same midpoints, stops and
+    signs as one midpoint at a time would.  Every float parameter enters its
+    matrix affinely, so tau is convex along the line and one or two
+    predictions usually reach the end."""
     if param_kind(spec, key) is int:
         raise ValueError(f"parameter '{key}' is an integer: no value lies between two of its values")
 
     def excess(values: list[float]) -> list[float]:
         # make_state and ccn_value on one stack: the same checks, messages
-        # and tau, without a DensityMatrix
+        # and tau, without a DensityMatrix.  The stack takes the leading
+        # values that fit in as many entries as a scan chunk that runs no
+        # ascent, or 7 states: every value at d <= 3
         values = np.array(values)
-        _check_grid(spec, key, values)
-        da, db, mats = _family_stack(spec, key, values)
+        da, db = _check_grid(spec, key, values)
+        _, _, mats = _family_stack(spec, key, values[:max(7, _CHUNK_ENTRIES // (da * db) ** 2)])
         _check_states(mats)
         return (_ccn_values(mats, da, db) - 1.0).tolist()
 
@@ -267,22 +287,18 @@ def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float,
     if np.sign(f_lo) == np.sign(f_hi):
         return None
     known: dict[float, float] = {}
-    for _ in range(200):
+    ends = f_lo, f_hi  # the excess at the bracket's current ends
+    for step in range(200):
         mid = (lo + hi) / 2.0
         if abs(hi - lo) <= TOL_BISECT:
             break
         if mid not in known:
-            # the next levels' midpoints, level by level
-            ends, mids = [lo, hi], []
-            for _ in range(_BISECT_LEVELS):
-                level = [(a + b) / 2.0 for a, b in zip(ends, ends[1:])]
-                mids += level
-                ends = [*chain.from_iterable(zip(ends, level)), hi]
-            known = dict(zip(mids, excess(mids)))
+            path = _predicted_path(lo, hi, *ends, 200 - step)
+            known = dict(zip(path, excess(path)))
         if np.sign(known[mid]) == np.sign(f_lo):
-            lo = mid
+            lo, ends = mid, (known[mid], ends[1])
         else:
-            hi = mid
+            hi, ends = mid, (ends[0], known[mid])
     return (lo + hi) / 2.0
 
 

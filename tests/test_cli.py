@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepscope import cli, criteria, states
 from sepscope.cli import ccn_threshold, load_state_file, main, save_state_file
 from sepscope.criteria import _CHUNK_POINTS, _chunk_points, _chunks, full_report
-from sepscope.linalg import TOL_BISECT, TOL_FLAG, _check_states
+from sepscope.linalg import TOL_BISECT, TOL_FLAG, TraceClassOperator, _check_states
 from sepscope.realign import _ccn_values, ccn_value
 from sepscope.states import (
     Isotropic,
@@ -204,6 +206,24 @@ def test_analyze_relax_family(capsys):
     code, out, _ = run(capsys, "analyze", "pure:a=0.5,0.5", "--relax", "--restarts", "2")
     assert code == 0
     assert "trace-class" in out
+
+
+def test_analyze_relax_prints_a_negative_imaginary_part_with_a_minus(tmp_path, capsys):
+    # the text report writes a - bi where the JSON keeps the signed value
+    mat = np.zeros((4, 4), dtype=np.complex128)
+    mat[0, 0] = mat[3, 3] = 0.5
+    mat[0, 3], mat[3, 0] = -0.4j, 0.1
+    path = tmp_path / "op.json"
+    save_state_file(str(path), TraceClassOperator(2, 2, mat))
+    code, out, _ = run(capsys, "analyze", str(path), "--relax")
+    assert code == 0
+    assert "realigned_trace    = 1.1 - 0.4i" in out.splitlines()
+    code, out, _ = run(capsys, "analyze", str(path), "--relax", "--json")
+    data = json.loads(out)
+    assert (data["realigned_trace_re"], data["realigned_trace_im"]) == (1.1, -0.4)
+    # a state's realigned trace is real, and still prints + 0i
+    code, out, _ = run(capsys, "analyze", "werner:d=2,p=0.7", "--relax")
+    assert "realigned_trace    = 0.15 + 0i" in out.splitlines()
 
 
 def test_analyze_relax_marks_an_unconverged_fidelity(capsys, monkeypatch):
@@ -571,6 +591,53 @@ def _reference_ccn_threshold(spec, key, lo, hi, tau_lo=None, tau_hi=None):
     return (lo + hi) / 2.0
 
 
+@st.composite
+def _brackets(draw):
+    """(spec, key, lo, hi): a float parameter of a broadcasting family, with
+    the others drawn valid, and two valid values of it in either order."""
+    unit = st.floats(0.0, 1.0)
+    family = draw(st.sampled_from(["werner", "isotropic", "rhop", "s", "r", "t"]))
+    if family == "werner":
+        d = draw(st.integers(2, 4))
+        spec, key, a, b = Werner(d, 0.0), "p", -(d - 1) / (d + 1), 1.0
+    elif family == "isotropic":
+        spec, key, a, b = Isotropic(draw(st.integers(2, 5)), 0.0), "F", 0.0, 1.0
+    elif family == "rhop":
+        weight = draw(unit)
+        spec, key, a, b = RhoP((weight, 1.0 - weight), 0.0), "p", -1 / 3, 1.0
+    else:
+        # a counterexample is a state where s > r, |s|, |r| <= 1 and
+        # (1 + r)(1 - s) >= t^2; these draws keep s < 1 and each range open
+        r = draw(st.floats(-0.9, 0.9))
+        t = draw(st.floats(-0.99, 0.99)) * (1 - r * r) ** 0.5
+        s = r + draw(st.floats(0.01, 0.99)) * (1 - t * t / (1 + r) - r)
+        key = family
+        if key == "s":
+            a, b = r + 1e-6, 1 - t * t / (1 + r)
+        elif key == "r":
+            a, b = t * t / (1 - s) - 1, s - 1e-6
+        else:
+            b = ((1 + r) * (1 - s)) ** 0.5
+            a = -b
+        spec = Counterexample(s, r, t)
+    lo, hi = (float(min(max(a + (b - a) * draw(unit), a), b)) for _ in range(2))
+    return spec, key, lo, hi
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_brackets(), st.booleans())
+def test_ccn_threshold_matches_the_one_midpoint_bisection(bracket, with_taus):
+    # the predicted path only chooses which midpoints to build: every sign
+    # the walk reads is computed, so it returns what bisecting one midpoint
+    # at a time returns, bit for bit, from the scan's end taus or without
+    spec, key, lo, hi = bracket
+    taus = [None, None]
+    if with_taus:
+        taus = [ccn_value(make_state(replace_param(spec, key, v))) for v in (lo, hi)]
+    got = ccn_threshold(spec, key, lo, hi, *taus)
+    assert repr(got) == repr(_reference_ccn_threshold(spec, key, lo, hi, *taus))
+
+
 _ORACLE_SCANS = [
     # the scan-small commands of workload seeds 1-3, at the default restarts
     "isotropic:d=3,F=0 --param F --range=0.0:1.0:101",
@@ -616,8 +683,14 @@ def test_scan_matches_the_per_point_reference(capsys, monkeypatch, argv):
 
 def test_scan_builds_each_state_once(capsys, monkeypatch):
     # a float grid is one broadcast stack, with no per-point spec or matrix;
-    # the bisection builds only its midpoints, 7 to a stack, through the
-    # scan's own path: 24 halvings of a 0.01 bracket take 8 stacks
+    # the bisection builds only its midpoints, through the scan's own path.
+    # tau is convex along the line, so the secant through a 0.01 bracket's
+    # ends predicts every sign of its 24 halvings (22 of a 0.004 bracket):
+    # one stack per crossing, where building three levels of midpoints at a
+    # time took 8.  A bracket over the whole counterexample s or r range
+    # takes 3 (10 and 11 before), one holding the isotropic kink at F = 1/d^2
+    # 2 (10 before).  At d = 9 a stack of 9 states holds as many entries as a
+    # scan chunk that runs no ascent, so the 30 halvings of [0, 1] take 4
     stacks, made = [], []
 
     def stack(spec, key, values):
@@ -628,18 +701,27 @@ def test_scan_builds_each_state_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_family_stack", stack)
     for name in ("make_state", "_family_matrix", "replace_param"):
         monkeypatch.setattr(cli, name, lambda *args: made.append(args))
-    for argv, lines in (
+    assert max(7, criteria._CHUNK_ENTRIES // 81**2) == 9
+    for argv, lines, sizes in (
         (["werner:d=2,p=0", "--param", "p", "--range=0:1:101"],
-         ["# ccn-threshold p = 0.3333333334326744"]),
+         ["# ccn-threshold p = 0.3333333334326744"], [101, 24]),
         (["counterexample:s=0.5,r=0.25,t=0", "--param", "t", "--range=-0.2:0.2:101"],
          ["# ccn-threshold t = -0.11611652326583863",
-          "# ccn-threshold t = 0.1161165232658386"]),
+          "# ccn-threshold t = 0.1161165232658386"], [101, 22, 22]),
+        (["counterexample:s=0.5,r=0.25,t=0.01", "--param", "s", "--range=0.26:0.9:2"],
+         ["# ccn-threshold s = 0.2701020458340645"], [2, 30, 22, 8]),
+        (["counterexample:s=0.5,r=0.25,t=0.01", "--param", "r", "--range=-0.9:0.49:2"],
+         ["# ccn-threshold r = 0.4798979535768739"], [2, 31, 25, 15]),
+        (["isotropic:d=5,F=0", "--param", "F", "--range=0:1:2"],
+         ["# ccn-threshold F = 0.19999999972060323"], [2, 30, 26]),
+        (["werner:d=9,p=0", "--param", "p", "--range=0:1:2"],
+         ["# ccn-threshold p = 0.8000000002793968"], [2, 9, 9, 9, 3]),
     ):
         stacks.clear()
         code, out, err = run(capsys, "scan", *argv, "--restarts", "1")
         assert code == 0, err
         assert [line for line in out.splitlines() if line.startswith("#")] == lines
-        assert stacks == [101] + [7] * 8 * len(lines) and made == []
+        assert stacks == sizes and made == []
 
 
 @pytest.mark.parametrize("argv, steps, rows", [
