@@ -1,8 +1,8 @@
 """Command-line interface: analyze states, sweep families, run verification.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 input or validation
-error.  Numbers print with 12 significant digits; CSV cells use full
-round-trip formatting so sweep output is byte-identical across runs.
+error or out of memory.  Numbers print with 12 significant digits; CSV cells
+use full round-trip formatting so sweep output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
 
-from .criteria import (_CHUNK_ENTRIES, CriterionReport, _check_restarts, _check_seed,
-                       _chunk_points, _chunks, _stacked_columns, fidelity_optimize, full_report,
-                       realigned_trace)
+from .criteria import (CriterionReport, _bisect_points, _check_length, _check_restarts,
+                       _check_seed, _chunk_points, _chunks, _stacked_columns, fidelity_optimize,
+                       full_report, realigned_trace)
 from .linalg import TOL_BISECT, TOL_FLAG, DensityMatrix, TraceClassOperator, _check_states
 from .realign import _ccn_values, ccn_value
 from .states import (FamilySpec, _check_grid, _family_matrix, _family_stack, make_state,
@@ -116,16 +116,6 @@ def _looks_like_path(text: str) -> bool:
 # --- analyze -----------------------------------------------------------------
 
 
-def _report_dict(report: CriterionReport) -> dict:
-    """JSON form of a report: "dims" first, then every other field in order."""
-    out = {"dims": [report.dim_a, report.dim_b]}
-    for field in fields(report):
-        if field.name not in ("dim_a", "dim_b"):
-            out[field.name] = getattr(report, field.name)
-    out["notes"] = list(report.notes)
-    return out
-
-
 def _print_report(report: CriterionReport) -> None:
     print(f"dims               = {report.dim_a} x {report.dim_b}")
     print(f"tau (ccn value)    = {_fmt(report.tau)}")
@@ -157,8 +147,9 @@ def cmd_analyze(args) -> int:
     if args.relax:
         return _analyze_relaxed(op, args)
     report = full_report(op, restarts=args.restarts, seed=args.seed)
-    if args.json:
-        print(json.dumps(_report_dict(report), indent=2))
+    if args.json:  # "dims" first, then every other field in order
+        out = asdict(report)
+        print(json.dumps({"dims": [out.pop("dim_a"), out.pop("dim_b")], **out}, indent=2))
     else:
         _print_report(report)
     return 0
@@ -211,6 +202,7 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise ValueError(f"--range bounds must be finite with a finite span, got {text!r}")
     if steps < 1:
         raise ValueError(f"--range needs at least one step, got {steps}")
+    _check_length("--range step count", steps)
     return lo, hi, steps
 
 
@@ -257,25 +249,22 @@ def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float,
     scan's rows; an end without one is built like every midpoint.
 
     The midpoints the bisection would visit if tau were the secant through
-    the bracket's ends are built, checked and realigned as one stack (its
-    leading part at large d), and the bisection then walks them by their
-    computed signs.  At the first midpoint off that path it predicts again
-    from the bracket reached, so it visits the same midpoints, stops and
-    signs as one midpoint at a time would.  Every float parameter enters its
-    matrix affinely, so tau is convex along the line and one or two
-    predictions usually reach the end."""
+    the bracket's ends are built, checked and realigned as the first stack
+    of a scan over them, and the bisection walks them by their computed
+    signs.  At the first midpoint off that path it predicts again from the
+    bracket reached, so it visits the same midpoints, stops and signs as one
+    midpoint at a time would.  Every float parameter enters its matrix
+    affinely, so tau is convex along the line and one or two predictions
+    usually reach the end.  A stack holds at most _bisect_points(da, db)
+    midpoints (the whole path at d <= 3, never fewer than 7): a missed
+    prediction wastes the rest of a stack, so its floor is below a chunk's."""
     if param_kind(spec, key) is int:
         raise ValueError(f"parameter '{key}' is an integer: no value lies between two of its values")
 
     def excess(values: list[float]) -> list[float]:
-        # make_state and ccn_value on one stack: the same checks, messages
-        # and tau, without a DensityMatrix.  The stack takes the leading
-        # values that fit in as many entries as a scan chunk that runs no
-        # ascent, or 7 states: every value at d <= 3
-        values = np.array(values)
-        da, db = _check_grid(spec, key, values)
-        _, _, mats = _family_stack(spec, key, values[:max(7, _CHUNK_ENTRIES // (da * db) ** 2)])
-        _check_states(mats)
+        # make_state and ccn_value as a scan builds them: the same checks,
+        # messages and tau, without a DensityMatrix
+        da, db, mats, _ = next(_scan_chunks(spec, key, np.array(values), _bisect_points))
         return (_ccn_values(mats, da, db) - 1.0).tolist()
 
     f_lo = excess([lo])[0] if tau_lo is None else tau_lo - 1.0
@@ -286,25 +275,25 @@ def ccn_threshold(spec: FamilySpec, key: str, lo: float, hi: float,
         return hi
     if np.sign(f_lo) == np.sign(f_hi):
         return None
-    known: dict[float, float] = {}
-    ends = f_lo, f_hi  # the excess at the bracket's current ends
+    f = {lo: f_lo, hi: f_hi}  # the excess at every value computed
     for step in range(200):
         mid = (lo + hi) / 2.0
         if abs(hi - lo) <= TOL_BISECT:
             break
-        if mid not in known:
-            path = _predicted_path(lo, hi, *ends, 200 - step)
-            known = dict(zip(path, excess(path)))
-        if np.sign(known[mid]) == np.sign(f_lo):
-            lo, ends = mid, (known[mid], ends[1])
+        if mid not in f:
+            path = _predicted_path(lo, hi, f[lo], f[hi], 200 - step)
+            f.update(zip(path, excess(path)))
+        if np.sign(f[mid]) == np.sign(f_lo):
+            lo = mid
         else:
-            hi, ends = mid, (ends[0], known[mid])
+            hi = mid
     return (lo + hi) / 2.0
 
 
-def _scan_chunks(spec: FamilySpec, key: str, values: np.ndarray):
+def _scan_chunks(spec: FamilySpec, key: str, values: np.ndarray, points=_chunk_points):
     """The states of spec with parameter key at each of the grid values, as
-    checked stacks (da, db, mats, eigs) in chunks of _chunks, in order.
+    checked stacks (da, db, mats, eigs) of at most points(da, db) states, in
+    order.
 
     Every value is checked here, before any matrix is built: the first that
     the family rejects raises replace_param's error.  The stacks are built as
@@ -316,9 +305,9 @@ def _scan_chunks(spec: FamilySpec, key: str, values: np.ndarray):
         specs = [replace_param(spec, key, float(v)) for v in values]
         built = (_family_matrix(point) for point in specs)
         stacks = ((da, db, np.stack([mat for _, _, mat in chunk]))
-                  for (da, db), chunk in _chunks(built, lambda item: item[:2]))
+                  for (da, db), chunk in _chunks(built, lambda item: item[:2], points))
     else:
-        size = _chunk_points(*_check_grid(spec, key, values))
+        size = points(*_check_grid(spec, key, values))
         stacks = (_family_stack(spec, key, values[i:i + size])
                   for i in range(0, len(values), size))
     return ((da, db, mats, _check_states(mats)) for da, db, mats in stacks)
@@ -368,6 +357,7 @@ def cmd_verify(args) -> int:
     _check_seed(args.seed, "--seed")
     if args.n < 1:
         raise ValueError(f"-n must be at least 1, got {args.n}")
+    _check_length("-n", args.n)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
@@ -452,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_range(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,12 +98,10 @@ def realigned_trace(op) -> complex:
 
 
 def fidelity_lower(rho: DensityMatrix) -> float:
-    """Fidelity lower bound tr(A(rho))/d = <psi+|rho|psi+>.
-
-    Returns the overlap; ``verify sandwich`` checks it against the realigned
-    trace.
-    """
-    return float(_overlaps(rho.mat[None], rho.dim)[0])
+    """Fidelity lower bound tr(A(rho))/d = <psi+|rho|psi+>, capped at the
+    upper bound tau/d as full_report caps it: rounding can lift the overlap
+    past tau/d, as at the isotropic state with F = 1."""
+    return min(float(_overlaps(rho.mat[None], rho.dim)[0]), ccn_value(rho) / rho.dim)
 
 
 def _overlaps(mats: np.ndarray, d: int) -> np.ndarray:
@@ -137,12 +135,20 @@ def _chunk_points(da: int, db: int) -> int:
     return max(_CHUNK_POINTS, _CHUNK_ENTRIES // (da * db) ** 2)
 
 
-def _chunks(items, dims):
+def _bisect_points(da: int, db: int) -> int:
+    """The most midpoints in one stack of the CCN bisection: as many entries
+    as a chunk without an ascent, but at least 7 states, not 16, since the
+    walk wastes a stack's rest past a missed prediction (a 16-state floor
+    builds 41 and 38, not 32 and 30, for isotropic d = 10 and 16 on [0, 1])."""
+    return max(7, _CHUNK_ENTRIES // (da * db) ** 2)
+
+
+def _chunks(items, dims, points=_chunk_points):
     """((da, db), chunk) for each run of consecutive items of one
-    ``dims(item)``, cut into chunks of at most _chunk_points(da, db);
-    ``items`` is consumed a chunk at a time."""
+    ``dims(item)``, cut into chunks of at most points(da, db); ``items`` is
+    consumed a chunk at a time."""
     for k, run in groupby(items, key=dims):
-        size = _chunk_points(*k)
+        size = points(*k)
         while chunk := list(islice(run, size)):
             yield k, chunk
 
@@ -153,10 +159,17 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_length(name: str, count: int) -> None:
+    """Refuse more float64 entries than numpy's maximum array size holds."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise ValueError(f"{name} = {count} is too large: more floats than a numpy array holds")
+
+
 def _check_restarts(restarts: int) -> None:
     _check_count("restarts", restarts)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    _check_length("restarts", restarts)
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:

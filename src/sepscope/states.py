@@ -609,17 +609,11 @@ def parse_family(text: str) -> FamilySpec:
             raise ValueError(f"{name}: unknown key '{key}' (expects: {known})")
         field, kind = keys[key]
         kwargs[field] = _coerce(name, key, values, kind)
-    missing = [key for key, (field, _) in keys.items() if field not in kwargs and not _has_default(cls, field)]
+    defaults = {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    missing = [key for key, (field, _) in keys.items() if field not in kwargs and field not in defaults]
     if missing:
         raise ValueError(f"{name}: missing required key(s): {', '.join(missing)}")
     return cls(**kwargs)
-
-
-def _has_default(cls, field: str) -> bool:
-    for f in dataclasses.fields(cls):
-        if f.name == field:
-            return f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
-    return False
 
 
 def format_family(spec: FamilySpec) -> str:

@@ -701,7 +701,7 @@ def test_scan_builds_each_state_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_family_stack", stack)
     for name in ("make_state", "_family_matrix", "replace_param"):
         monkeypatch.setattr(cli, name, lambda *args: made.append(args))
-    assert max(7, criteria._CHUNK_ENTRIES // 81**2) == 9
+    assert criteria._bisect_points(9, 9) == 9
     for argv, lines, sizes in (
         (["werner:d=2,p=0", "--param", "p", "--range=0:1:101"],
          ["# ccn-threshold p = 0.3333333334326744"], [101, 24]),
@@ -722,6 +722,23 @@ def test_scan_builds_each_state_once(capsys, monkeypatch):
         assert code == 0, err
         assert [line for line in out.splitlines() if line.startswith("#")] == lines
         assert stacks == sizes and made == []
+
+
+@pytest.mark.parametrize("family, key, want, sizes", [
+    # the two ends, then the walk's stacks of _bisect_points midpoints: 9 at
+    # d = 9 and 7 from d = 10 (a 16-state floor would build 41, not 32, at
+    # isotropic d = 10)
+    ("werner:d=9,p=0", "p", 0.8000000002793968, [1, 1, 9, 9, 9, 3]),
+    ("isotropic:d=10,F=0", "F", 0.10000000009313226, [1, 1, 7, 7, 7, 7, 4]),
+    ("werner:d=12,p=0", "p", 0.846153846476227, [1, 1, 7, 7, 7, 7, 2]),
+])
+def test_ccn_threshold_stacks_at_large_d(monkeypatch, family, key, want, sizes):
+    stacks = []
+    family_stack = cli._family_stack
+    monkeypatch.setattr(cli, "_family_stack",
+                        lambda *args: stacks.append(len(args[2])) or family_stack(*args))
+    assert ccn_threshold(parse_family(family), key, 0.0, 1.0) == want
+    assert stacks == sizes
 
 
 @pytest.mark.parametrize("argv, steps, rows", [
@@ -963,6 +980,32 @@ def test_verify_rejects_empty_instance_count(capsys):
     code, out, err = run(capsys, "verify", "norms", "-n", "0")
     assert code == 2 and out == ""
     assert "-n must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv, field, count", [
+    (["scan", "werner:d=2,p=0", "--param", "p", "--range=0:1:9223372036854775808"],
+     "--range step count", 2**63),
+    (["scan", "werner:d=2,p=0", "--param", "p", "--range=0:1:3", "--restarts", str(2**62)],
+     "restarts", 2**62),
+    (["analyze", "random:da=3,db=3", "--restarts", str(2**62)], "restarts", 2**62),
+    (["analyze", "random:da=3,db=3", "--relax", "--restarts", str(2**62)], "restarts", 2**62),
+    (["verify", "norms", "-n", str(2**62)], "-n", 2**62),
+])
+def test_counts_beyond_numpy_are_refused_by_name(capsys, argv, field, count):
+    # refused before numpy sees the count, which it would fail on with a
+    # traceback or a message that names no field
+    assert run(capsys, *argv) == (2, "", f"error: {field} = {count} is too large: "
+                                          "more floats than a numpy array holds\n")
+
+
+def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    def allocate(seed, n):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+    monkeypatch.setitem(cli.SUITES, "norms", allocate)
+    code, out, err = run(capsys, "verify", "norms", "-n", "10000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: Unable to allocate 74.5 GiB for an array with shape (10000000000,)\n"
 
 
 def test_negative_seed_rejected_before_any_state(capsys, monkeypatch):

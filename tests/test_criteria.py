@@ -114,6 +114,20 @@ def test_fidelity_lower_equals_overlap(rng):
             assert realigned_trace(rho).real == pytest.approx(d * overlap, abs=1e-12)
 
 
+def test_fidelity_lower_is_the_report_field(rng):
+    # the overlap capped at tau/d, bit for bit as full_report caps it: at
+    # these two states rounding lifts the overlap past tau/d
+    for family, want in (("isotropic:d=3,F=1", 1.0000000000000002),
+                         ("isotropic:d=4,F=0.5", 0.49999999999999994)):
+        rho = make_state(parse_family(family))
+        assert fidelity_lower(rho) == want == ccn_value(rho) / rho.dim
+        assert fidelity_lower(rho) == full_report(rho, restarts=1).fidelity_lower
+    states = [random_density_matrix(d, d, rank=rank, rng=rng)
+              for d in (2, 3, 4) for rank in (1, 2, None) for _ in range(3)]
+    for rho, report in zip(states, full_reports(states, restarts=1)):
+        assert repr(fidelity_lower(rho)) == repr(report.fidelity_lower)
+
+
 def test_fidelity_lower_rejects_rectangular(rng):
     with pytest.raises(DimensionError):
         fidelity_lower(random_density_matrix(2, 3, rng=rng))
@@ -192,6 +206,9 @@ def test_fidelity_optimize_argument_errors(rng):
         (dict(restarts=2.0), "restarts must be an integer, got 2.0"),
         (dict(restarts=True), "restarts must be an integer, got True"),
         (dict(restarts=np.bool_(True)), "restarts must be an integer"),
+        # more restarts than a numpy array of floats holds, before numpy sees them
+        (dict(restarts=2**62), "restarts = 4611686018427387904 is too large"),
+        (dict(restarts=np.int64(2**62)), "restarts = 4611686018427387904 is too large"),
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
         (dict(seed=False), "seed must be an integer, got False"),
         (dict(seed=None), "seed must be an integer, got None"),
@@ -579,9 +596,9 @@ def _reference_report(rho, fidelity_best, fidelity_converged) -> CriterionReport
         notes.append("unequal local dimensions: fidelity bounds not defined")
     else:
         d = da
-        overlap = fidelity_lower(rho)
+        overlap = float((psi_plus(d).conj() @ rho.mat @ psi_plus(d)).real)
         tr_a, fid_up = d * overlap, tau / d
-        fid_low = min(overlap, fid_up)
+        fid_low = fidelity_lower(rho)
         dec = decompose(rho, basis="spin")
         t = dec.t_mat
         t_psd = bool(
